@@ -1,17 +1,16 @@
 """Adaptive Dormand-Prince transport kernel.
 
-One compiled routine integrates a 2x2 complex linear ODE dU = C(z) U dz
-along a piecewise path of segments and circular arcs.  The coefficient
-matrix C is selected by a mode switch:
+One routine, compiled by numba when it is installed, integrates a 2x2
+complex linear ODE dU = C(z) U dz along a piecewise path of segments and
+circular arcs.  The coefficient matrix C is selected by a mode switch:
 
     0: the rank-one trinoid system in the z chart
     1: the associated scalar second-order equation, in companion form
     2: the hypergeometric equation, in companion form
-    3: the trinoid system in the w = 1/z chart (for the end at infinity)
     4: the gauge-fixed system in a logarithmic chart around one puncture
 
 Parameters arrive as a flat float array: (c1, c2, c3, Re p, Im p, Re s,
-Im s) for modes 0/1/3 where p is the umbilic sum and s the squared umbilic
+Im s) for modes 0/1 where p is the umbilic sum and s the squared umbilic
 gap, and (a, b, c, 0, 0, 0, 0) for mode 2.
 
 Mode 4 integrates dV = B(zeta) V dzeta where zeta is a log chart around a
@@ -34,10 +33,10 @@ A path is a float array of shape (n, 6).  Row layout:
 
 Error control is relative and per unit arclength: a step of arclength L is
 accepted when the embedded error estimate is at most rtol * L * max(1,
-max-norm of U).  For the matrix modes the determinant of U is monitored
-with compensated products; the running maximum deviation from 1 comes back
-to the caller, since a trace-free generator conserves det exactly and any
-drift is pure integration error.
+max-norm of U).  For the matrix system (mode 0) the determinant of U is
+monitored with compensated products; the running maximum deviation from 1
+comes back to the caller, since a trace-free generator conserves det
+exactly and any drift is pure integration error.
 
 Return status: 0 success, 1 step size underflow (a near-singular path).
 """
@@ -46,7 +45,7 @@ import numpy as np
 
 try:
     from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dependency, but keep a fallback
+except ImportError:  # numba is optional; without it the kernel runs as pure Python
     def njit(*args, **kwargs):
         if len(args) == 1 and callable(args[0]):
             return args[0]
@@ -158,16 +157,6 @@ def _coeff(mode, params, z):
         r = (cc - (a + b + 1.0) * z) / den
         s_val = -a * b / den
         return 0.0j, 1.0 + 0.0j, -s_val, -r
-    elif mode == 3:
-        # w-chart version of mode 0: A~(w) = -(1/w^2) A(1/w)
-        c1, c2, c3 = params[0], params[1], params[2]
-        p = complex(params[3], params[4])
-        s = complex(params[5], params[6])
-        den = 2.0 - p * z
-        w1 = 1.0 - z
-        kap2 = c3 * den * den / (8.0 * w1 * w1)
-        gt = 1.0 / z + s * z / (2.0 * den)
-        return -kap2 * gt, kap2 * gt * gt, -kap2 + 0.0j, kap2 * gt
     else:
         # log-chart gauge: z is zeta, the chart point is p0 + exp(zeta)
         x = complex(params[0], params[1]) + np.exp(z)
@@ -306,7 +295,7 @@ def integrate_path(rows, mode, params, u0, rtol):
                         k1[i] = k7[i]
                     err_accum += err
                     nsteps += 1
-                    if mode == 0 or mode == 3:
+                    if mode == 0:
                         d = _det_drift(u)
                         if d > drift:
                             drift = d

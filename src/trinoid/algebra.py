@@ -46,15 +46,6 @@ def mat2(a11, a12, a21, a22) -> np.ndarray:
     return np.array([[a11, a12], [a21, a22]], dtype=complex)
 
 
-def identity2() -> np.ndarray:
-    return np.eye(2, dtype=complex)
-
-
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product. Kept as a named operation for the public surface."""
-    return a @ b
-
-
 def det2(m: np.ndarray) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
@@ -217,12 +208,6 @@ def solve_quadratic(a, b, c):
 def su2_defect(m: np.ndarray) -> float:
     """Frobenius distance of M M* from the identity."""
     return fro(m @ m.conj().T - np.eye(2))
-
-
-def hermitian_parts(h: np.ndarray):
-    """Eigenvalues (ascending) and unitary eigenvectors of a 2x2 Hermitian."""
-    w, v = np.linalg.eigh(h)
-    return w, v
 
 
 def hermitian_sqrt(h: np.ndarray) -> np.ndarray:

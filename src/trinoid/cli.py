@@ -31,8 +31,9 @@ from .errors import (
     TrinoidError,
     ZeroCoefficient,
 )
-from .fuchsian import Source, make_path_plan, monodromy, projective_equivalence
+from .fuchsian import MonodromyRep, Source, make_path_plan, monodromy, projective_equivalence
 from .moduli import (
+    ModuliClass,
     Status,
     classify,
     conical_data,
@@ -44,6 +45,10 @@ from .moduli import (
     type_signature,
 )
 from .surface import (
+    FrameTransport,
+    SampleGrid,
+    SurfaceMesh,
+    WeierstrassData,
     build_mesh,
     export_obj,
     export_ply,
@@ -52,12 +57,16 @@ from .surface import (
     transport_frame,
     well_definedness_defect,
 )
-from .trinoid_data import build_trinoid_data, hypergeometric_params
-from .unitarize import family_representation, unitarizer_space
+from .trinoid_data import TrinoidData, build_trinoid_data, hypergeometric_params
+from .unitarize import UnitarizerSpace, family_representation, unitarizer_space
 
 SCHEMA_VERSION = 1
 
 _EMPTYISH = (Status.EMPTY, Status.EXCLUDED_ANGLE_IS_PI, Status.DEGENERATE_HANBETU)
+
+
+class _EmptyModuli(TrinoidError):
+    pass
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,10 +74,8 @@ class RunConfig:
     """Parsed invocation: angles in radians plus every knob a command reads."""
 
     angles: tuple[float, float, float]
-    units: str = "pi"
     target: str = "h3"
     tol: Tolerances = dataclasses.field(default_factory=default_tolerances)
-    tol_ode: float | None = None
     base_point: complex | None = None
     rings: int | None = None
     sectors: int | None = None
@@ -171,10 +178,8 @@ def cmd_monodromy(cfg: RunConfig) -> dict:
     b = cfg.angles
     data = build_trinoid_data(b, cfg.tol)
     plan = make_path_plan(data, base_point=cfg.base_point, tol=cfg.tol)
-    rep = monodromy(data, plan=plan, tol_ode=cfg.tol_ode, tol=cfg.tol)
-    scalar = monodromy(
-        data, plan=plan, source=Source.SCALAR_ODE, tol_ode=cfg.tol_ode, tol=cfg.tol
-    )
+    rep = monodromy(data, plan=plan, tol=cfg.tol)
+    scalar = monodromy(data, plan=plan, source=Source.SCALAR_ODE, tol=cfg.tol)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "monodromy",
@@ -227,21 +232,41 @@ def cmd_monodromy(cfg: RunConfig) -> dict:
     return report
 
 
-def cmd_mesh(cfg: RunConfig) -> dict:
-    """Generate and export the mesh, reporting residual diagnostics."""
-    b = cfg.angles
-    if cfg.target != "h3":
-        raise ValueError("mesh generation supports the h3 target only")
-    verdict = classify(b, target="h3", tol=cfg.tol)
+@dataclasses.dataclass(frozen=True)
+class Surface:
+    """Every stage of one trinoid surface, from the angles to the mesh."""
+
+    data: TrinoidData
+    verdict: ModuliClass
+    rep: MonodromyRep
+    space: UnitarizerSpace
+    conj: np.ndarray
+    deform: tuple[float, ...]
+    grid: SampleGrid
+    transport: FrameTransport
+    weier: WeierstrassData
+    mesh: SurfaceMesh
+
+
+def build_surface(angles, rings=8, sectors=48, deform=None, tol=None) -> Surface:
+    """Run every stage from the angles to the mesh and return them all.
+
+    The stages are classification, Hopf/Gauss data, monodromy, unitarizer
+    space, conjugator (the point of the space that deform picks, zeros by
+    default), sample grid, frame transport, Weierstrass recovery and mesh.
+    Each stage is looked up among this module's globals at call time, so
+    a tracer that swaps them sees each stage.  Raises _EmptyModuli when the
+    h3 classification leaves no surface to build.
+    """
+    tol = tol or default_tolerances()
+    verdict = classify(angles, target="h3", tol=tol)
     if verdict.status in _EMPTYISH:
         raise _EmptyModuli(f"no surface to mesh: classification is {verdict.status.value}")
 
-    data = build_trinoid_data(b, cfg.tol)
-    rep = monodromy(data, tol_ode=cfg.tol_ode, tol=cfg.tol)
-    space = unitarizer_space(rep, b, cfg.tol)
-    deform = cfg.deform
-    if deform is None:
-        deform = (0.0,) * space.dim
+    data = build_trinoid_data(angles, tol)
+    rep = monodromy(data, tol=tol)
+    space = unitarizer_space(rep, angles, tol)
+    deform = (0.0,) * space.dim if deform is None else tuple(deform)
     if len(deform) != space.dim:
         raise ValueError(
             f"expected {space.dim} deformation parameters for kind "
@@ -249,21 +274,29 @@ def cmd_mesh(cfg: RunConfig) -> dict:
         )
     conj = space.sample(np.asarray(deform, dtype=float))
 
-    grid_kwargs = {}
-    if cfg.rings is not None:
-        grid_kwargs["rings"] = cfg.rings
-    if cfg.sectors is not None:
-        grid_kwargs["sectors"] = cfg.sectors
-    grid = sample_grid(data, tol=cfg.tol, **grid_kwargs)
-    transport = transport_frame(data, grid, tol_ode=cfg.tol_ode, tol=cfg.tol)
-    weier = recover_weierstrass(transport, data, cfg.tol)
-    mesh = build_mesh(data, conj, grid, transport=transport, weier=weier, tol=cfg.tol)
+    grid = sample_grid(data, rings=rings, sectors=sectors, tol=tol)
+    transport = transport_frame(data, grid, tol=tol)
+    weier = recover_weierstrass(transport, data, tol)
+    mesh = build_mesh(data, conj, grid, transport=transport, weier=weier, tol=tol)
+    return Surface(
+        data=data, verdict=verdict, rep=rep, space=space, conj=conj, deform=deform,
+        grid=grid, transport=transport, weier=weier, mesh=mesh,
+    )
+
+
+def cmd_mesh(cfg: RunConfig) -> dict:
+    """Generate and export the mesh, reporting residual diagnostics."""
+    if cfg.target != "h3":
+        raise ValueError("mesh generation supports the h3 target only")
+    sizes = {k: v for k, v in (("rings", cfg.rings), ("sectors", cfg.sectors)) if v is not None}
+    surf = build_surface(cfg.angles, deform=cfg.deform, tol=cfg.tol, **sizes)
+    data, grid, transport, weier = surf.data, surf.grid, surf.transport, surf.weier
 
     out = cfg.out or f"trinoid.{cfg.fmt}"
     if cfg.fmt == "ply":
-        export_ply(mesh, out)
+        export_ply(surf.mesh, out)
     else:
-        export_obj(mesh, out)
+        export_obj(surf.mesh, out)
 
     idx = np.flatnonzero(weier.numeric)
     z = grid.vertices[idx]
@@ -279,7 +312,7 @@ def cmd_mesh(cfg: RunConfig) -> dict:
             checks.append(
                 {
                     "vertex": int(v),
-                    "defect": well_definedness_defect(transport, conj, v, tol=cfg.tol),
+                    "defect": well_definedness_defect(transport, surf.conj, v, tol=cfg.tol),
                 }
             )
     worst = max(c["defect"] for c in checks)
@@ -287,11 +320,11 @@ def cmd_mesh(cfg: RunConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "mesh",
-        "angles": _angles_json(b),
+        "angles": _angles_json(cfg.angles),
         "seed": cfg.seed,
-        "classification": _class_json(verdict),
-        "unitarizer_kind": space.kind.value,
-        "deformation": list(deform),
+        "classification": _class_json(surf.verdict),
+        "unitarizer_kind": surf.space.kind.value,
+        "deformation": list(surf.deform),
         "grid": {"rings": grid.rings, "sectors": grid.sectors},
         "files": [str(out)],
         "format": cfg.fmt,
@@ -338,10 +371,6 @@ def cmd_fh(cfg: RunConfig, op: str, edge=None, vertex=None, edge_other=None) -> 
 # argument plumbing
 
 
-class _EmptyModuli(TrinoidError):
-    pass
-
-
 def _parse_angles(text: str, units: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -376,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--angles", required=True, help="three angles a,b,c (fractions allowed)")
         p.add_argument("--units", choices=("pi", "rad"), default="pi")
         p.add_argument("--target", choices=("h3", "s2"), default="h3")
-        p.add_argument("--tol-ode", type=float, default=None)
+        p.add_argument("--tol-ode", type=float, default=None,
+                       help="integration tolerance, overriding Tolerances.ode")
         p.add_argument("--base-point", default=None, help="re,im override for loop planning")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", default=None, help="write the JSON report to this path")
@@ -413,12 +443,13 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
     deform = None
     if getattr(ns, "deform", None) is not None:
         deform = tuple(float(p) for p in ns.deform.split(","))
+    tol = default_tolerances()
+    if ns.tol_ode is not None:
+        tol = dataclasses.replace(tol, ode=ns.tol_ode)
     return RunConfig(
         angles=angles,
-        units=ns.units,
         target=ns.target,
-        tol=default_tolerances(),
-        tol_ode=ns.tol_ode,
+        tol=tol,
         base_point=base_point,
         rings=getattr(ns, "rings", None),
         sectors=getattr(ns, "sectors", None),

@@ -27,7 +27,7 @@ from .trinoid_data import HypergeometricParams, TrinoidData
 MODE_MATRIX = 0
 MODE_SCALAR = 1
 MODE_HYPERGEOMETRIC = 2
-MODE_MATRIX_W = 3
+MODE_LOG_CHART = 4
 
 _DEFAULT_BASE = 0.5 + 0.5j
 
@@ -276,58 +276,35 @@ def run_kernel(path: Path, mode: int, params: np.ndarray, u0: np.ndarray, rtol: 
     return u.reshape(2, 2)
 
 
-def singular_points_w_chart(data: TrinoidData) -> tuple:
-    """Images of the singular set under z -> 1/z, with w = 0 for infinity."""
-    images = [0.0 + 0.0j]
-    for s in data.finite_singular_points():
-        if abs(s) > 1e-12:
-            images.append(1.0 / s)
-    return tuple(images)
-
-
 def integrate_matrix_ode(
     data: TrinoidData,
     path: Path,
     f0: np.ndarray,
-    tol_ode: float | None = None,
     tol: Tolerances | None = None,
-    chart: str = "z",
     clearance: float | None = None,
     stats: dict | None = None,
 ) -> np.ndarray:
-    """Transport a frame of the rank-one system along a path.
+    """Transport a frame of the rank-one system along a path in the z chart.
 
-    chart "z" is the standard chart; chart "w" integrates the same system
-    in w = 1/z (the path is then given in w coordinates), which is how the
-    end at infinity is reached without leaving bounded coordinates.  The
-    default clearance is the loop-planning one; surface sampling passes a
-    smaller explicit margin because its paths approach the punctures on
+    The default clearance is the loop-planning one; surface sampling passes
+    a smaller explicit margin because its paths approach the punctures on
     purpose.
     """
     tol = tol or default_tolerances()
-    rtol = tol.ode if tol_ode is None else tol_ode
     f0 = np.asarray(f0, dtype=complex)
     if abs(det2(f0) - 1.0) > 100.0 * tol.det:
         raise NonSL2Input(f"initial frame determinant {det2(f0)} is too far from 1")
-    if chart == "z":
-        mode = MODE_MATRIX
-        singular = data.finite_singular_points()
-    elif chart == "w":
-        mode = MODE_MATRIX_W
-        singular = singular_points_w_chart(data)
-    else:
-        raise ValueError(f"chart must be 'z' or 'w', got {chart!r}")
+    singular = data.finite_singular_points()
     if clearance is None:
         clearance = tol.clearance_factor * _min_pairwise(singular)
     validate_path(path, singular, clearance)
-    return run_kernel(path, mode, data.kernel_params(), f0, rtol, stats)
+    return run_kernel(path, MODE_MATRIX, data.kernel_params(), f0, tol.ode, stats)
 
 
 def integrate_scalar_ode(
     data: TrinoidData,
     path: Path,
     init: np.ndarray | None = None,
-    tol_ode: float | None = None,
     tol: Tolerances | None = None,
     stats: dict | None = None,
 ) -> np.ndarray:
@@ -338,14 +315,13 @@ def integrate_scalar_ode(
     identity by default, i.e. (1,0) and (0,1) at the path start).
     """
     tol = tol or default_tolerances()
-    rtol = tol.ode if tol_ode is None else tol_ode
     u0 = np.eye(2, dtype=complex) if init is None else np.asarray(init, dtype=complex)
     validate_path(
         path,
         data.finite_singular_points(),
         tol.clearance_factor * _min_pairwise(data.finite_singular_points()),
     )
-    out = run_kernel(path, MODE_SCALAR, data.kernel_params(), u0, rtol, stats)
+    out = run_kernel(path, MODE_SCALAR, data.kernel_params(), u0, tol.ode, stats)
     if init is None:
         return out
     return out @ inv2(np.asarray(init, dtype=complex))
@@ -391,7 +367,6 @@ def monodromy(
     data: TrinoidData,
     plan: PathPlan | None = None,
     source: Source = Source.MATRIX_ODE,
-    tol_ode: float | None = None,
     tol: Tolerances | None = None,
 ) -> MonodromyRep:
     """Monodromy representation from the two planned loops.
@@ -412,12 +387,11 @@ def monodromy(
     else:
         raise ValueError("use hypergeometric_monodromy for the hypergeometric source")
     stats: dict = {}
-    rtol = tol.ode if tol_ode is None else tol_ode
     params = data.kernel_params()
     rhos = []
     for loop in plan.loops:
         validate_path(loop, plan.singular_points, plan.clearance)
-        rhos.append(run_kernel(loop, mode, params, np.eye(2, dtype=complex), rtol, stats))
+        rhos.append(run_kernel(loop, mode, params, np.eye(2, dtype=complex), tol.ode, stats))
     rho1, rho2 = rhos
     rho3 = inv2(rho1 @ rho2)
     defect = max(
@@ -442,7 +416,6 @@ def monodromy(
 def hypergeometric_monodromy(
     params: HypergeometricParams,
     plan: PathPlan | None = None,
-    tol_ode: float | None = None,
     tol: Tolerances | None = None,
 ) -> MonodromyRep:
     """Loop transports of the hypergeometric equation around 0 and 1.
@@ -453,7 +426,6 @@ def hypergeometric_monodromy(
     so the sign ambiguity of the root is harmless.
     """
     tol = tol or default_tolerances()
-    rtol = tol.ode if tol_ode is None else tol_ode
     if plan is None:
         plan = make_path_plan([0.0, 1.0], tol=tol)
     kparams = np.array([params.a, params.b, params.c, 0.0, 0.0, 0.0, 0.0])
@@ -461,7 +433,7 @@ def hypergeometric_monodromy(
     rhos = []
     for loop in plan.loops:
         validate_path(loop, plan.singular_points, plan.clearance)
-        raw = run_kernel(loop, MODE_HYPERGEOMETRIC, kparams, np.eye(2, dtype=complex), rtol, stats)
+        raw = run_kernel(loop, MODE_HYPERGEOMETRIC, kparams, np.eye(2, dtype=complex), tol.ode, stats)
         rhos.append(raw / np.sqrt(det2(raw)))
     rho1, rho2 = rhos
     rho3 = inv2(rho1 @ rho2)
@@ -529,7 +501,6 @@ def projective_equivalence(m1: MonodromyRep, m2: MonodromyRep, tol: Tolerances |
 
 def apparent_point_check(
     data: TrinoidData,
-    tol_ode: float | None = None,
     tol: Tolerances | None = None,
 ) -> dict:
     """Verify that the non-puncture singular points carry no monodromy.
@@ -541,7 +512,6 @@ def apparent_point_check(
     overall flag; callers report rather than raise on failure.
     """
     tol = tol or default_tolerances()
-    rtol = tol.ode if tol_ode is None else tol_ode
     params = data.kernel_params()
     singular = data.finite_singular_points()
     out: dict = {}
@@ -550,12 +520,12 @@ def apparent_point_check(
         others = [s for s in singular if abs(s - center) > 1e-13]
         radius = 0.25 * min(abs(s - center) for s in others)
         loop = circle(center, radius)
-        p = run_kernel(loop, MODE_MATRIX, params, np.eye(2, dtype=complex), rtol)
+        p = run_kernel(loop, MODE_MATRIX, params, np.eye(2, dtype=complex), tol.ode)
         out[name] = float(np.linalg.norm(p - np.eye(2)))
     others = [s for s in singular if abs(s - data.q.pole) > 1e-13]
     radius = 0.25 * min(abs(s - data.q.pole) for s in others)
     loop = circle(data.q.pole, radius)
-    t = run_kernel(loop, MODE_SCALAR, params, np.eye(2, dtype=complex), rtol)
+    t = run_kernel(loop, MODE_SCALAR, params, np.eye(2, dtype=complex), tol.ode)
     out["pole_scalar"] = float(
         min(np.linalg.norm(t - np.eye(2)), np.linalg.norm(t + np.eye(2)))
     )

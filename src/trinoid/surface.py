@@ -34,7 +34,7 @@ from scipy.spatial import Delaunay
 from .algebra import det2, det2_compensated, fro, inv2, project_h3, solve_quadratic
 from .config import Tolerances, default_tolerances
 from .errors import EmptyIntersection, NonSL2Input, NullStructureViolation, StepUnderflow
-from .fuchsian import Path, run_kernel, segment, validate_path
+from .fuchsian import MODE_LOG_CHART, MODE_MATRIX, Path, run_kernel, segment, validate_path
 from .trinoid_data import TrinoidData
 
 _BASE_POINT = 0.5 + 0.5j
@@ -510,7 +510,6 @@ class FrameTransport:
 def transport_frame(
     data: TrinoidData,
     grid: SampleGrid,
-    tol_ode: float | None = None,
     tol: Tolerances | None = None,
 ) -> FrameTransport:
     """Integrate the frame equation along the spanning tree from the base.
@@ -521,7 +520,7 @@ def transport_frame(
     integrator stalls, and checks det F = 1 at every vertex afterwards.
     """
     tol = tol or default_tolerances()
-    rtol = (tol_ode if tol_ode is not None else tol.ode) * tol.transport_tol_factor
+    rtol = tol.ode * tol.transport_tol_factor
     params0 = data.kernel_params()
     nr, ns = grid.rings, grid.sectors
     nv = grid.n_vertices
@@ -541,13 +540,13 @@ def transport_frame(
     for edge in grid.edges:
         if edge.kind == "segment":
             t = _run(
-                segment(edge.a, edge.b), 0, params0,
+                segment(edge.a, edge.b), MODE_MATRIX, params0,
                 f"segment edge {edge.parent}->{edge.child}",
             )
         else:
             ch = grid.charts[edge.end]
             t_v = _run(
-                segment(edge.a, edge.b), 4, ch.kernel_params,
+                segment(edge.a, edge.b), MODE_LOG_CHART, ch.kernel_params,
                 f"{edge.kind} edge {edge.parent}->{edge.child} (end {edge.end + 1})",
             )
             t = _assemble_transfer(ch, edge.a, edge.b, t_v)
@@ -562,7 +561,9 @@ def transport_frame(
     for ch in grid.charts:
         a = grid.zeta[grid.annulus_index(ch.end, 0, ns - 1)]
         b = grid.zeta[grid.annulus_index(ch.end, 0, 0)] + 2.0j * math.pi
-        t_v = _run(segment(a, b), 4, ch.kernel_params, f"seam arc (end {ch.end + 1})")
+        t_v = _run(
+            segment(a, b), MODE_LOG_CHART, ch.kernel_params, f"seam arc (end {ch.end + 1})"
+        )
         ring_arcs[ch.end][ns - 1] = _assemble_transfer(ch, a, b, t_v)
 
     # The determinant of a large-entry frame is an ill-conditioned 2x2
@@ -640,7 +641,9 @@ def _micro_frames(
         z_prev = zeta0
         for m in range(1, 6):
             z_next = zeta0 + 1j * side * m * delta
-            t_v = run_kernel(segment(z_prev, z_next), 4, ch.kernel_params, np.eye(2), rtol)
+            t_v = run_kernel(
+                segment(z_prev, z_next), MODE_LOG_CHART, ch.kernel_params, np.eye(2), rtol
+            )
             prev = _assemble_transfer(ch, z_prev, z_next, t_v) @ prev
             vals[5 + side * m] = prev
             z_prev = z_next
@@ -773,18 +776,13 @@ class SurfaceMesh:
     def n_vertices(self) -> int:
         return len(self.positions)
 
-    def h3_point(self, v: int):
-        from .algebra import H3Point
-
-        return H3Point(minkowski=self.minkowski[v], ball=self.positions[v])
-
 
 def build_mesh(
     data: TrinoidData,
     conjugator: np.ndarray,
     grid: SampleGrid,
-    transport: FrameTransport | None = None,
-    weier: WeierstrassData | None = None,
+    transport: FrameTransport,
+    weier: WeierstrassData,
     tol: Tolerances | None = None,
 ) -> SurfaceMesh:
     """Project the unitarized frame to the Poincare ball over the grid.
@@ -797,8 +795,6 @@ def build_mesh(
     the doubled-path checks probe.
     """
     tol = tol or default_tolerances()
-    transport = transport or transport_frame(data, grid, tol=tol)
-    weier = weier or recover_weierstrass(transport, data, tol)
     right = inv2(np.asarray(conjugator, dtype=complex))
     nv = grid.n_vertices
     ball = np.zeros((nv, 3))
@@ -937,29 +933,16 @@ def _chain_crossings(positions: np.ndarray, faces: np.ndarray, signed: np.ndarra
     return chains
 
 
-def profile_curve(
-    data: TrinoidData,
-    conjugator: np.ndarray,
-    plane_normal,
-    resolution: int = 8,
-    mesh: SurfaceMesh | None = None,
-    tol: Tolerances | None = None,
-) -> ProfileCurve:
-    """Intersect the surface with a plane through the ball origin.
+def profile_curve(mesh: SurfaceMesh, plane_normal) -> ProfileCurve:
+    """Intersect the mesh with a plane through the ball origin.
 
-    resolution sets the ring count of a freshly sampled grid (with six
-    sectors per ring) when no mesh is supplied.  Raises EmptyIntersection
-    when no mesh face crosses the plane.
+    Raises EmptyIntersection when no mesh face crosses the plane.
     """
-    tol = tol or default_tolerances()
     n = np.asarray(plane_normal, dtype=float)
     norm = np.linalg.norm(n)
     if norm == 0.0:
         raise ValueError("plane normal must be nonzero")
     n = n / norm
-    if mesh is None:
-        grid = sample_grid(data, rings=int(resolution), sectors=6 * int(resolution), tol=tol)
-        mesh = build_mesh(data, conjugator, grid, tol=tol)
     signed = mesh.positions @ n
     signed = np.where(signed == 0.0, 1e-15, signed)
     chains = _chain_crossings(mesh.positions, mesh.faces, signed)

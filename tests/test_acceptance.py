@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from trinoid.algebra import inv2, su2_defect
-from trinoid.cli import main
+from trinoid.cli import build_surface, main
 from trinoid.fuchsian import (
     Source,
     hypergeometric_monodromy,
@@ -26,19 +26,9 @@ from trinoid.moduli import (
     irreducible_exists,
     reduce_angles,
 )
-from trinoid.surface import (
-    recover_weierstrass,
-    sample_grid,
-    transport_frame,
-    well_definedness_defect,
-)
+from trinoid.surface import well_definedness_defect
 from trinoid.trinoid_data import build_trinoid_data, hypergeometric_params
-from trinoid.unitarize import (
-    conjugator_from_form,
-    family_representation,
-    invariant_hermitian_form,
-    unitarizer_space,
-)
+from trinoid.unitarize import family_representation, unitarizer_space
 from trinoid.errors import BigonRequiresAcute
 
 PI = math.pi
@@ -191,17 +181,13 @@ def test_criterion_06_unitarizer_dimensions():
 @pytest.fixture(scope="module")
 def pipeline():
     t0 = time.monotonic()
-    data = build_trinoid_data(SYM23)
-    grid = sample_grid(data, rings=8, sectors=48)
-    transport = transport_frame(data, grid)
-    weier = recover_weierstrass(transport, data)
-    conj = conjugator_from_form(invariant_hermitian_form(monodromy(data)))
+    surf = build_surface(SYM23, rings=8, sectors=48)
     return SimpleNamespace(
-        data=data,
-        grid=grid,
-        transport=transport,
-        weier=weier,
-        conj=conj,
+        data=surf.data,
+        grid=surf.grid,
+        transport=surf.transport,
+        weier=surf.weier,
+        conj=surf.conj,
         build=time.monotonic() - t0,
     )
 

@@ -124,6 +124,18 @@ def test_monodromy_base_point_override(tmp_path):
     assert rep["unitarizer_kind"] == "SinglePoint"
 
 
+def test_monodromy_ode_tolerance_flag(tmp_path):
+    # --tol-ode replaces Tolerances.ode: an unreachable value stalls the
+    # step controller (numerical failure, exit 3), a looser one changes
+    # the accumulated error estimate
+    assert main(["monodromy", "--angles", "2/3,2/3,2/3", "--tol-ode", "1e-28"]) == 3
+    default = run_json(tmp_path, "default", ["monodromy", "--angles", "2/3,2/3,2/3"])
+    loose = run_json(
+        tmp_path, "loose", ["monodromy", "--angles", "2/3,2/3,2/3", "--tol-ode", "1e-8"]
+    )
+    assert loose["err_estimate"] != default["err_estimate"]
+
+
 def test_monodromy_determinism(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

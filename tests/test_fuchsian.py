@@ -2,11 +2,13 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from trinoid.config import default_tolerances
 from trinoid.errors import SingularPathPoint, StepUnderflow
 from trinoid.fuchsian import (
     Path,
@@ -188,8 +190,8 @@ def test_loop_homotopy_invariance():
 def test_step_halving_convergence():
     data = build_trinoid_data(SYM23)
     plan = make_path_plan(data)
-    rep = monodromy(data, plan=plan, tol_ode=1e-8)
-    rep_half = monodromy(data, plan=plan, tol_ode=5e-9)
+    rep = monodromy(data, plan=plan, tol=replace(default_tolerances(), ode=1e-8))
+    rep_half = monodromy(data, plan=plan, tol=replace(default_tolerances(), ode=5e-9))
     diff = max(
         np.max(np.abs(a - b))
         for a, b in ((rep.rho1, rep_half.rho1), (rep.rho2, rep_half.rho2))

@@ -11,11 +11,11 @@ import pytest
 from scipy.optimize import minimize, minimize_scalar
 
 from trinoid.algebra import fro, inv2, project_h3
+from trinoid.cli import build_surface
 from trinoid.config import default_tolerances
 from trinoid.errors import EmptyIntersection, NullStructureViolation, StepUnderflow
-from trinoid.fuchsian import circle, monodromy, run_kernel, segment
+from trinoid.fuchsian import MODE_MATRIX, circle, monodromy, run_kernel, segment
 from trinoid.surface import (
-    build_mesh,
     end_charts,
     export_obj,
     export_ply,
@@ -28,11 +28,6 @@ from trinoid.surface import (
     well_definedness_defect,
 )
 from trinoid.trinoid_data import build_trinoid_data
-from trinoid.unitarize import (
-    conjugator_from_form,
-    invariant_hermitian_form,
-    unitarizer_space,
-)
 
 SYM23 = (2 * math.pi / 3,) * 3
 BIG = (3 * math.pi,) * 3
@@ -41,27 +36,18 @@ BIG = (3 * math.pi,) * 3
 ASYM = (0.6 * math.pi, 1.5 * math.pi, 0.8 * math.pi)
 
 
+def _bundle(s):
+    return s.data, s.grid, s.transport, s.weier, s.conj, s.mesh
+
+
 @pytest.fixture(scope="module")
 def sym():
-    data = build_trinoid_data(SYM23)
-    grid = sample_grid(data)
-    transport = transport_frame(data, grid)
-    weier = recover_weierstrass(transport, data)
-    conj = conjugator_from_form(invariant_hermitian_form(monodromy(data)))
-    mesh = build_mesh(data, conj, grid, transport=transport, weier=weier)
-    return data, grid, transport, weier, conj, mesh
+    return _bundle(build_surface(SYM23))
 
 
 @pytest.fixture(scope="module")
 def big():
-    data = build_trinoid_data(BIG)
-    grid = sample_grid(data)
-    transport = transport_frame(data, grid)
-    weier = recover_weierstrass(transport, data)
-    space = unitarizer_space(monodromy(data), BIG)
-    conj = space.sample((0.31, -0.42, 0.18))
-    mesh = build_mesh(data, conj, grid, transport=transport, weier=weier)
-    return data, grid, transport, weier, conj, mesh
+    return _bundle(build_surface(BIG, deform=(0.31, -0.42, 0.18)))
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +92,12 @@ def test_transport_flat_on_closed_loops():
     corners = [0.45 + 0.45j, 0.55 + 0.45j, 0.55 + 0.55j, 0.45 + 0.55j]
     t = np.eye(2, dtype=complex)
     for i in range(4):
-        t = run_kernel(segment(corners[i], corners[(i + 1) % 4]), 0, params, np.eye(2), 1e-13) @ t
+        t = run_kernel(
+            segment(corners[i], corners[(i + 1) % 4]), MODE_MATRIX, params, np.eye(2), 1e-13
+        ) @ t
     assert np.abs(t - np.eye(2)).max() < 1e-6
 
-    loop = run_kernel(circle(0.0, 0.25), 0, params, np.eye(2), 1e-13)
+    loop = run_kernel(circle(0.0, 0.25), MODE_MATRIX, params, np.eye(2), 1e-13)
     dist = min(np.abs(loop - np.eye(2)).max(), np.abs(loop + np.eye(2)).max())
     assert dist > 0.1
 
@@ -120,7 +108,7 @@ def test_transport_stall_reports_edge():
     data = build_trinoid_data(SYM23)
     grid = sample_grid(data, rings=2, sectors=8)
     with pytest.raises(StepUnderflow, match="transport stalled on"):
-        transport_frame(data, grid, tol_ode=1e-28)
+        transport_frame(data, grid, tol=dataclasses.replace(default_tolerances(), ode=1e-28))
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +419,8 @@ def _end_directions(grid, mesh, frame):
 def test_profile_symmetric_cut_closed(sym):
     # the horizontal cut of the equal-angle trinoid is a single closed
     # curve around the waist
-    data, _, _, _, conj, mesh = sym
-    pc = profile_curve(data, conj, (0.0, 0.0, 1.0), mesh=mesh)
+    mesh = sym[5]
+    pc = profile_curve(mesh, (0.0, 0.0, 1.0))
     assert pc.closed
     assert len(pc.chains) == 1
     assert pc.t[0] == 0.0
@@ -447,9 +435,9 @@ def test_profile_ends_plane_symmetries(sym):
     # acts as the disk Mobius map through the end directions and each
     # end swap as the anti-Mobius reflection fixing the third end
     # (bidirectional defects measured at 7.7e-4 and 3.5e-5 to 8.6e-4)
-    data, grid, _, _, conj, mesh = sym
+    _, grid, _, _, _, mesh = sym
     normal = (0.0, 1.0, 0.0)
-    pc = profile_curve(data, conj, normal, mesh=mesh)
+    pc = profile_curve(mesh, normal)
     assert len(pc.chains) == 3
     w, chains2d, frame = _plane_complex(pc.chains, normal)
     beta = _end_directions(grid, mesh, frame)
@@ -476,9 +464,9 @@ def test_profile_mirror_scan_control(sym):
     # the reflection scan must actually find the known mirror of the
     # symmetric cut (measured 4.4e-4), otherwise a failure to find one
     # elsewhere would mean nothing
-    data, _, _, _, conj, mesh = sym
+    mesh = sym[5]
     normal = (0.0, 1.0, 0.0)
-    pc = profile_curve(data, conj, normal, mesh=mesh)
+    pc = profile_curve(mesh, normal)
     w, chains2d, _ = _plane_complex(pc.chains, normal)
     assert _mirror_scan(w, chains2d) < 1e-3
 
@@ -487,9 +475,9 @@ def test_profile_generic_cut_has_no_mirror(big):
     # a generic member of the three-parameter family loses the mirrors:
     # the same scan that recovers the symmetric control above bottoms out
     # an order of magnitude higher here (measured 5.5e-3)
-    data, _, _, _, conj, mesh = big
+    mesh = big[5]
     normal = (0.0, 0.0, 1.0)
-    pc = profile_curve(data, conj, normal, mesh=mesh)
+    pc = profile_curve(mesh, normal)
     assert len(pc.chains) == 6
     w, chains2d, _ = _plane_complex(pc.chains, normal)
     assert _mirror_scan(w, chains2d) > 2e-3
@@ -499,17 +487,13 @@ def test_profile_empty_intersection():
     # this asymmetric trinoid occupies one side of a plane through the
     # origin (margin 0.22 along the frozen normal), so the section is
     # empty and must say so
-    data = build_trinoid_data(ASYM)
-    space = unitarizer_space(monodromy(data), ASYM)
-    grid = sample_grid(data, rings=6, sectors=24)
-    transport = transport_frame(data, grid)
-    mesh = build_mesh(data, space.base_conjugator, grid, transport=transport)
+    mesh = build_surface(ASYM, rings=6, sectors=24).mesh
     normal = (-0.17103309810703546, 0.04600890358434871, 0.9841904592825899)
     assert float(np.min(mesh.positions @ np.asarray(normal))) > 0.2
     with pytest.raises(EmptyIntersection):
-        profile_curve(data, space.base_conjugator, normal, mesh=mesh)
+        profile_curve(mesh, normal)
     with pytest.raises(ValueError):
-        profile_curve(data, space.base_conjugator, (0.0, 0.0, 0.0), mesh=mesh)
+        profile_curve(mesh, (0.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +546,8 @@ def test_export_ply_roundtrip(tmp_path, sym):
 
 
 def test_export_profile_csv(tmp_path, sym):
-    data, _, _, _, conj, mesh = sym
-    pc = profile_curve(data, conj, (0.0, 0.0, 1.0), mesh=mesh)
+    mesh = sym[5]
+    pc = profile_curve(mesh, (0.0, 0.0, 1.0))
     path = tmp_path / "profile.csv"
     export_profile_csv(pc, path)
     lines = path.read_text(encoding="ascii").splitlines()
