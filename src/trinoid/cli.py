@@ -276,7 +276,7 @@ def build_surface(angles, rings=8, sectors=48, deform=None, tol=None) -> Surface
 
     grid = sample_grid(data, rings=rings, sectors=sectors, tol=tol)
     transport = transport_frame(data, grid, tol=tol)
-    weier = recover_weierstrass(transport, data, tol)
+    weier = recover_weierstrass(transport, tol)
     mesh = build_mesh(data, conj, grid, transport=transport, weier=weier, tol=tol)
     return Surface(
         data=data, verdict=verdict, rep=rep, space=space, conj=conj, deform=deform,
@@ -285,23 +285,27 @@ def build_surface(angles, rings=8, sectors=48, deform=None, tol=None) -> Surface
 
 
 def cmd_mesh(cfg: RunConfig) -> dict:
-    """Generate and export the mesh, reporting residual diagnostics."""
+    """Generate and export the mesh, reporting residual diagnostics.
+
+    max_omega_dg_residual is the largest relative omega dg residual (the
+    mesh's "rel" diagnostic) over the annulus vertices, inner rings
+    included.  There the dg identity of recover_weierstrass loses about
+    the squared frame norm in precision, so for large half-angles the
+    field is dominated by that loss (about 5e3 for 3,3,3 at 4x12, against
+    2e-9 for 2/3,2/3,2/3) and says little about the transport.  No gate
+    reads it.
+    """
     if cfg.target != "h3":
         raise ValueError("mesh generation supports the h3 target only")
     sizes = {k: v for k, v in (("rings", cfg.rings), ("sectors", cfg.sectors)) if v is not None}
     surf = build_surface(cfg.angles, deform=cfg.deform, tol=cfg.tol, **sizes)
-    data, grid, transport, weier = surf.data, surf.grid, surf.transport, surf.weier
+    grid, transport, weier = surf.grid, surf.transport, surf.weier
 
     out = cfg.out or f"trinoid.{cfg.fmt}"
     if cfg.fmt == "ply":
         export_ply(surf.mesh, out)
     else:
         export_obj(surf.mesh, out)
-
-    idx = np.flatnonzero(weier.numeric)
-    z = grid.vertices[idx]
-    qhat = np.array([data.hopf(zz) for zz in z])
-    rel = np.abs(weier.omega[idx] * weier.dg[idx] - qhat) / np.abs(qhat)
 
     rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
     checks = []
@@ -331,7 +335,7 @@ def cmd_mesh(cfg: RunConfig) -> dict:
         "n_vertices": grid.n_vertices,
         "n_faces": int(len(grid.faces)),
         "max_det_defect": transport.stats["max_det_defect"],
-        "max_omega_dg_residual": float(rel.max()),
+        "max_omega_dg_residual": float(surf.mesh.diagnostics["rel"][weier.numeric].max()),
         "well_definedness": {
             "checks": checks,
             "max_defect": worst,

@@ -2,7 +2,7 @@
 
 Paths are chains of straight segments and circular arcs.  Transport of the
 rank-one matrix system, of the associated scalar equation, and of the
-hypergeometric equation all go through the compiled kernel; this module
+hypergeometric equation all go through the transport kernel; this module
 plans loops that keep clear of every singular point, runs the kernel, and
 packages loop transports into a monodromy representation with the defining
 relation rho1 rho2 rho3 = 1.
@@ -232,18 +232,16 @@ def _build_loop(base, center, other_puncture, singular_points, radius_factor, cl
 def make_path_plan(
     data,
     base_point: complex | None = None,
-    radius_factor: float | None = None,
     tol: Tolerances | None = None,
 ) -> PathPlan:
     """Plan the two monodromy loops for trinoid data or an explicit point set.
 
     data may be a TrinoidData (its punctures, umbilics and Gauss-map pole
     are all kept clear of) or a bare sequence of finite singular points
-    that must include 0 and 1.
+    that must include 0 and 1.  The loop radii start at
+    tol.loop_radius_factor times the distance between the punctures.
     """
     tol = tol or default_tolerances()
-    if radius_factor is None:
-        radius_factor = tol.loop_radius_factor
     if isinstance(data, TrinoidData):
         singular = data.finite_singular_points()
     else:
@@ -255,8 +253,8 @@ def make_path_plan(
         base = complex(base_point)
         if min(abs(base - s) for s in singular) < clearance:
             raise SingularPathPoint(f"base point {base} violates clearance {clearance:.3g}")
-    loop0 = _build_loop(base, 0.0 + 0.0j, 1.0 + 0.0j, singular, radius_factor, clearance)
-    loop1 = _build_loop(base, 1.0 + 0.0j, 0.0 + 0.0j, singular, radius_factor, clearance)
+    loop0 = _build_loop(base, 0.0 + 0.0j, 1.0 + 0.0j, singular, tol.loop_radius_factor, clearance)
+    loop1 = _build_loop(base, 1.0 + 0.0j, 0.0 + 0.0j, singular, tol.loop_radius_factor, clearance)
     return PathPlan(base_point=base, loops=(loop0, loop1), singular_points=singular, clearance=clearance)
 
 
@@ -282,13 +280,11 @@ def integrate_matrix_ode(
     f0: np.ndarray,
     tol: Tolerances | None = None,
     clearance: float | None = None,
-    stats: dict | None = None,
 ) -> np.ndarray:
     """Transport a frame of the rank-one system along a path in the z chart.
 
-    The default clearance is the loop-planning one; surface sampling passes
-    a smaller explicit margin because its paths approach the punctures on
-    purpose.
+    The path must keep clearance away from every finite singular point;
+    the default is the loop-planning margin.
     """
     tol = tol or default_tolerances()
     f0 = np.asarray(f0, dtype=complex)
@@ -298,7 +294,7 @@ def integrate_matrix_ode(
     if clearance is None:
         clearance = tol.clearance_factor * _min_pairwise(singular)
     validate_path(path, singular, clearance)
-    return run_kernel(path, MODE_MATRIX, data.kernel_params(), f0, tol.ode, stats)
+    return run_kernel(path, MODE_MATRIX, data.kernel_params(), f0, tol.ode)
 
 
 def integrate_scalar_ode(
@@ -306,7 +302,6 @@ def integrate_scalar_ode(
     path: Path,
     init: np.ndarray | None = None,
     tol: Tolerances | None = None,
-    stats: dict | None = None,
 ) -> np.ndarray:
     """Transfer matrix of the scalar equation along a path.
 
@@ -321,7 +316,7 @@ def integrate_scalar_ode(
         data.finite_singular_points(),
         tol.clearance_factor * _min_pairwise(data.finite_singular_points()),
     )
-    out = run_kernel(path, MODE_SCALAR, data.kernel_params(), u0, tol.ode, stats)
+    out = run_kernel(path, MODE_SCALAR, data.kernel_params(), u0, tol.ode)
     if init is None:
         return out
     return out @ inv2(np.asarray(init, dtype=complex))

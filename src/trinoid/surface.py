@@ -452,7 +452,7 @@ class FrameTransport:
     frames: np.ndarray
     ring_arcs: np.ndarray
     spokes: np.ndarray
-    rtol: float = 1e-13
+    rtol: float
     stats: dict = field(default_factory=dict)
     _ext_cache: dict = field(default_factory=dict, repr=False)
 
@@ -652,7 +652,6 @@ def _micro_frames(
 
 def recover_weierstrass(
     frames: FrameTransport,
-    data: TrinoidData | None = None,
     tol: Tolerances | None = None,
 ) -> WeierstrassData:
     """Extract (g, omega) from the transported frame and check its shape.
@@ -673,7 +672,7 @@ def recover_weierstrass(
     pointwise residual of omega times dg against the defining quadratic
     differential makes any such loss visible per vertex.
     """
-    data = data or frames.data
+    data = frames.data
     tol = tol or default_tolerances()
     grid = frames.grid
     nr, ns = grid.rings, grid.sectors
@@ -759,18 +758,15 @@ def recover_weierstrass(
 class SurfaceMesh:
     """Triangle mesh of the immersion in the Poincare ball.
 
-    positions holds ball coordinates, minkowski the hyperboloid lift;
-    diagnostics carries per-vertex scalars: abs_g, conformal_factor
-    (the induced metric density against |dz|^2), abs_hopf, and quality
-    (log10 of the relative omega dg residual where it was measured,
-    -16 elsewhere).
+    positions holds ball coordinates; diagnostics carries per-vertex
+    scalars: rel, the relative residual |omega dg - Q| / |Q| of the
+    recovered data against the Hopf differential Q, and quality (log10
+    of rel where it was measured, -16 elsewhere).
     """
 
     positions: np.ndarray
-    minkowski: np.ndarray
     faces: np.ndarray
     diagnostics: dict
-    normals: np.ndarray | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -798,27 +794,20 @@ def build_mesh(
     right = inv2(np.asarray(conjugator, dtype=complex))
     nv = grid.n_vertices
     ball = np.zeros((nv, 3))
-    mink = np.zeros((nv, 4))
     for v in range(nv):
-        pt = project_h3(transport.frames[v] @ right, tol)
-        ball[v] = pt.ball
-        mink[v] = pt.minkowski
+        ball[v] = project_h3(transport.frames[v] @ right, tol).ball
     radius = np.linalg.norm(ball, axis=1)
     if radius.max() >= 1.0:
         raise ValueError("a mesh position escaped the unit ball")
-    hopf_abs = np.array([abs(data.hopf(z)) for z in grid.vertices])
-    resid = np.abs(weier.omega * weier.dg - np.array([data.hopf(z) for z in grid.vertices]))
+    hopf = [data.hopf(z) for z in grid.vertices]
+    # CPython's complex abs: np.abs differs from it in the last bit on some vertices
+    hopf_abs = np.array([abs(q) for q in hopf])
+    resid = np.abs(weier.omega * weier.dg - np.array(hopf))
     rel = np.where(hopf_abs > 0.0, resid / hopf_abs, np.inf)
     quality = np.full(nv, -16.0)
     mask = weier.numeric & (rel > 1e-16)
     quality[mask] = np.log10(rel[mask])
-    diagnostics = {
-        "abs_g": np.abs(weier.g),
-        "conformal_factor": (1.0 + np.abs(weier.g) ** 2) ** 2 * np.abs(weier.omega) ** 2,
-        "abs_hopf": hopf_abs,
-        "quality": quality,
-    }
-    return SurfaceMesh(positions=ball, minkowski=mink, faces=grid.faces, diagnostics=diagnostics)
+    return SurfaceMesh(positions=ball, faces=grid.faces, diagnostics={"rel": rel, "quality": quality})
 
 
 def well_definedness_defect(

@@ -124,7 +124,7 @@ class TrinoidData:
     gauss: GaussMap
 
     def kernel_params(self):
-        """Flat parameter vector consumed by the compiled integrator."""
+        """Flat parameter vector of the transport kernel's modes 0 and 1."""
         c1, c2, c3 = self.hopf.c
         p = self.q.total
         s = self.q.square_gap

@@ -11,6 +11,10 @@ import pytest
 from trinoid.config import default_tolerances
 from trinoid.errors import SingularPathPoint, StepUnderflow
 from trinoid.fuchsian import (
+    MODE_HYPERGEOMETRIC,
+    MODE_LOG_CHART,
+    MODE_MATRIX,
+    MODE_SCALAR,
     Path,
     Source,
     apparent_point_check,
@@ -25,9 +29,11 @@ from trinoid.fuchsian import (
     path_clearance,
     projective_equivalence,
     projective_intertwiner,
+    run_kernel,
     segment,
     validate_path,
 )
+from trinoid.surface import end_charts
 from trinoid.trinoid_data import build_trinoid_data, hypergeometric_params
 
 SYM23 = (2 * math.pi / 3,) * 3
@@ -181,8 +187,10 @@ def test_monodromy_traces_and_invariants():
 
 def test_loop_homotopy_invariance():
     data = build_trinoid_data(SYM23)
-    rep_a = monodromy(data, plan=make_path_plan(data, radius_factor=0.25))
-    rep_b = monodromy(data, plan=make_path_plan(data, radius_factor=0.15))
+    plan_a = make_path_plan(data, tol=replace(default_tolerances(), loop_radius_factor=0.25))
+    plan_b = make_path_plan(data, tol=replace(default_tolerances(), loop_radius_factor=0.15))
+    rep_a = monodromy(data, plan=plan_a)
+    rep_b = monodromy(data, plan=plan_b)
     npt.assert_allclose(rep_a.rho1, rep_b.rho1, atol=1e-8)
     npt.assert_allclose(rep_a.rho2, rep_b.rho2, atol=1e-8)
 
@@ -197,6 +205,36 @@ def test_step_halving_convergence():
         for a, b in ((rep.rho1, rep_half.rho1), (rep.rho2, rep_half.rho2))
     )
     assert diff < 10.0 * rep.err_estimate
+
+
+def test_kernel_step_counts_pinned():
+    # The adaptive kernel is deterministic, so its accepted-step counts pin
+    # its arithmetic: any change to a stage expression, the error norm or
+    # the step-size control moves them.  The counts were measured before
+    # the kernel was rewritten as plain Python; the matrix-loop count is the
+    # one the perfbench counter cross-check implies (358,332 - 357,800).
+    tol = default_tolerances()
+    data = build_trinoid_data(SYM23)
+    eye = np.eye(2, dtype=complex)
+
+    def steps(paths, mode, params, rtol):
+        stats: dict = {}
+        for path in paths:
+            run_kernel(path, mode, params, eye, rtol, stats)
+        return stats["n_steps"]
+
+    loops = make_path_plan(data).loops
+    assert steps(loops, MODE_MATRIX, data.kernel_params(), tol.ode) == 532
+    assert steps(loops, MODE_SCALAR, data.kernel_params(), tol.ode) == 3098
+    hp = hypergeometric_params(SYM23)
+    hyper = np.array([hp.a, hp.b, hp.c, 0.0, 0.0, 0.0, 0.0])
+    hyper_loops = make_path_plan([0.0, 1.0]).loops
+    assert steps(hyper_loops, MODE_HYPERGEOMETRIC, hyper, tol.ode) == 1815
+    # one spoke of end 1 in its log chart, from the outer radius down to 1e-3
+    ch = end_charts(data)[0]
+    spoke = segment(math.log(ch.r_out), math.log(1e-3))
+    rtol = tol.ode * tol.transport_tol_factor
+    assert steps([spoke], MODE_LOG_CHART, ch.kernel_params, rtol) == 2095
 
 
 def test_scalar_and_matrix_agree_projectively():

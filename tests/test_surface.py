@@ -171,10 +171,10 @@ def test_null_structure_defect_small(sym, big):
 def test_null_structure_violation_raised(sym):
     # tightening the structural tolerance below the honest finite
     # difference noise floor must trip the shape check
-    data, _, transport, _, _, _ = sym
+    _, _, transport, _, _, _ = sym
     tight = dataclasses.replace(default_tolerances(), null_structure=1e-18)
     with pytest.raises(NullStructureViolation):
-        recover_weierstrass(transport, data, tol=tight)
+        recover_weierstrass(transport, tol=tight)
 
 
 def test_second_fundamental_form_vertex(sym):
