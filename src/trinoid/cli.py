@@ -277,7 +277,7 @@ def build_surface(angles, rings=8, sectors=48, deform=None, tol=None) -> Surface
     grid = sample_grid(data, rings=rings, sectors=sectors, tol=tol)
     transport = transport_frame(data, grid, tol=tol)
     weier = recover_weierstrass(transport, tol)
-    mesh = build_mesh(data, conj, grid, transport=transport, weier=weier, tol=tol)
+    mesh = build_mesh(transport, weier, conj, tol=tol)
     return Surface(
         data=data, verdict=verdict, rep=rep, space=space, conj=conj, deform=deform,
         grid=grid, transport=transport, weier=weier, mesh=mesh,

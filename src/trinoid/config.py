@@ -2,12 +2,14 @@
 
 Every threshold used by the package lives in one frozen record so a global
 loosening or tightening (say, on a noisy CI box) is a one-line change.  The
-environment variable TRINOID_TOL_SCALE multiplies all absolute tolerances;
-purely geometric ratios such as loop radii are left alone by it.
+environment variable TRINOID_TOL_SCALE, a finite positive float, multiplies
+all absolute tolerances, the integration tolerance ode included; purely
+geometric ratios such as loop radii are left alone by it.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -19,7 +21,6 @@ _GEOMETRIC = ("loop_radius_factor", "clearance_factor", "transport_tol_factor")
 @dataclass(frozen=True)
 class Tolerances:
     det: float = 1e-9                # |det - 1| gate for SL(2,C) membership
-    unitary: float = 1e-8            # ||M M* - I|| gate for SU(2) membership
     ode: float = 1e-10               # local integration error per unit arclength
     hanbetu: float = 1e-12           # degeneracy gate on the Hopf coefficients
     integer: float = 1e-9            # B/pi integrality detection
@@ -46,9 +47,12 @@ def default_tolerances() -> Tolerances:
     raw = os.environ.get("TRINOID_TOL_SCALE")
     if raw is None:
         return tol
-    scale = float(raw)
-    if not scale > 0.0:
-        raise ValueError("TRINOID_TOL_SCALE must be a positive float, got %r" % raw)
+    try:
+        scale = float(raw)
+    except ValueError:
+        scale = math.nan
+    if not 0.0 < scale < math.inf:
+        raise ValueError("TRINOID_TOL_SCALE must be a finite positive float, got %r" % raw)
     scaled = {
         f.name: getattr(tol, f.name) * scale
         for f in fields(tol)

@@ -4,20 +4,25 @@ The surface is produced in four stages.  A SampleGrid covers the thrice
 punctured sphere with one polar annulus per puncture plus a triangulated
 core, and carries a spanning tree of integration edges rooted at a base
 point.  transport_frame solves the frame equation dF = A F along the tree.
-recover_weierstrass differentiates the transported frame numerically and
-extracts the induced (g, omega) data, which the defining differentials
-must reproduce; this is the main integrity oracle.  build_mesh applies a
-unitarizing conjugator and projects to the Poincare ball.
+It keeps the frame at every vertex and the transfer of every tree edge,
+so continuing a frame once more around a puncture is a product of stored
+transfers.  recover_weierstrass differentiates the transported frame
+numerically and extracts the induced (g, omega) data, which the defining
+differentials must reproduce; this is the main integrity oracle.
+build_mesh applies a unitarizing conjugator and projects to the Poincare
+ball.
 
 Transport inside an annulus does not use the raw z chart: the connection
 has double poles at the punctures, so the step count would grow like the
 inverse square of the radius.  Instead the frame is written as
 F = P(x) diag(1, x - p) V with P = [[G, 1], [1, 0]], which turns the
 system into dV = B V dzeta in the logarithmic chart zeta = log(x - p)
-with B bounded down the whole neck (kernel mode 4).  Per edge the V
-transfer is rescaled by its exact determinant exp(-dzeta), making the
-assembled F transfer unimodular by construction.  The end at infinity is
-handled in the x = 1/z chart through conjugation by [[0, 1], [1, 0]].
+with B bounded down the whole neck (kernel mode 4).  EndChart.transfer
+is the one log-chart step: it rescales the V transfer by its exact
+determinant exp(-dzeta), making the assembled F transfer unimodular by
+construction, and serves tree edges, seam arcs and the recovery stencils
+alike.  The end at infinity is handled in the x = 1/z chart through
+conjugation by [[0, 1], [1, 0]].
 """
 
 from __future__ import annotations
@@ -34,12 +39,11 @@ from scipy.spatial import Delaunay
 from .algebra import det2, det2_compensated, fro, inv2, project_h3, solve_quadratic
 from .config import Tolerances, default_tolerances
 from .errors import EmptyIntersection, NonSL2Input, NullStructureViolation, StepUnderflow
-from .fuchsian import MODE_LOG_CHART, MODE_MATRIX, Path, run_kernel, segment, validate_path
+from .fuchsian import MODE_LOG_CHART, MODE_MATRIX, run_kernel, segment, validate_path
 from .trinoid_data import TrinoidData
 
 _BASE_POINT = 0.5 + 0.5j
 _INNER_RADIUS = 1e-3
-_SIGMA = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 # Central finite-difference weights on eleven points (order ten).  The
 # first derivative uses the antisymmetric weights, the second derivative
@@ -83,6 +87,29 @@ class EndChart:
 
     def to_global(self, x: complex) -> complex:
         return 1.0 / x if self.inverted else x
+
+    def transfer(self, za: complex, zb: complex, rtol: float) -> np.ndarray:
+        """Frame transfer between the log-chart points za and zb.
+
+        Integrates the gauge-fixed system dV = B V dzeta along the segment
+        (kernel mode 4).  That system has trace -1, so its transfer
+        determinant is exactly exp(-(zb - za)); rescaling by the measured
+        determinant removes the integrator's determinant drift, and the
+        frame transfer P(gb) diag(1, xi_b) V diag(1, 1/xi_a) P(ga)^-1 then
+        has unit determinant up to rounding.  For the end at infinity it is
+        conjugated by the index swap.
+        """
+        t_v = run_kernel(segment(za, zb), MODE_LOG_CHART, self.kernel_params, np.eye(2), rtol)
+        xi_a = cmath.exp(za)
+        xi_b = cmath.exp(zb)
+        target = cmath.exp(-(zb - za))
+        t_v = t_v * cmath.sqrt(target / det2(t_v))
+        ga = self.chart_gauss(self.puncture + xi_a)
+        gb = self.chart_gauss(self.puncture + xi_b)
+        left = np.array([[gb, 1.0], [1.0, 0.0]], dtype=complex) @ np.diag([1.0 + 0.0j, xi_b])
+        right = np.diag([1.0 + 0.0j, 1.0 / xi_a]) @ np.array([[0.0, 1.0], [1.0, -ga]], dtype=complex)
+        m = left @ t_v @ right
+        return m[::-1, ::-1] if self.inverted else m
 
 
 def _pack6(coeffs) -> np.ndarray:
@@ -401,110 +428,51 @@ def sample_grid(
 # frame transport
 
 
-def _p_matrix(g: complex) -> np.ndarray:
-    return np.array([[g, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def _p_inverse(g: complex) -> np.ndarray:
-    return np.array([[0.0, 1.0], [1.0, -g]], dtype=complex)
-
-
-def _swap(m: np.ndarray) -> np.ndarray:
-    """Conjugation by the index swap [[0,1],[1,0]]."""
-    return np.array([[m[1, 1], m[1, 0]], [m[0, 1], m[0, 0]]], dtype=complex)
-
-
-def _assemble_transfer(ch: EndChart, za: complex, zb: complex, t_v: np.ndarray) -> np.ndarray:
-    """Turn a log-chart V transfer into the frame transfer between chart points.
-
-    The V system has trace -1, so its transfer determinant is exactly
-    exp(-(zb - za)); rescaling by the measured determinant removes the
-    integrator's determinant drift, and the frame transfer then has unit
-    determinant up to rounding.
-    """
-    xi_a = cmath.exp(za)
-    xi_b = cmath.exp(zb)
-    target = cmath.exp(-(zb - za))
-    t_v = t_v * cmath.sqrt(target / det2(t_v))
-    ga = ch.chart_gauss(ch.puncture + xi_a)
-    gb = ch.chart_gauss(ch.puncture + xi_b)
-    left = _p_matrix(gb) @ np.diag([1.0 + 0.0j, xi_b])
-    right = np.diag([1.0 + 0.0j, 1.0 / xi_a]) @ _p_inverse(ga)
-    m = left @ t_v @ right
-    return _swap(m) if ch.inverted else m
-
-
 @dataclass
 class FrameTransport:
-    """Transported frame at every grid vertex plus the ring transfer data.
+    """Transported frame at every grid vertex plus the tree's edge transfers.
 
     frames[v] is the solution of dF = A F with F = identity at the base
     point, continued along the spanning tree; it is one branch choice over
-    the tree.  ring_arcs[e][j] is the frame transfer from sector j to j+1
-    on the outer ring of end e (index j = sectors-1 closes the ring), and
-    spokes[e][k-1][j] steps from ring k-1 to ring k at sector j.  Both are
-    2 pi periodic in the sector index by construction, which is what makes
-    branch-consistent continuation around a ring a pure matrix product.
+    the tree.  transfers[v] is the frame transfer of the tree edge into v
+    (frames[v] = transfers[v] @ frames[parent]; unused at the base), and
+    seams[e] the outer-ring arc of end e from the last sector across the
+    cut back to sector 0.  Ring arcs are 2 pi periodic in the sector index
+    by construction, which is what makes branch-consistent continuation
+    around a ring a pure matrix product.
     """
 
     grid: SampleGrid
     data: TrinoidData
     frames: np.ndarray
-    ring_arcs: np.ndarray
-    spokes: np.ndarray
+    transfers: np.ndarray
+    seams: np.ndarray
     rtol: float
     stats: dict = field(default_factory=dict)
-    _ext_cache: dict = field(default_factory=dict, repr=False)
 
-    def frame(self, v: int) -> np.ndarray:
-        return self.frames[v]
+    def branch_frame(self, v: int) -> np.ndarray:
+        """Frame at annulus vertex v continued once more around its puncture.
 
-    def extended_ring(self, end: int, ring: int) -> tuple[np.ndarray, int]:
-        """Frames along one ring continued one full turn both ways.
-
-        Returns (values, offset): values[offset + j] is the analytic
-        continuation of the frame to sector j for j in
-        [-sectors-10, 2*sectors+10), reducing to the tree values on
-        [0, sectors).
+        Walks the tree from the end's anchor once around the outer ring, to
+        one full turn past v's sector, then out along that sector's spokes
+        to v's ring.  The result differs from frames[v] by the local
+        monodromy on the left, so comparing the two probes well-definedness
+        of derived quantities.
         """
-        key = (end, ring)
-        if key in self._ext_cache:
-            return self._ext_cache[key]
-        ns = self.grid.sectors
-        off = ns + 10
-        total = 3 * ns + 20
-        if ring == 0:
-            vals = np.empty((total, 2, 2), dtype=complex)
-            anchor = self.grid.annulus_index(end, 0, 0)
-            vals[off] = self.frames[anchor]
-            for j in range(1, 2 * ns + 10):
-                vals[off + j] = self.ring_arcs[end][(j - 1) % ns] @ vals[off + j - 1]
-            for j in range(-1, -ns - 11, -1):
-                vals[off + j] = inv2(self.ring_arcs[end][j % ns]) @ vals[off + j + 1]
-        else:
-            prev, _ = self.extended_ring(end, ring - 1)
-            vals = np.empty((total, 2, 2), dtype=complex)
-            for j in range(-ns - 10, 2 * ns + 10):
-                vals[off + j] = self.spokes[end][ring - 1][j % ns] @ prev[off + j]
-        self._ext_cache[key] = (vals, off)
-        return vals, off
-
-    def branch_frame(self, v: int, winding: int = 1) -> np.ndarray:
-        """Frame at vertex v reached with extra windings around its puncture.
-
-        Positive winding continues once more in the positive sector
-        direction; the result differs from frames[v] by the ring monodromy,
-        so comparing the two probes well-definedness of derived quantities.
-        """
-        end = int(self.grid.vertex_end[v])
+        grid = self.grid
+        end = int(grid.vertex_end[v])
         if end < 0:
             raise ValueError("branch continuation is defined for annulus vertices only")
-        if abs(int(winding)) != 1:
-            raise ValueError("only single windings are stored")
-        ring = int(self.grid.vertex_ring[v])
-        sec = int(self.grid.vertex_sector[v])
-        vals, off = self.extended_ring(end, ring)
-        return vals[off + sec + int(winding) * self.grid.sectors]
+        ring = int(grid.vertex_ring[v])
+        sec = int(grid.vertex_sector[v])
+        ns = grid.sectors
+        f = self.frames[grid.annulus_index(end, 0, 0)]
+        for j in range(1, ns + sec + 1):
+            t = self.seams[end] if j % ns == 0 else self.transfers[grid.annulus_index(end, 0, j)]
+            f = t @ f
+        for k in range(1, ring + 1):
+            f = self.transfers[grid.annulus_index(end, k, sec)] @ f
+        return f
 
 
 def transport_frame(
@@ -522,49 +490,38 @@ def transport_frame(
     tol = tol or default_tolerances()
     rtol = tol.ode * tol.transport_tol_factor
     params0 = data.kernel_params()
-    nr, ns = grid.rings, grid.sectors
+    ns = grid.sectors
     nv = grid.n_vertices
     frames = np.zeros((nv, 2, 2), dtype=complex)
     frames[grid.base_index] = np.eye(2)
-    ring_arcs = np.zeros((3, ns, 2, 2), dtype=complex)
-    spokes = np.zeros((3, max(nr - 1, 1), ns, 2, 2), dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    stats: dict = {}
+    transfers = np.zeros((nv, 2, 2), dtype=complex)
+    seams = np.zeros((3, 2, 2), dtype=complex)
 
-    def _run(path: Path, mode: int, params, edge_desc: str) -> np.ndarray:
+    def _run(edge_desc: str, step, *args) -> np.ndarray:
         try:
-            return run_kernel(path, mode, params, eye, rtol, stats)
+            return step(*args)
         except StepUnderflow as exc:
             raise StepUnderflow(f"transport stalled on {edge_desc}: {exc}") from exc
 
     for edge in grid.edges:
         if edge.kind == "segment":
             t = _run(
-                segment(edge.a, edge.b), MODE_MATRIX, params0,
                 f"segment edge {edge.parent}->{edge.child}",
+                run_kernel, segment(edge.a, edge.b), MODE_MATRIX, params0, np.eye(2), rtol,
             )
         else:
-            ch = grid.charts[edge.end]
-            t_v = _run(
-                segment(edge.a, edge.b), MODE_LOG_CHART, ch.kernel_params,
+            t = _run(
                 f"{edge.kind} edge {edge.parent}->{edge.child} (end {edge.end + 1})",
+                grid.charts[edge.end].transfer, edge.a, edge.b, rtol,
             )
-            t = _assemble_transfer(ch, edge.a, edge.b, t_v)
-            if edge.kind == "ring_arc":
-                ring_arcs[edge.end][int(grid.vertex_sector[edge.parent])] = t
-            else:
-                ring = int(grid.vertex_ring[edge.child])
-                spokes[edge.end][ring - 1][int(grid.vertex_sector[edge.child])] = t
+        transfers[edge.child] = t
         frames[edge.child] = t @ frames[edge.parent]
 
     # one extra arc per end closes the outer ring across the seam
     for ch in grid.charts:
         a = grid.zeta[grid.annulus_index(ch.end, 0, ns - 1)]
         b = grid.zeta[grid.annulus_index(ch.end, 0, 0)] + 2.0j * math.pi
-        t_v = _run(
-            segment(a, b), MODE_LOG_CHART, ch.kernel_params, f"seam arc (end {ch.end + 1})"
-        )
-        ring_arcs[ch.end][ns - 1] = _assemble_transfer(ch, a, b, t_v)
+        seams[ch.end] = _run(f"seam arc (end {ch.end + 1})", ch.transfer, a, b, rtol)
 
     # The determinant of a large-entry frame is an ill-conditioned 2x2
     # evaluation (terms of size |F|^2 cancel to 1), so the conservation gate
@@ -573,15 +530,14 @@ def transport_frame(
         abs(det2_compensated(frames[v]) - 1.0) / max(1.0, fro(frames[v]) ** 2)
         for v in range(nv)
     )
-    stats["max_det_defect"] = det_defect
     if det_defect > tol.det:
         raise NonSL2Input(
             f"transported frame determinant drifted to {det_defect:.3g} "
             f"(relative to squared frame norm), above {tol.det:.3g}"
         )
     return FrameTransport(
-        grid=grid, data=data, frames=frames, ring_arcs=ring_arcs, spokes=spokes,
-        rtol=rtol, stats=stats,
+        grid=grid, data=data, frames=frames, transfers=transfers, seams=seams,
+        rtol=rtol, stats={"max_det_defect": det_defect},
     )
 
 
@@ -641,10 +597,7 @@ def _micro_frames(
         z_prev = zeta0
         for m in range(1, 6):
             z_next = zeta0 + 1j * side * m * delta
-            t_v = run_kernel(
-                segment(z_prev, z_next), MODE_LOG_CHART, ch.kernel_params, np.eye(2), rtol
-            )
-            prev = _assemble_transfer(ch, z_prev, z_next, t_v) @ prev
+            prev = ch.transfer(z_prev, z_next, rtol) @ prev
             vals[5 + side * m] = prev
             z_prev = z_next
     return vals
@@ -774,23 +727,23 @@ class SurfaceMesh:
 
 
 def build_mesh(
-    data: TrinoidData,
-    conjugator: np.ndarray,
-    grid: SampleGrid,
     transport: FrameTransport,
     weier: WeierstrassData,
+    conjugator: np.ndarray,
     tol: Tolerances | None = None,
 ) -> SurfaceMesh:
     """Project the unitarized frame to the Poincare ball over the grid.
 
-    The frame is multiplied on the right by the inverse of the conjugator:
+    The grid and the trinoid data are the ones the transport ran on.  The
+    frame is multiplied on the right by the inverse of the conjugator:
     with a chosen so that a rho a^{-1} is unitary for every monodromy
     generator rho, continuation around a puncture turns F a^{-1} into
     F a^{-1} (a rho a^{-1}), a right rotation, which the Hermitian-square
     projection ignores.  That is exactly the well-definedness mechanism
-    the doubled-path checks probe.
+    well_definedness_defect probes.
     """
     tol = tol or default_tolerances()
+    grid, data = transport.grid, transport.data
     right = inv2(np.asarray(conjugator, dtype=complex))
     nv = grid.n_vertices
     ball = np.zeros((nv, 3))
@@ -814,20 +767,20 @@ def well_definedness_defect(
     transport: FrameTransport,
     conjugator: np.ndarray,
     vertex: int,
-    winding: int = 1,
     tol: Tolerances | None = None,
 ) -> float:
     """Ball distance between the two branches of the mesh point at a vertex.
 
-    The frame is continued to the same grid point once more around the
-    enclosing puncture; with a unitarizing conjugator the projected point
-    must not move, without one it generically does, so this one number is
-    the positive and the negative control in one.
+    The frame is continued to the same annulus vertex once more around the
+    enclosing puncture (FrameTransport.branch_frame); with a unitarizing
+    conjugator the projected point must not move, without one it
+    generically does, so this one number is the positive and the negative
+    control in one.
     """
     tol = tol or default_tolerances()
     right = inv2(np.asarray(conjugator, dtype=complex))
     p = project_h3(transport.frames[vertex] @ right, tol).ball
-    q = project_h3(transport.branch_frame(vertex, winding) @ right, tol).ball
+    q = project_h3(transport.branch_frame(vertex) @ right, tol).ball
     return float(np.linalg.norm(p - q))
 
 

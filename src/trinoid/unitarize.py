@@ -308,14 +308,12 @@ class SpaceKind(enum.Enum):
     SINGLE_POINT = "SinglePoint"
     GEODESIC_LINE = "GeodesicLine"
     ALL_OF_H3 = "AllOfH3"
-    EMPTY = "Empty"
 
 
 _KIND_DIM = {
     SpaceKind.SINGLE_POINT: 0,
     SpaceKind.GEODESIC_LINE: 1,
     SpaceKind.ALL_OF_H3: 3,
-    SpaceKind.EMPTY: 0,
 }
 
 

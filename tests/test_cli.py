@@ -1,12 +1,15 @@
 """Command-line reports: content, determinism, exit codes, file output."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from trinoid.cli import main
+from trinoid.config import Tolerances, default_tolerances
 from trinoid.trinoid_data import hypergeometric_params
 
 
@@ -235,3 +238,28 @@ def test_input_error_exit_codes():
     # unknown flags are an argparse error, also code 2
     assert main(["classify", "--angles", "1,1,1", "--bogus"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "abc"])
+def test_tol_scale_rejects_invalid(monkeypatch, value):
+    # an infinite scale would turn every gate off (classify then reports
+    # the wrong status and exits 0), so it is an input error like nan,
+    # zero or a non-number
+    monkeypatch.setenv("TRINOID_TOL_SCALE", value)
+    with pytest.raises(ValueError, match="finite positive float"):
+        default_tolerances()
+    assert main(["classify", "--angles", "2/3,2/3,2/3"]) == 2
+    assert main(["monodromy", "--angles", "2/3,2/3,2/3"]) == 2
+
+
+def test_tol_scale_scales_ode_but_not_geometry(monkeypatch):
+    # the scale loosens the integration tolerance ode together with the
+    # gates; only the path-geometry ratios and the transport tightening
+    # factor stay fixed
+    monkeypatch.setenv("TRINOID_TOL_SCALE", "10")
+    scaled = default_tolerances()
+    base = Tolerances()
+    fixed = {"loop_radius_factor", "clearance_factor", "transport_tol_factor"}
+    for f in dataclasses.fields(Tolerances):
+        factor = 1.0 if f.name in fixed else 10.0
+        assert getattr(scaled, f.name) == getattr(base, f.name) * factor, f.name

@@ -291,6 +291,20 @@ def test_doubled_path_trivial_for_integer_angles(big):
     assert well_definedness_defect(transport, np.eye(2), v) < 1e-6
 
 
+def test_branch_frame_carries_local_monodromy(sym, big):
+    # one more turn around end e multiplies the frame on the left by the
+    # loop transport around that puncture, whose trace is -2 cos B_e; the
+    # bound scales with the squared frame norm for the same reason the
+    # det gate does (measured relative maxima 3.9e-15 for the 2/3 pi and
+    # 7.2e-15 for the 3 pi triple; absolute 3.7e-12 and 2.3e-3)
+    for data, grid, transport, _, _, _ in (sym, big):
+        for v in range(3 * grid.rings * grid.sectors):
+            f = transport.frames[v]
+            loop = transport.branch_frame(v) @ inv2(f)
+            expected = -2.0 * math.cos(data.angles[grid.vertex_end[v]])
+            assert abs(np.trace(loop) - expected) <= 1e-9 * max(1.0, fro(f) ** 2)
+
+
 def test_mesh_quality_channel(sym):
     # the quality diagnostic is the log10 relative residual of omega dg
     # against the quadratic differential where it was measured and -16 on
