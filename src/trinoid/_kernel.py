@@ -1,13 +1,20 @@
-"""Adaptive Dormand-Prince transport kernel.
+"""The two transport engines: adaptive Dormand-Prince and Chebyshev collocation.
 
-One routine integrates a 2x2 complex linear ODE dU = C(z) U dz along a
-piecewise path of segments and circular arcs.  The mode number picks the
-coefficient matrix C, once per call:
+Both integrate a 2x2 complex linear ODE dU = C(z) U dz and share the
+coefficient functions of _COEFF.  The mode number picks the coefficient
+matrix C, once per call:
 
     0: the rank-one trinoid system in the z chart
     1: the associated scalar second-order equation, in companion form
     2: the hypergeometric equation, in companion form
     4: the gauge-fixed system in a logarithmic chart around one puncture
+
+integrate_path runs adaptive Dormand-Prince along a piecewise path of
+segments and circular arcs; it carries the loop monodromies.
+chebyshev_transfer solves the transfer U(b) of one straight segment a -> b
+with U(a) = I by Chebyshev collocation; it carries every grid edge and
+recovery stencil of the mesh.  The coefficient functions work pointwise on
+scalars and elementwise on numpy arrays alike.
 
 Parameters arrive as a flat float array: (c1, c2, c3, Re p, Im p, Re s,
 Im s) for modes 0/1 where p is the umbilic sum and s the squared umbilic
@@ -27,7 +34,7 @@ Im p0) followed by four degree-<=5 polynomials (qf numerator, qf
 denominator, gp numerator, gp denominator), each packed as six complex
 coefficients highest-degree first.
 
-A path is a float array of shape (n, 6).  Row layout:
+Dormand-Prince.  A path is a float array of shape (n, 6).  Row layout:
     segment: (0, Re a, Im a, Re b, Im b, unused)
     arc:     (1, Re center, Im center, radius, theta0, theta1)
 
@@ -45,11 +52,29 @@ or CPython's complex algorithm depends on the operand types, and the
 results differ in the last bits.
 
 Return status: 0 success, 1 step size underflow (a near-singular path).
+
+Chebyshev collocation (Trefethen, Spectral Methods in MATLAB, 2000).  A
+piece of the segment is solved on the N + 1 Chebyshev points of the
+second kind at a fixed N, in the integral form W = int_a^z C (I + W) of
+the equation for W = U - I (Greengard, SIAM J. Numer. Anal. 28, 1991):
+one linear solve of size 2(N + 1) with two right-hand sides.  Unlike the
+differentiation-matrix form, whose condition number grows like N^2 and
+beyond near a pole of C, the integral form stays well conditioned, and
+solving for W keeps the rounding error relative to |U - I| on the short
+pieces that make up most transfers.  The piece is accepted when its last
+three Chebyshev coefficients, over the four entries of U, are at most
+max(rtol * |b - a|, 64 eps) * max(1, max-norm of U), the same
+per-unit-length rule as above with a floor at the rounding level of the
+solve (the tail-decay test of Chebfun).  Otherwise it is bisected and the
+halves are composed left to right.  Coefficients or a solution that are
+not finite, a singular system, a piece bisected more than _MAX_DEPTH
+times, or an rtol below the unit roundoff raise StepUnderflow.
 """
 
 import numpy as np
 
 from .algebra import det2_compensated
+from .errors import StepUnderflow
 
 
 def _poly6(params, off, x):
@@ -230,3 +255,104 @@ def integrate_path(rows, mode, params, u0, rtol):
             if h < 1e-14:
                 return 1, np.array(u), err_accum, drift, nsteps
     return 0, np.array(u), err_accum, drift, nsteps
+
+
+# Chebyshev collocation on x_j = cos(j pi / N), j = 0..N, so x_0 = 1 is the
+# end b of a piece and x_N = -1 its start a.
+_N = 24
+_FLOOR = 64.0 * np.finfo(float).eps
+_MAX_DEPTH = 30
+_UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
+
+
+def _chebyshev_tables(n):
+    """Nodes, the integration matrix from x = -1 and the rows giving the
+    last three Chebyshev coefficients, all acting on values at the nodes."""
+    j = np.arange(n + 1)
+    x = np.sin(np.pi * (n - 2 * j) / (2 * n))
+    # values -> Chebyshev coefficients a_0..a_N
+    k = np.arange(n + 1)[:, None]
+    to_coeffs = (2.0 / n) * np.cos(np.pi * k * j[None, :] / n)
+    to_coeffs[:, [0, n]] *= 0.5
+    to_coeffs[[0, n]] *= 0.5
+    # integral of sum a_k T_k as a series in T_0..T_{N+1}:
+    # T_0 -> T_1, T_1 -> T_2 / 4, T_k -> T_{k+1} / 2(k+1) - T_{k-1} / 2(k-1)
+    integ = np.zeros((n + 2, n + 1))
+    integ[1, 0] = 1.0
+    integ[2, 1] = 0.25
+    for m in range(2, n + 1):
+        integ[m + 1, m] = 1.0 / (2 * (m + 1))
+        integ[m - 1, m] = -1.0 / (2 * (m - 1))
+    at_nodes = np.cos(np.pi * np.outer(j, np.arange(n + 2)) / n)
+    s = at_nodes @ integ @ to_coeffs
+    s -= s[n]
+    return x, s, to_coeffs[n - 2:]
+
+
+_X, _S, _TAIL = _chebyshev_tables(_N)
+_EYE = np.eye(2)[:, None, :]
+
+
+def _collocate(coeff, params, a, b, rtol):
+    """Transfer of one piece a -> b, or None when its tail has not decayed.
+
+    Solves the integral form W = S (hC (I + W)) for W = U - I at the nodes,
+    with h = (b - a) / 2 and S the integration matrix from the start.
+    """
+    n1 = _N + 1
+    h = 0.5 * (b - a)
+    hc = np.empty((4, n1), dtype=complex)
+    with np.errstate(all="ignore"):
+        for k, ck in enumerate(coeff(params, (a + h) + h * _X)):
+            hc[k] = h * ck
+    if not np.isfinite(hc).all():
+        raise StepUnderflow("the coefficients are singular on the segment")
+    # block (r, s) of the system is I - S diag(h C_rs); block r of column s
+    # of the right-hand side is S (h C_rs)
+    blocks = (_S[None, :, :] * hc[:, None, :]).reshape(2, 2, n1, n1)
+    m = np.eye(2 * n1) - blocks.transpose(0, 2, 1, 3).reshape(2 * n1, 2 * n1)
+    rhs = (_S @ hc.T).T.reshape(2, 2, n1).transpose(0, 2, 1).reshape(2 * n1, 2)
+    try:
+        sol = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise StepUnderflow("singular collocation system") from exc
+    if not np.isfinite(sol).all():
+        raise StepUnderflow("the collocation solution is not finite")
+    w = sol.reshape(2, n1, 2)
+    unorm = max(1.0, np.abs(w + _EYE).max())
+    if np.abs(_TAIL @ w).max() > max(rtol * abs(b - a), _FLOOR) * unorm:
+        return None
+    return w[:, 0, :] + np.eye(2)
+
+
+def chebyshev_transfer(mode, params, a, b, rtol, stats=None):
+    """Transfer matrix U(b) of dU = C(z) U dz along the segment a -> b, U(a) = I.
+
+    Pieces are bisected until each passes the tail test; see the module
+    docstring.  stats, when given, accumulates the accepted pieces under
+    "n_pieces".
+    """
+    if not rtol >= _UNIT_ROUNDOFF:
+        raise StepUnderflow(f"tolerance {rtol:.3g} is below the unit roundoff")
+    coeff = _COEFF[mode]
+    u = np.eye(2, dtype=complex)
+    stack = [(complex(a), complex(b), 0)]
+    n_pieces = 0
+    while stack:
+        pa, pb, depth = stack.pop()
+        t = _collocate(coeff, params, pa, pb, rtol)
+        if t is None:
+            if depth == _MAX_DEPTH:
+                raise StepUnderflow(
+                    f"no convergence after {_MAX_DEPTH} bisections; "
+                    "the segment passes too close to a singular point"
+                )
+            mid = pa + 0.5 * (pb - pa)
+            stack.append((mid, pb, depth + 1))
+            stack.append((pa, mid, depth + 1))
+            continue
+        u = t @ u
+        n_pieces += 1
+    if stats is not None:
+        stats["n_pieces"] = stats.get("n_pieces", 0) + n_pieces
+    return u

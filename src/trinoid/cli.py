@@ -449,6 +449,8 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
         deform = tuple(float(p) for p in ns.deform.split(","))
     tol = default_tolerances()
     if ns.tol_ode is not None:
+        if not 0.0 < ns.tol_ode < math.inf:
+            raise ValueError(f"--tol-ode must be a finite positive float, got {ns.tol_ode!r}")
         tol = dataclasses.replace(tol, ode=ns.tol_ode)
     return RunConfig(
         angles=angles,

@@ -38,7 +38,12 @@ class SingularPathPoint(TrinoidError):
 
 
 class StepUnderflow(TrinoidError):
-    """Adaptive step control shrank the step below the useful minimum."""
+    """A transport step could not be resolved near a singular point.
+
+    Raised when adaptive step control shrinks the step below the useful
+    minimum, when collocation bisection reaches its depth cap or meets a
+    singular coefficient, and for a tolerance below the unit roundoff.
+    """
 
 
 class NotUnitarizable(TrinoidError):

@@ -2,10 +2,10 @@
 
 Paths are chains of straight segments and circular arcs.  Transport of the
 rank-one matrix system, of the associated scalar equation, and of the
-hypergeometric equation all go through the transport kernel; this module
-plans loops that keep clear of every singular point, runs the kernel, and
-packages loop transports into a monodromy representation with the defining
-relation rho1 rho2 rho3 = 1.
+hypergeometric equation all go through the Dormand-Prince engine of
+_kernel; this module plans loops that keep clear of every singular point,
+runs the kernel, and packages loop transports into a monodromy
+representation with the defining relation rho1 rho2 rho3 = 1.
 """
 
 from __future__ import annotations
@@ -80,18 +80,6 @@ class Path:
             else:
                 rev.append(("arc", p[1], p[2], p[4], p[3]))
         return Path(tuple(rev))
-
-    def sample(self, per_piece: int = 200) -> np.ndarray:
-        """Points along the path, for clearance checks and quadrature oracles."""
-        pts = []
-        ts = np.linspace(0.0, 1.0, per_piece)
-        for p in self.pieces:
-            if p[0] == "seg":
-                pts.append(p[1] + ts * (p[2] - p[1]))
-            else:
-                ang = p[3] + ts * (p[4] - p[3])
-                pts.append(p[1] + p[2] * np.exp(1j * ang))
-        return np.concatenate(pts)
 
 
 def segment(a: complex, b: complex) -> Path:

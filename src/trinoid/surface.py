@@ -17,12 +17,13 @@ has double poles at the punctures, so the step count would grow like the
 inverse square of the radius.  Instead the frame is written as
 F = P(x) diag(1, x - p) V with P = [[G, 1], [1, 0]], which turns the
 system into dV = B V dzeta in the logarithmic chart zeta = log(x - p)
-with B bounded down the whole neck (kernel mode 4).  EndChart.transfer
-is the one log-chart step: it rescales the V transfer by its exact
-determinant exp(-dzeta), making the assembled F transfer unimodular by
-construction, and serves tree edges, seam arcs and the recovery stencils
-alike.  The end at infinity is handled in the x = 1/z chart through
-conjugation by [[0, 1], [1, 0]].
+with B bounded down the whole neck (coefficient mode 4 of _kernel).
+EndChart.transfer is the one log-chart step: it solves the V transfer by
+Chebyshev collocation, rescales it by its exact determinant exp(-dzeta),
+making the assembled F transfer unimodular by construction, and serves
+tree edges, seam arcs and the recovery stencils alike.  The segment edges
+of the core use the same collocation in the z chart.  The end at infinity
+is handled in the x = 1/z chart through conjugation by [[0, 1], [1, 0]].
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay
 
+from ._kernel import chebyshev_transfer
 from .algebra import det2, det2_compensated, fro, inv2, project_h3, solve_quadratic
 from .config import Tolerances, default_tolerances
 from .errors import EmptyIntersection, NonSL2Input, NullStructureViolation, StepUnderflow
-from .fuchsian import MODE_LOG_CHART, MODE_MATRIX, run_kernel, segment, validate_path
+from .fuchsian import MODE_LOG_CHART, MODE_MATRIX, segment, validate_path
 from .trinoid_data import TrinoidData
 
 _BASE_POINT = 0.5 + 0.5j
@@ -64,7 +66,7 @@ class EndChart:
     For the punctures at 0 and 1 the chart coordinate is z itself; for the
     end at infinity it is x = 1/z and transported frames are conjugated by
     the index swap.  kernel_params packs the two rational functions of the
-    gauge-fixed system as polynomial coefficients for kernel mode 4.
+    gauge-fixed system as polynomial coefficients for coefficient mode 4.
     """
 
     end: int
@@ -88,18 +90,19 @@ class EndChart:
     def to_global(self, x: complex) -> complex:
         return 1.0 / x if self.inverted else x
 
-    def transfer(self, za: complex, zb: complex, rtol: float) -> np.ndarray:
+    def transfer(self, za: complex, zb: complex, rtol: float, stats: dict | None = None) -> np.ndarray:
         """Frame transfer between the log-chart points za and zb.
 
-        Integrates the gauge-fixed system dV = B V dzeta along the segment
-        (kernel mode 4).  That system has trace -1, so its transfer
-        determinant is exactly exp(-(zb - za)); rescaling by the measured
-        determinant removes the integrator's determinant drift, and the
-        frame transfer P(gb) diag(1, xi_b) V diag(1, 1/xi_a) P(ga)^-1 then
-        has unit determinant up to rounding.  For the end at infinity it is
+        Solves the gauge-fixed system dV = B V dzeta on the segment by
+        Chebyshev collocation (coefficient mode 4; stats collects its piece
+        count).  That system has trace -1, so its transfer determinant is
+        exactly exp(-(zb - za)); rescaling by the measured determinant
+        removes the solver's determinant error, and the frame transfer
+        P(gb) diag(1, xi_b) V diag(1, 1/xi_a) P(ga)^-1 then has unit
+        determinant up to rounding.  For the end at infinity it is
         conjugated by the index swap.
         """
-        t_v = run_kernel(segment(za, zb), MODE_LOG_CHART, self.kernel_params, np.eye(2), rtol)
+        t_v = chebyshev_transfer(MODE_LOG_CHART, self.kernel_params, za, zb, rtol, stats)
         xi_a = cmath.exp(za)
         xi_b = cmath.exp(zb)
         target = cmath.exp(-(zb - za))
@@ -484,8 +487,10 @@ def transport_frame(
 
     The transport tolerance is the monodromy tolerance tightened by the
     configured factor, since mesh positions accumulate error over paths a
-    few dozen edges deep.  Raises with the offending edge identified if the
-    integrator stalls, and checks det F = 1 at every vertex afterwards.
+    few dozen edges deep.  Every edge transfer is one Chebyshev collocation
+    transfer; stats["n_pieces"] counts their accepted pieces.  Raises with
+    the offending edge identified if the solver fails, and checks det F = 1
+    at every vertex afterwards.
     """
     tol = tol or default_tolerances()
     rtol = tol.ode * tol.transport_tol_factor
@@ -496,6 +501,7 @@ def transport_frame(
     frames[grid.base_index] = np.eye(2)
     transfers = np.zeros((nv, 2, 2), dtype=complex)
     seams = np.zeros((3, 2, 2), dtype=complex)
+    stats: dict = {"n_pieces": 0}
 
     def _run(edge_desc: str, step, *args) -> np.ndarray:
         try:
@@ -507,12 +513,12 @@ def transport_frame(
         if edge.kind == "segment":
             t = _run(
                 f"segment edge {edge.parent}->{edge.child}",
-                run_kernel, segment(edge.a, edge.b), MODE_MATRIX, params0, np.eye(2), rtol,
+                chebyshev_transfer, MODE_MATRIX, params0, edge.a, edge.b, rtol, stats,
             )
         else:
             t = _run(
                 f"{edge.kind} edge {edge.parent}->{edge.child} (end {edge.end + 1})",
-                grid.charts[edge.end].transfer, edge.a, edge.b, rtol,
+                grid.charts[edge.end].transfer, edge.a, edge.b, rtol, stats,
             )
         transfers[edge.child] = t
         frames[edge.child] = t @ frames[edge.parent]
@@ -521,12 +527,12 @@ def transport_frame(
     for ch in grid.charts:
         a = grid.zeta[grid.annulus_index(ch.end, 0, ns - 1)]
         b = grid.zeta[grid.annulus_index(ch.end, 0, 0)] + 2.0j * math.pi
-        seams[ch.end] = _run(f"seam arc (end {ch.end + 1})", ch.transfer, a, b, rtol)
+        seams[ch.end] = _run(f"seam arc (end {ch.end + 1})", ch.transfer, a, b, rtol, stats)
 
     # The determinant of a large-entry frame is an ill-conditioned 2x2
     # evaluation (terms of size |F|^2 cancel to 1), so the conservation gate
     # scales with the squared Frobenius norm of each frame.
-    det_defect = max(
+    stats["max_det_defect"] = det_defect = max(
         abs(det2_compensated(frames[v]) - 1.0) / max(1.0, fro(frames[v]) ** 2)
         for v in range(nv)
     )
@@ -537,7 +543,7 @@ def transport_frame(
         )
     return FrameTransport(
         grid=grid, data=data, frames=frames, transfers=transfers, seams=seams,
-        rtol=rtol, stats={"max_det_defect": det_defect},
+        rtol=rtol, stats=stats,
     )
 
 
@@ -557,6 +563,8 @@ class WeierstrassData:
     the derivative comes from the defining connection, so those entries
     are consistency-free diagnostics.  null_defect measures how far
     F^{-1} dF/dz is from its required nilpotent rank-one shape.
+    stats["n_pieces"] counts the collocation pieces of the stencil
+    transfers.
     """
 
     g: np.ndarray
@@ -565,6 +573,7 @@ class WeierstrassData:
     gauss_ratio: np.ndarray
     numeric: np.ndarray
     null_defect: np.ndarray
+    stats: dict = field(default_factory=dict)
 
 
 def _connection_value(data: TrinoidData, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -582,13 +591,13 @@ def _connection_value(data: TrinoidData, z: complex) -> tuple[np.ndarray, np.nda
 
 
 def _micro_frames(
-    ch: EndChart, f0: np.ndarray, zeta0: complex, delta: float, rtol: float
+    ch: EndChart, f0: np.ndarray, zeta0: complex, delta: float, rtol: float, stats: dict
 ) -> list:
     """Frames at eleven points spaced delta in angle around one vertex.
 
-    Each neighbour is reached by integrating the gauge-fixed system over a
-    short log-chart segment starting from the vertex value, so the stencil
-    input is transported data, not an evaluation of the connection.
+    Each neighbour is reached by an EndChart.transfer over a short log-chart
+    segment starting from the vertex value, so the stencil input is
+    transported data, not an evaluation of the connection.
     """
     vals = [None] * 11
     vals[5] = f0
@@ -597,7 +606,7 @@ def _micro_frames(
         z_prev = zeta0
         for m in range(1, 6):
             z_next = zeta0 + 1j * side * m * delta
-            prev = ch.transfer(z_prev, z_next, rtol) @ prev
+            prev = ch.transfer(z_prev, z_next, rtol, stats) @ prev
             vals[5 + side * m] = prev
             z_prev = z_next
     return vals
@@ -637,6 +646,7 @@ def recover_weierstrass(
     numeric = np.zeros(nv, dtype=bool)
     defect = np.zeros(nv)
     delta = min(2.0 * math.pi / (3.0 * ns), 2.0 * math.pi / 144.0)
+    stats: dict = {"n_pieces": 0}
 
     for ch in grid.charts:
         for k in range(nr):
@@ -644,7 +654,7 @@ def recover_weierstrass(
                 vi = grid.annulus_index(ch.end, k, i)
                 zeta0 = grid.zeta[vi]
                 xi = cmath.exp(zeta0)
-                vals = _micro_frames(ch, frames.frames[vi], zeta0, delta, frames.rtol)
+                vals = _micro_frames(ch, frames.frames[vi], zeta0, delta, frames.rtol, stats)
                 f_th = np.zeros((2, 2), dtype=complex)
                 f_thth = _FD_SECOND_CENTER * vals[5]
                 for m in range(1, 6):
@@ -699,7 +709,8 @@ def recover_weierstrass(
             f"violates the rank-one shape by {worst:.3g}, above {tol.null_structure:.3g}"
         )
     return WeierstrassData(
-        g=g, omega=omega, dg=dg, gauss_ratio=ratio, numeric=numeric, null_defect=defect
+        g=g, omega=omega, dg=dg, gauss_ratio=ratio, numeric=numeric, null_defect=defect,
+        stats=stats,
     )
 
 

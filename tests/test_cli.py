@@ -7,7 +7,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import trinoid.cli
 from trinoid.cli import main
 from trinoid.config import Tolerances, default_tolerances
 from trinoid.trinoid_data import hypergeometric_params
@@ -250,6 +253,71 @@ def test_tol_scale_rejects_invalid(monkeypatch, value):
         default_tolerances()
     assert main(["classify", "--angles", "2/3,2/3,2/3"]) == 2
     assert main(["monodromy", "--angles", "2/3,2/3,2/3"]) == 2
+
+
+@pytest.mark.parametrize("cmd", ["monodromy", "mesh"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+def test_tol_ode_rejects_invalid(tmp_path, monkeypatch, cmd, value):
+    # like a bad TRINOID_TOL_SCALE, a bad --tol-ode is an input error that
+    # exits 2 before any transport runs; nan and -1 used to hang the step
+    # controller, inf and 0 to fail numerically with exit 3
+    def no_transport(*args, **kwargs):
+        raise AssertionError("the pipeline started")
+
+    monkeypatch.setattr(trinoid.cli, "build_trinoid_data", no_transport)
+    args = [cmd, "--angles", "2/3,2/3,2/3", "--tol-ode", value]
+    if cmd == "mesh":
+        args += ["--out", str(tmp_path / "x.obj")]
+    assert main(args) == 2
+
+
+MESH_4X12 = {
+    "sym23": ["--angles", "2/3,2/3,2/3"],
+    "big": ["--angles", "3,3,3", "--deform", "0.3,0.1,-0.2", "--format", "ply"],
+}
+
+
+@pytest.mark.parametrize("triple", sorted(MESH_4X12))
+def test_mesh_passes_at_tenth_tolerance_scale(tmp_path, monkeypatch, triple):
+    # a tenfold tighter TRINOID_TOL_SCALE tightens the transport to 1e-14
+    # per unit length together with every gate; the mesh still passes them
+    monkeypatch.setenv("TRINOID_TOL_SCALE", "0.1")
+    tol = default_tolerances()
+    rep = run_json(
+        tmp_path, triple,
+        ["mesh", *MESH_4X12[triple], "--rings", "4", "--sectors", "12",
+         "--out", str(tmp_path / f"{triple}.mesh")],
+    )
+    assert rep["max_det_defect"] < tol.det
+    assert rep["well_definedness"]["passed"] is True
+
+
+@pytest.mark.parametrize("triple", sorted(MESH_4X12))
+def test_mesh_fails_fast_below_unit_roundoff(tmp_path, monkeypatch, triple):
+    # at scale 1e-3 the transport tolerance is 1e-16, below the unit
+    # roundoff: a numerical failure at the first grid edge, not a search
+    # for ever smaller steps (the adaptive integrator ran for over 600 s at
+    # scale 1e-2)
+    monkeypatch.setenv("TRINOID_TOL_SCALE", "0.001")
+    args = ["mesh", *MESH_4X12[triple], "--rings", "4", "--sectors", "12",
+            "--out", str(tmp_path / f"{triple}.mesh")]
+    assert main(args) == 3
+
+
+_OFF_INTEGER = st.floats(0.1, 2.9).filter(lambda b: abs(b - round(b)) > 0.05)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.tuples(_OFF_INTEGER, _OFF_INTEGER, _OFF_INTEGER))
+def test_mesh_fuzz_exit_codes(tmp_path, triple):
+    # any half-angle triple away from the integers ends in a documented
+    # exit code: a mesh, an input error, a numerical failure or an empty
+    # moduli space, never an uncaught exception
+    angles = ",".join(f"{b:.6f}" for b in triple)
+    rc = main(["mesh", "--angles", angles, "--rings", "2", "--sectors", "6",
+               "--out", str(tmp_path / "fuzz.obj"), "--json", str(tmp_path / "fuzz.json")])
+    assert rc in (0, 2, 3, 4)
 
 
 def test_tol_scale_scales_ode_but_not_geometry(monkeypatch):

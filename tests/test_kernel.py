@@ -1,0 +1,104 @@
+"""Chebyshev collocation transfers against Dormand-Prince and exact invariants."""
+
+import math
+
+import numpy as np
+import pytest
+
+from trinoid._kernel import chebyshev_transfer
+from trinoid.algebra import det2_compensated, fro
+from trinoid.config import default_tolerances
+from trinoid.errors import StepUnderflow
+from trinoid.fuchsian import MODE_LOG_CHART, MODE_MATRIX, run_kernel, segment
+from trinoid.surface import end_charts, sample_grid
+from trinoid.trinoid_data import build_trinoid_data
+
+SYM23 = (2 * math.pi / 3,) * 3
+BIG = (3 * math.pi,) * 3
+TRIPLES = pytest.mark.parametrize("angles", [SYM23, BIG], ids=["sym23", "big"])
+
+
+def _transport_rtol():
+    tol = default_tolerances()
+    return tol.ode * tol.transport_tol_factor
+
+
+def _spoke(data):
+    """Mode-4 data of one spoke of end 1, from the outer radius to 1e-3."""
+    ch = end_charts(data)[0]
+    return ch.kernel_params, complex(math.log(ch.r_out)), complex(math.log(1e-3))
+
+
+def _base_to_anchor(data):
+    """Mode-0 data of the tree edge from the base point to the anchor of end 3."""
+    grid = sample_grid(data, rings=2, sectors=6)
+    return (
+        data.kernel_params(),
+        complex(grid.vertices[grid.base_index]),
+        complex(grid.vertices[grid.annulus_index(2, 0, 0)]),
+    )
+
+
+@TRIPLES
+def test_collocation_matches_dopri(angles):
+    # both engines at the transport tolerance agree far inside 1e-10
+    # relative to the transfer size (measured 3.4e-15 and 5.8e-15 on the
+    # spokes, whose transfers reach norm 2.5e3 and 8.2e5, and 2.2e-15 and
+    # 1.7e-14 on the base-to-anchor segments)
+    data = build_trinoid_data(angles)
+    rtol = _transport_rtol()
+    for mode, (params, a, b) in ((MODE_LOG_CHART, _spoke(data)), (MODE_MATRIX, _base_to_anchor(data))):
+        u = chebyshev_transfer(mode, params, a, b, rtol)
+        v = run_kernel(segment(a, b), mode, params, np.eye(2), rtol)
+        assert np.abs(u - v).max() <= 1e-10 * max(1.0, np.abs(v).max()), mode
+
+
+@TRIPLES
+def test_collocation_determinant_oracle(angles):
+    # Liouville's formula fixes the determinant of the raw transfer: the
+    # log-chart generator has trace -1, so det = exp(-(b - a)), and the
+    # z-chart generator is trace free, so det = 1.  As in the transport
+    # det gate, the defect is taken relative to the squared Frobenius norm,
+    # the scale on which the 2x2 determinant cancels (measured 1.4e-19 and
+    # 2.5e-18 on the spokes, whose transfers reach norm 2.5e3 and 8.2e5,
+    # and 1.8e-16 and 9.8e-17 on the segments)
+    data = build_trinoid_data(angles)
+    rtol = _transport_rtol()
+    for mode, (params, a, b) in ((MODE_LOG_CHART, _spoke(data)), (MODE_MATRIX, _base_to_anchor(data))):
+        target = np.exp(-(b - a)) if mode == MODE_LOG_CHART else 1.0
+        u = chebyshev_transfer(mode, params, a, b, rtol)
+        assert abs(det2_compensated(u) - target) <= 1e-13 * max(1.0, fro(u)) ** 2, mode
+
+
+@TRIPLES
+def test_collocation_bisects_long_segment(angles):
+    # one piece of 25 nodes does not resolve the base-to-anchor segment
+    # (length 1.8, starting 0.37 from an umbilic), so its tail forces
+    # bisection; the piece count is deterministic
+    data = build_trinoid_data(angles)
+    params, a, b = _base_to_anchor(data)
+    stats: dict = {}
+    chebyshev_transfer(MODE_MATRIX, params, a, b, _transport_rtol(), stats)
+    assert stats["n_pieces"] == 5
+
+
+def test_collocation_zero_length_is_identity():
+    data = build_trinoid_data(SYM23)
+    u = chebyshev_transfer(MODE_MATRIX, data.kernel_params(), 0.5 + 0.5j, 0.5 + 0.5j, 1e-13)
+    np.testing.assert_array_equal(u, np.eye(2))
+
+
+def test_collocation_failures_raise_step_underflow():
+    data = build_trinoid_data(SYM23)
+    params = data.kernel_params()
+    # a tolerance below the unit roundoff cannot be met in double precision
+    with pytest.raises(StepUnderflow, match="unit roundoff"):
+        chebyshev_transfer(MODE_MATRIX, params, 0.45 + 0.45j, 0.55 + 0.55j, 1e-31)
+    with pytest.raises(StepUnderflow):
+        chebyshev_transfer(MODE_MATRIX, params, 0.45 + 0.45j, 0.55 + 0.55j, float("nan"))
+    # a segment straight through the puncture at z = 0 meets it at a node
+    with pytest.raises(StepUnderflow, match="singular"):
+        chebyshev_transfer(MODE_MATRIX, params, 0.5 + 0.5j, -0.5 - 0.5j, 1e-13)
+    # one that misses it by 1e-9 exhausts the bisection depth instead
+    with pytest.raises(StepUnderflow, match="bisections"):
+        chebyshev_transfer(MODE_MATRIX, params, 0.5 + 0.5j, -0.5 - 0.5j + 1e-9j, 1e-13)

@@ -63,7 +63,7 @@ def test_transport_det_conserved(sym, big):
     # determinant drift relative to the squared frame norm; the raw 2x2
     # determinant of a frame with entries of size 1e6 cancels to 1 only up
     # to eps times the squared norm, so the conserved quantity is the
-    # relative defect (measured 2.8e-14 for the tripled angles, whose
+    # relative defect (measured 4.5e-15 for the tripled angles, whose
     # frames reach Frobenius norm 1e6 on the innermost ring)
     for bundle in (sym, big):
         transport = bundle[2]
@@ -111,6 +111,20 @@ def test_transport_stall_reports_edge():
         transport_frame(data, grid, tol=dataclasses.replace(default_tolerances(), ode=1e-28))
 
 
+@pytest.mark.parametrize("angles, pieces", [(SYM23, 220), (BIG, 224)], ids=["sym23", "big"])
+def test_transfer_piece_counts_pinned(angles, pieces):
+    # The collocation transfers are deterministic, so their accepted piece
+    # counts pin the grid stages: a change to the tail test, the node count
+    # or the tree moves them.  At 4x12 the tree has 186 edges plus 3 seams;
+    # the base-to-anchor segments, some outer ring arcs and first spokes,
+    # and for the tripled angles some core segments, bisect.  The 1440
+    # recovery stencil steps are one piece each.
+    data = build_trinoid_data(angles)
+    transport = transport_frame(data, sample_grid(data, rings=4, sectors=12))
+    assert transport.stats["n_pieces"] == pieces
+    assert recover_weierstrass(transport).stats["n_pieces"] == 1440
+
+
 # ---------------------------------------------------------------------------
 # induced data
 
@@ -145,7 +159,7 @@ def test_weierstrass_oracles_big(sym, big):
     # for tripled angles the frame reaches norm 1e6 on the inner rings and
     # the second-derivative combination behind dg loses roughly the
     # squared frame norm in precision, so the omega dg residual is only
-    # meaningful while the frame norm stays moderate (measured max 2.8e-7
+    # meaningful while the frame norm stays moderate (measured max 3.5e-7
     # where the norm is below 1e3, rings 0 to 3); the first-derivative
     # column ratio has no such cancellation and holds everywhere
     # (measured max 2.9e-9)
@@ -261,7 +275,7 @@ def test_mesh_refinement_nests(sym):
 def test_doubled_path_defect(sym):
     # continuing the frame once more around the enclosing puncture must
     # not move the projected point when the conjugator unitarizes the
-    # monodromy (measured max 8.7e-14 over ten vertices) and must move it
+    # monodromy (measured max 1.2e-13 over ten vertices) and must move it
     # visibly with the identity conjugator instead (measured 0.25 to 0.44
     # on the first ring)
     _, grid, transport, _, conj, _ = sym
@@ -295,8 +309,8 @@ def test_branch_frame_carries_local_monodromy(sym, big):
     # one more turn around end e multiplies the frame on the left by the
     # loop transport around that puncture, whose trace is -2 cos B_e; the
     # bound scales with the squared frame norm for the same reason the
-    # det gate does (measured relative maxima 3.9e-15 for the 2/3 pi and
-    # 7.2e-15 for the 3 pi triple; absolute 3.7e-12 and 2.3e-3)
+    # det gate does (measured relative maxima 2.4e-15 for the 2/3 pi and
+    # 6.4e-15 for the 3 pi triple; absolute 3.7e-12 and 2.1e-3)
     for data, grid, transport, _, _, _ in (sym, big):
         for v in range(3 * grid.rings * grid.sectors):
             f = transport.frames[v]
