@@ -12,8 +12,9 @@ matrix C, once per call:
 integrate_path runs adaptive Dormand-Prince along a piecewise path of
 segments and circular arcs; it carries the loop monodromies.
 chebyshev_transfer solves the transfer U(b) of one straight segment a -> b
-with U(a) = I by Chebyshev collocation; it carries every grid edge and
-recovery stencil of the mesh.  The coefficient functions work pointwise on
+with U(a) = I by Chebyshev collocation; it carries every grid edge of the
+mesh, and through its dense output (U at given points of the segment)
+every recovery stencil.  The coefficient functions work pointwise on
 scalars and elementwise on numpy arrays alike.
 
 Parameters arrive as a flat float array: (c1, c2, c3, Re p, Im p, Re s,
@@ -69,6 +70,13 @@ solve (the tail-decay test of Chebfun).  Otherwise it is bisected and the
 halves are composed left to right.  Coefficients or a solution that are
 not finite, a singular system, a piece bisected more than _MAX_DEPTH
 times, or an rtol below the unit roundoff raise StepUnderflow.
+
+Dense output.  U at a point inside an accepted piece is the barycentric
+interpolant of that piece's W at its N + 1 nodes (Berrut & Trefethen,
+SIAM Rev. 46, 2004), plus I, times the transfer up to the piece's start.
+The interpolant carries the accuracy of the nodal values, so the samples
+cost no extra solve and need no extra tolerance; a piece that bisects
+hands its samples to its halves.
 """
 
 import numpy as np
@@ -291,10 +299,31 @@ def _chebyshev_tables(n):
 
 _X, _S, _TAIL = _chebyshev_tables(_N)
 _EYE = np.eye(2)[:, None, :]
+# barycentric weights of the second-kind points (Berrut & Trefethen 2004)
+_BARY = (-1.0) ** np.arange(_N + 1)
+_BARY[[0, _N]] *= 0.5
+
+
+def _interpolate(w, x):
+    """Values at the local coordinates x in [-1, 1] of the polynomial through
+    the nodal values w of _collocate, shape (len(x), 2, 2).
+
+    Barycentric formula of the second kind; a coordinate that falls on a
+    node takes that node's value.
+    """
+    d = x[:, None] - _X[None, :]
+    hit = d == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lag = _BARY / d
+    on_node = hit.any(axis=1)
+    lag[on_node] = hit[on_node]
+    lag /= lag.sum(axis=1, keepdims=True)
+    return (lag @ w.transpose(1, 0, 2).reshape(_N + 1, 4)).reshape(-1, 2, 2)
 
 
 def _collocate(coeff, params, a, b, rtol):
-    """Transfer of one piece a -> b, or None when its tail has not decayed.
+    """W = U - I of one piece a -> b at its nodes, shape (2, N + 1, 2) with
+    the node index in the middle, or None when its tail has not decayed.
 
     Solves the integral form W = S (hC (I + W)) for W = U - I at the nodes,
     with h = (b - a) / 2 and S the integration matrix from the start.
@@ -322,37 +351,64 @@ def _collocate(coeff, params, a, b, rtol):
     unorm = max(1.0, np.abs(w + _EYE).max())
     if np.abs(_TAIL @ w).max() > max(rtol * abs(b - a), _FLOOR) * unorm:
         return None
-    return w[:, 0, :] + np.eye(2)
+    return w
 
 
-def chebyshev_transfer(mode, params, a, b, rtol, stats=None):
+def chebyshev_transfer(mode, params, a, b, rtol, stats=None, samples=None):
     """Transfer matrix U(b) of dU = C(z) U dz along the segment a -> b, U(a) = I.
 
     Pieces are bisected until each passes the tail test; see the module
     docstring.  stats, when given, accumulates the accepted pieces under
-    "n_pieces".
+    "n_pieces".  With samples, an array of points on the segment, returns
+    U at each of them instead, shape (len(samples), 2, 2) (dense output):
+    the accepted piece that contains a sample interpolates its W there and
+    composes it with the transfer up to the piece's start.
     """
     if not rtol >= _UNIT_ROUNDOFF:
         raise StepUnderflow(f"tolerance {rtol:.3g} is below the unit roundoff")
     coeff = _COEFF[mode]
+    a, b = complex(a), complex(b)
+    if samples is not None:
+        # position of each sample along the segment as a parameter in [0, 1]
+        # (an orthogonal projection, so that a sample at b gets exactly 1)
+        d = b - a
+        dd = d.real * d.real + d.imag * d.imag
+        off = np.asarray(samples, dtype=complex) - a
+        tau = off.real * d.real + off.imag * d.imag
+        tau = np.clip(tau / dd, 0.0, 1.0) if dd else np.zeros(len(tau))
+        order = np.argsort(tau, kind="stable")
+        dense = np.empty((len(tau), 2, 2), dtype=complex)
+        served = 0
     u = np.eye(2, dtype=complex)
-    stack = [(complex(a), complex(b), 0)]
+    # pieces (start, end, parameter at start, parameter at end, depth); the
+    # parameters are dyadic, so bisecting them is exact
+    stack = [(a, b, 0.0, 1.0, 0)]
     n_pieces = 0
     while stack:
-        pa, pb, depth = stack.pop()
-        t = _collocate(coeff, params, pa, pb, rtol)
-        if t is None:
+        pa, pb, ta, tb, depth = stack.pop()
+        w = _collocate(coeff, params, pa, pb, rtol)
+        if w is None:
             if depth == _MAX_DEPTH:
                 raise StepUnderflow(
                     f"no convergence after {_MAX_DEPTH} bisections; "
                     "the segment passes too close to a singular point"
                 )
             mid = pa + 0.5 * (pb - pa)
-            stack.append((mid, pb, depth + 1))
-            stack.append((pa, mid, depth + 1))
+            tm = 0.5 * (ta + tb)
+            stack.append((mid, pb, tm, tb, depth + 1))
+            stack.append((pa, mid, ta, tm, depth + 1))
             continue
-        u = t @ u
+        if samples is not None:
+            # pieces are accepted left to right, so this piece serves the
+            # next samples up to its end
+            upto = int(np.searchsorted(tau, tb, side="right", sorter=order))
+            if upto > served:
+                mine = order[served:upto]
+                x = np.clip(2.0 * (tau[mine] - ta) / (tb - ta) - 1.0, -1.0, 1.0)
+                dense[mine] = (np.eye(2) + _interpolate(w, x)) @ u
+                served = upto
+        u = (w[:, 0, :] + np.eye(2)) @ u
         n_pieces += 1
     if stats is not None:
         stats["n_pieces"] = stats.get("n_pieces", 0) + n_pieces
-    return u
+    return u if samples is None else dense

@@ -7,8 +7,9 @@ point.  transport_frame solves the frame equation dF = A F along the tree.
 It keeps the frame at every vertex and the transfer of every tree edge,
 so continuing a frame once more around a puncture is a product of stored
 transfers.  recover_weierstrass differentiates the transported frame
-numerically and extracts the induced (g, omega) data, which the defining
-differentials must reproduce; this is the main integrity oracle.
+numerically, over eleven frames transported from each annulus vertex by
+one sampled transfer, and extracts the induced (g, omega) data, which the
+defining differentials must reproduce; this is the main integrity oracle.
 build_mesh applies a unitarizing conjugator and projects to the Poincare
 ball.
 
@@ -21,7 +22,8 @@ with B bounded down the whole neck (coefficient mode 4 of _kernel).
 EndChart.transfer is the one log-chart step: it solves the V transfer by
 Chebyshev collocation, rescales it by its exact determinant exp(-dzeta),
 making the assembled F transfer unimodular by construction, and serves
-tree edges, seam arcs and the recovery stencils alike.  The segment edges
+tree edges, seam arcs and, through the collocation's dense output at
+eleven sample points, the recovery stencils alike.  The segment edges
 of the core use the same collocation in the z chart.  The end at infinity
 is handled in the x = 1/z chart through conjugation by [[0, 1], [1, 0]].
 """
@@ -35,7 +37,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from ._kernel import chebyshev_transfer
 from .algebra import det2, det2_compensated, fro, inv2, project_h3, solve_quadratic
@@ -90,7 +91,15 @@ class EndChart:
     def to_global(self, x: complex) -> complex:
         return 1.0 / x if self.inverted else x
 
-    def transfer(self, za: complex, zb: complex, rtol: float, stats: dict | None = None) -> np.ndarray:
+    def transfer(
+        self,
+        za: complex,
+        zb: complex,
+        rtol: float,
+        stats: dict | None = None,
+        samples: np.ndarray | None = None,
+        origin: complex | None = None,
+    ) -> np.ndarray:
         """Frame transfer between the log-chart points za and zb.
 
         Solves the gauge-fixed system dV = B V dzeta on the segment by
@@ -101,18 +110,45 @@ class EndChart:
         P(gb) diag(1, xi_b) V diag(1, 1/xi_a) P(ga)^-1 then has unit
         determinant up to rounding.  For the end at infinity it is
         conjugated by the index swap.
+
+        With samples, an array of log-chart points on the segment, returns
+        instead the frame transfer from origin (za unless given; any point
+        of the segment) to each sample, shape (len(samples), 2, 2), all
+        from the one solve over za -> zb (the collocation's dense output).
+        Each V transfer U(s) U(origin)^-1 is rescaled to its exact
+        determinant exp(-(s - origin)) and assembled as above.  Composing
+        in V, before the gauge assembly, matters: composed as frame
+        transfers, the factor diag(1, 1/xi_a) P(ga)^-1 and its inverse
+        would leave their rounding behind, enough to double the omega dg
+        residual of the recovery stencils.
         """
-        t_v = chebyshev_transfer(MODE_LOG_CHART, self.kernel_params, za, zb, rtol, stats)
-        xi_a = cmath.exp(za)
-        xi_b = cmath.exp(zb)
-        target = cmath.exp(-(zb - za))
-        t_v = t_v * cmath.sqrt(target / det2(t_v))
-        ga = self.chart_gauss(self.puncture + xi_a)
-        gb = self.chart_gauss(self.puncture + xi_b)
-        left = np.array([[gb, 1.0], [1.0, 0.0]], dtype=complex) @ np.diag([1.0 + 0.0j, xi_b])
-        right = np.diag([1.0 + 0.0j, 1.0 / xi_a]) @ np.array([[0.0, 1.0], [1.0, -ga]], dtype=complex)
+        zs = np.array([zb], dtype=complex) if samples is None else np.asarray(samples, dtype=complex)
+        if origin is None:
+            t_v = chebyshev_transfer(MODE_LOG_CHART, self.kernel_params, za, zb, rtol, stats, zs)
+            origin = za
+        else:
+            t_v = chebyshev_transfer(
+                MODE_LOG_CHART, self.kernel_params, za, zb, rtol, stats, np.append(zs, origin)
+            )
+            t_v = t_v[:-1] @ inv2(t_v[-1])
+        # The determinants and the Gauss-map values are taken per sample in
+        # scalar complex arithmetic: numpy's array loops may fuse the
+        # multiply-adds of a complex product, which would move the
+        # transported frames in their last bits.
+        xi = [cmath.exp(z) for z in zs]
+        det = np.array([det2(t) for t in t_v])
+        t_v = t_v * np.sqrt(np.exp(-(zs - origin)) / det)[:, None, None]
+        xi_o = cmath.exp(origin)
+        g_o = self.chart_gauss(self.puncture + xi_o)
+        left = np.zeros_like(t_v)
+        left[:, 0, 0] = [self.chart_gauss(self.puncture + x) for x in xi]
+        left[:, 0, 1] = xi
+        left[:, 1, 0] = 1.0
+        right = np.diag([1.0 + 0.0j, 1.0 / xi_o]) @ np.array([[0.0, 1.0], [1.0, -g_o]], dtype=complex)
         m = left @ t_v @ right
-        return m[::-1, ::-1] if self.inverted else m
+        if self.inverted:
+            m = m[:, ::-1, ::-1]
+        return m[0] if samples is None else m
 
 
 def _pack6(coeffs) -> np.ndarray:
@@ -278,6 +314,10 @@ def sample_grid(
     two parts share vertices.  The spanning tree enters each annulus once
     through its outer ring and covers the core breadth-first.
     """
+    # imported here: scipy.spatial is the largest import of the program, and
+    # only meshing needs it
+    from scipy.spatial import Delaunay
+
     tol = tol or default_tolerances()
     rings = int(rings)
     sectors = int(sectors)
@@ -564,7 +604,8 @@ class WeierstrassData:
     are consistency-free diagnostics.  null_defect measures how far
     F^{-1} dF/dz is from its required nilpotent rank-one shape.
     stats["n_pieces"] counts the collocation pieces of the stencil
-    transfers.
+    transfers, one transfer per annulus vertex (a piece more for each
+    bisection).
     """
 
     g: np.ndarray
@@ -590,28 +631,6 @@ def _connection_value(data: TrinoidData, z: complex) -> tuple[np.ndarray, np.nda
     return kap * n_g, kap * (dlog * n_g + n_gp)
 
 
-def _micro_frames(
-    ch: EndChart, f0: np.ndarray, zeta0: complex, delta: float, rtol: float, stats: dict
-) -> list:
-    """Frames at eleven points spaced delta in angle around one vertex.
-
-    Each neighbour is reached by an EndChart.transfer over a short log-chart
-    segment starting from the vertex value, so the stencil input is
-    transported data, not an evaluation of the connection.
-    """
-    vals = [None] * 11
-    vals[5] = f0
-    for side in (1, -1):
-        prev = f0
-        z_prev = zeta0
-        for m in range(1, 6):
-            z_next = zeta0 + 1j * side * m * delta
-            prev = ch.transfer(z_prev, z_next, rtol, stats) @ prev
-            vals[5 + side * m] = prev
-            z_prev = z_next
-    return vals
-
-
 def recover_weierstrass(
     frames: FrameTransport,
     tol: Tolerances | None = None,
@@ -619,10 +638,12 @@ def recover_weierstrass(
     """Extract (g, omega) from the transported frame and check its shape.
 
     On annulus vertices dF/dz and d2F/dz2 come from eleven-point stencils
-    in the angular direction over frames integrated to micro-offsets of
-    the vertex (spacing about one third of the grid spacing, where the
-    order-ten truncation error drops below the shape tolerance with room
-    to spare).  Only transported values enter, so agreement of omega dg
+    in the angular direction, spacing delta about one third of the grid
+    spacing, where the order-ten truncation error drops below the shape
+    tolerance with room to spare.  The stencil frames are transported
+    from the vertex frame by one EndChart.transfer across the 10 delta arc,
+    sampled at the eleven points (the collocation's dense output).  Only
+    transported values enter, so agreement of omega dg
     with the defining quadratic differential is a genuine end-to-end test
     of the transport machinery.  F^{-1} dF/dz must be trace-free with
     determinant zero; a relative defect beyond the null_structure
@@ -646,6 +667,7 @@ def recover_weierstrass(
     numeric = np.zeros(nv, dtype=bool)
     defect = np.zeros(nv)
     delta = min(2.0 * math.pi / (3.0 * ns), 2.0 * math.pi / 144.0)
+    offsets = 1j * delta * np.arange(-5, 6)
     stats: dict = {"n_pieces": 0}
 
     for ch in grid.charts:
@@ -654,7 +676,13 @@ def recover_weierstrass(
                 vi = grid.annulus_index(ch.end, k, i)
                 zeta0 = grid.zeta[vi]
                 xi = cmath.exp(zeta0)
-                vals = _micro_frames(ch, frames.frames[vi], zeta0, delta, frames.rtol, stats)
+                f0 = frames.frames[vi]
+                # one transfer across the stencil, sampled at its eleven
+                # points and taken from the vertex
+                pts = zeta0 + offsets
+                t = ch.transfer(pts[0], pts[-1], frames.rtol, stats, samples=pts, origin=zeta0)
+                vals = t @ f0
+                vals[5] = f0
                 f_th = np.zeros((2, 2), dtype=complex)
                 f_thth = _FD_SECOND_CENTER * vals[5]
                 for m in range(1, 6):

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -331,3 +335,33 @@ def test_tol_scale_scales_ode_but_not_geometry(monkeypatch):
     for f in dataclasses.fields(Tolerances):
         factor = 1.0 if f.name in fixed else 10.0
         assert getattr(scaled, f.name) == getattr(base, f.name) * factor, f.name
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.tuples(_OFF_INTEGER, _OFF_INTEGER, _OFF_INTEGER))
+def test_monodromy_fuzz_exit_codes(tmp_path, triple):
+    # the loop monodromies of any half-angle triple away from the integers
+    # end in a documented exit code, never an uncaught exception
+    angles = ",".join(f"{b:.6f}" for b in triple)
+    rc = main(["monodromy", "--angles", angles, "--json", str(tmp_path / "fuzz.json")])
+    assert rc in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("cmd, spatial", [
+    (["monodromy", "--angles", "2/3,2/3,2/3"], False),
+    (["mesh", "--angles", "2/3,2/3,2/3", "--rings", "2", "--sectors", "6", "--out", "m.obj"], True),
+], ids=["monodromy", "mesh"])
+def test_scipy_spatial_loaded_only_by_mesh(tmp_path, cmd, spatial):
+    # scipy.spatial (the Delaunay triangulation of the sample grid) is the
+    # largest import of the program; commands that build no grid must not
+    # pay for it.  A fresh interpreter, since this one has loaded it already
+    src = Path(trinoid.cli.__file__).resolve().parents[1]
+    code = ("import sys; from trinoid.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, 'scipy.spatial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *cmd, "--json", "report.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout.split()[-2:] == ["0", str(spatial)], proc.stderr

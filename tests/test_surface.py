@@ -117,12 +117,14 @@ def test_transfer_piece_counts_pinned(angles, pieces):
     # counts pin the grid stages: a change to the tail test, the node count
     # or the tree moves them.  At 4x12 the tree has 186 edges plus 3 seams;
     # the base-to-anchor segments, some outer ring arcs and first spokes,
-    # and for the tripled angles some core segments, bisect.  The 1440
-    # recovery stencil steps are one piece each.
+    # and for the tripled angles some core segments, bisect.  Recovery
+    # makes one transfer across each of the 144 annulus stencils; the two
+    # outer-ring stencils at the sectors facing the other finite puncture
+    # bisect once.
     data = build_trinoid_data(angles)
     transport = transport_frame(data, sample_grid(data, rings=4, sectors=12))
     assert transport.stats["n_pieces"] == pieces
-    assert recover_weierstrass(transport).stats["n_pieces"] == 1440
+    assert recover_weierstrass(transport).stats["n_pieces"] == 146
 
 
 # ---------------------------------------------------------------------------
