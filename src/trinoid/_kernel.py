@@ -19,7 +19,8 @@ scalars and elementwise on numpy arrays alike.
 
 Parameters arrive as a flat float array: (c1, c2, c3, Re p, Im p, Re s,
 Im s) for modes 0/1 where p is the umbilic sum and s the squared umbilic
-gap, and (a, b, c, 0, 0, 0, 0) for mode 2.
+gap, (a, b, c, 0, 0, 0, 0) for mode 2, and for mode 4 the seven floats of
+modes 0/1 followed by (Re p0, Im p0, inverted).
 
 Mode 4 integrates dV = B(zeta) V dzeta where zeta is a log chart around a
 puncture at p0, x = p0 + exp(zeta), and
@@ -30,10 +31,15 @@ with qf and gp rational functions of x.  This is the conjugate of the
 rank-one system under the moving frame [[G, 1], [1, 0]] diag(1, x - p0);
 qf is the curvature function times (x - p0)^2 and gp is the Gauss map
 derivative, both regular at the puncture, so the step size stays O(1)
-down the whole cusp neck.  Its parameter vector is 50 floats: (Re p0,
-Im p0) followed by four degree-<=5 polynomials (qf numerator, qf
-denominator, gp numerator, gp denominator), each packed as six complex
-coefficients highest-degree first.
+down the whole cusp neck.  For the punctures p0 = 0 and p0 = 1 the chart
+is z itself and
+
+    qf = c3 (2x - p)^2 / (8 (x - 1 + p0)^2),    gp = 1 - s / (2x - p)^2;
+
+for the end at infinity (inverted = 1, p0 = 0) the chart is x = 1/z and,
+with D = s x^2 - 2p x + 4,
+
+    qf = c3 D^2 / (32 (x - 1)^2),    gp = (4 (p^2 - s) x^2 - 16p x + 16) / D^2.
 
 Dormand-Prince.  A path is a float array of shape (n, 6).  Row layout:
     segment: (0, Re a, Im a, Re b, Im b, unused)
@@ -85,14 +91,6 @@ from .algebra import det2_compensated
 from .errors import StepUnderflow
 
 
-def _poly6(params, off, x):
-    # Horner evaluation of six packed complex coefficients, highest first.
-    acc = complex(params[off], params[off + 1])
-    for k in range(1, 6):
-        acc = acc * x + complex(params[off + 2 * k], params[off + 2 * k + 1])
-    return acc
-
-
 # Each coefficient function returns the entries (c11, c12, c21, c22) of C(z).
 
 
@@ -108,6 +106,8 @@ def _coeff_matrix(params, z):
 
 
 def _coeff_scalar(params, z):
+    # X'' + r X' + Q X = 0 with r = -(log(Q/G'))', where the umbilic factors
+    # of Q and G' cancel: Q/G' = c3 (2z - p)^2 / (8 z^2 (z - 1)^2)
     c1, c2, c3 = params[0], params[1], params[2]
     p = complex(params[3], params[4])
     w = z - 1.0
@@ -125,10 +125,23 @@ def _coeff_hypergeometric(params, z):
 
 
 def _coeff_log_chart(params, z):
-    # z is zeta, the chart point is p0 + exp(zeta)
-    x = complex(params[0], params[1]) + np.exp(z)
-    qf = _poly6(params, 2, x) / _poly6(params, 14, x)
-    gp = _poly6(params, 26, x) / _poly6(params, 38, x)
+    # z is zeta, the chart point is x = p0 + exp(zeta)
+    c3 = params[2]
+    p = complex(params[3], params[4])
+    s = complex(params[5], params[6])
+    p0 = complex(params[7], params[8])
+    x = p0 + np.exp(z)
+    if params[9]:
+        d = (s * x - 2.0 * p) * x + 4.0
+        w = x - 1.0
+        qf = c3 * d * d / (32.0 * w * w)
+        gp = ((4.0 * (p * p - s) * x - 16.0 * p) * x + 16.0) / (d * d)
+    else:
+        den = 2.0 * x - p
+        # the other finite puncture, written so that p0 = 1 leaves x exact
+        w = x - (1.0 - p0)
+        qf = c3 * den * den / (8.0 * w * w)
+        gp = 1.0 - s / (den * den)
     return 0.0j, qf, -gp, -1.0 + 0.0j
 
 

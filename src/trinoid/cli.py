@@ -9,6 +9,7 @@ failure, 4 empty moduli for a mesh request.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import math
@@ -444,9 +445,13 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
     if ns.base_point is not None:
         re_s, im_s = _parse_pair(ns.base_point, "--base-point")
         base_point = complex(float(re_s), float(im_s))
+        if not cmath.isfinite(base_point):
+            raise ValueError(f"--base-point must be finite, got {ns.base_point!r}")
     deform = None
     if getattr(ns, "deform", None) is not None:
         deform = tuple(float(p) for p in ns.deform.split(","))
+        if not all(map(math.isfinite, deform)):
+            raise ValueError(f"--deform values must be finite, got {ns.deform!r}")
     tol = default_tolerances()
     if ns.tol_ode is not None:
         if not 0.0 < ns.tol_ode < math.inf:

@@ -1,7 +1,8 @@
 """Shared numerical tolerances.
 
 Every threshold used by the package lives in one frozen record so a global
-loosening or tightening (say, on a noisy CI box) is a one-line change.  The
+loosening or tightening (say, on a noisy CI box) is a one-line change, and
+each field is read by some check or step of the pipeline.  The
 environment variable TRINOID_TOL_SCALE, a finite positive float, multiplies
 all absolute tolerances, the integration tolerance ode included; purely
 geometric ratios such as loop radii are left alone by it.
@@ -26,7 +27,6 @@ class Tolerances:
     integer: float = 1e-9            # B/pi integrality detection
     angle_is_pi: float = 1e-12       # excluded cone angle gate
     umbilic: float = 1e-10           # coincidence threshold for the two umbilics
-    singular_eval: float = 1e-8      # guard distance for pointwise evaluation
     commutator: float = 1e-7         # abelian-image detection on generators
     form_residual: float = 1e-9      # invariant-form linear system residual
     posdef_margin: float = 1e-8      # relative eigenvalue margin for definiteness

@@ -29,10 +29,6 @@ class BigonRequiresAcute(TrinoidError):
     """Bigon attachment needs the modified half-angle to satisfy B < pi."""
 
 
-class SingularPoint(TrinoidError):
-    """Evaluation was requested at or too close to a singular point."""
-
-
 class SingularPathPoint(TrinoidError):
     """An integration path passes within clearance of a singular point."""
 

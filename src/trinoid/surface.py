@@ -66,8 +66,9 @@ class EndChart:
 
     For the punctures at 0 and 1 the chart coordinate is z itself; for the
     end at infinity it is x = 1/z and transported frames are conjugated by
-    the index swap.  kernel_params packs the two rational functions of the
-    gauge-fixed system as polynomial coefficients for coefficient mode 4.
+    the index swap.  kernel_params is the parameter vector of coefficient
+    mode 4: the trinoid's (c1, c2, c3, p, s) of modes 0/1, then the chart
+    puncture and the inversion flag.
     """
 
     end: int
@@ -76,17 +77,17 @@ class EndChart:
     r_out: float
     r_in: float
     kernel_params: np.ndarray
-    phat: complex
-    square_gap: complex
 
     def chart_gauss(self, x: complex) -> complex:
         """Gauss map of the frame system expressed in this chart."""
+        # p and s as numpy scalars, the type the trinoid data carries them in
+        p, s = self.kernel_params[3:7].view(complex)
         if self.inverted:
-            num = x * (4.0 - 2.0 * self.phat * x)
-            den = (self.square_gap * x - 2.0 * self.phat) * x + 4.0
+            num = x * (4.0 - 2.0 * p * x)
+            den = (s * x - 2.0 * p) * x + 4.0
             return num / den
-        den = 2.0 * x - self.phat
-        return x + self.square_gap / (2.0 * den)
+        den = 2.0 * x - p
+        return x + s / (2.0 * den)
 
     def to_global(self, x: complex) -> complex:
         return 1.0 / x if self.inverted else x
@@ -151,62 +152,6 @@ class EndChart:
         return m[0] if samples is None else m
 
 
-def _pack6(coeffs) -> np.ndarray:
-    """Pack up to six complex coefficients (highest degree first)."""
-    out = np.zeros(12)
-    shift = 6 - len(coeffs)
-    if shift < 0:
-        raise ValueError("polynomial degree exceeds the kernel's capacity")
-    for i, c in enumerate(coeffs):
-        c = complex(c)
-        out[2 * (shift + i)] = c.real
-        out[2 * (shift + i) + 1] = c.imag
-    return out
-
-
-def _gauge_params(end: int, c3: float, p: complex, s: complex) -> tuple[complex, np.ndarray]:
-    """Chart puncture and packed mode-4 parameters for one end.
-
-    qf is the curvature function times the squared chart distance to the
-    puncture and gp the chart Gauss-map derivative; both stay bounded on
-    the annulus, which is the whole point of the gauge.
-    """
-    if end == 0:
-        p0 = 0.0 + 0.0j
-        qf_num = [4.0 * c3, -4.0 * c3 * p, c3 * p * p]
-        qf_den = [8.0, -16.0, 8.0]
-    elif end == 1:
-        p0 = 1.0 + 0.0j
-        qf_num = [4.0 * c3, -4.0 * c3 * p, c3 * p * p]
-        qf_den = [8.0, 0.0, 0.0]
-    else:
-        p0 = 0.0 + 0.0j
-        qf_num = [
-            c3 * s * s,
-            -4.0 * c3 * p * s,
-            c3 * (4.0 * p * p + 8.0 * s),
-            -16.0 * c3 * p,
-            16.0 * c3,
-        ]
-        qf_den = [32.0, -64.0, 32.0]
-    if end == 2:
-        gp_num = [4.0 * p * p - 4.0 * s, -16.0 * p, 16.0]
-        gp_den = [s * s, -4.0 * p * s, 4.0 * p * p + 8.0 * s, -16.0 * p, 16.0]
-    else:
-        gp_num = [4.0, -4.0 * p, p * p - s]
-        gp_den = [4.0, -4.0 * p, p * p]
-    params = np.concatenate(
-        [
-            np.array([p0.real, p0.imag]),
-            _pack6(qf_num),
-            _pack6(qf_den),
-            _pack6(gp_num),
-            _pack6(gp_den),
-        ]
-    )
-    return p0, params
-
-
 def end_charts(data: TrinoidData, tol: Tolerances | None = None) -> tuple[EndChart, EndChart, EndChart]:
     """Chart records for the three ends, with safe annulus radii.
 
@@ -216,7 +161,6 @@ def end_charts(data: TrinoidData, tol: Tolerances | None = None) -> tuple[EndCha
     inversion), so the gauge-fixed system stays uniformly regular.
     """
     tol = tol or default_tolerances()
-    c3 = data.hopf.c[2]
     p = data.q.total
     s = data.q.square_gap
     pole_dist = [abs(0.5 * p), abs(0.5 * p - 1.0)]
@@ -232,17 +176,15 @@ def end_charts(data: TrinoidData, tol: Tolerances | None = None) -> tuple[EndCha
                 f"end {e + 1}: the Gauss-map pole sits at distance {pole_dist[e]:.3g} "
                 "from the puncture, leaving no room for an annulus"
             )
-        p0, params = _gauge_params(e, c3, p, s)
+        p0 = 1.0 if e == 1 else 0.0
         charts.append(
             EndChart(
                 end=e,
-                puncture=p0,
+                puncture=complex(p0),
                 inverted=(e == 2),
                 r_out=r_out,
                 r_in=r_in,
-                kernel_params=params,
-                phat=p,
-                square_gap=s,
+                kernel_params=np.append(data.kernel_params(), [p0, 0.0, float(e == 2)]),
             )
         )
     return tuple(charts)
@@ -789,8 +731,8 @@ def build_mesh(
     for v in range(nv):
         ball[v] = project_h3(transport.frames[v] @ right, tol).ball
     radius = np.linalg.norm(ball, axis=1)
-    if radius.max() >= 1.0:
-        raise ValueError("a mesh position escaped the unit ball")
+    if not radius.max() < 1.0:
+        raise ValueError("a mesh position is not finite or escaped the unit ball")
     hopf = [data.hopf(z) for z in grid.vertices]
     # CPython's complex abs: np.abs differs from it in the last bit on some vertices
     hopf_abs = np.array([abs(q) for q in hopf])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import INF, is_inf, solve_quadratic
 from .config import Tolerances, default_tolerances
-from .errors import DegenerateHanbetu, ExcludedAngleIsPi, SingularPoint, ZeroCoefficient
+from .errors import DegenerateHanbetu, ExcludedAngleIsPi, ZeroCoefficient
 from .moduli import conical_data, hanbetu_holds
 
 
@@ -94,10 +94,6 @@ class GaussMap:
     def deriv(self, z: complex) -> complex:
         den = 2.0 * complex(z) - self.q.total
         return 1.0 - self.q.square_gap / (den * den)
-
-    def second_deriv(self, z: complex) -> complex:
-        den = 2.0 * complex(z) - self.q.total
-        return 4.0 * self.q.square_gap / (den * den * den)
 
 
 @dataclass(frozen=True)
@@ -189,26 +185,3 @@ def hypergeometric_params(angles, signs=(1, 1, -1)) -> HypergeometricParams:
     a = 0.5 * (1.0 - s1 * t[0] + s2 * t[1] - s3 * t[2])
     b = 0.5 * (1.0 - s1 * t[0] - s2 * t[1] - s3 * t[2])
     return HypergeometricParams(a=a, b=b, c=c, signs=tuple(signs))
-
-
-def scalar_ode_coeffs(hopf: HopfDifferential, gauss: GaussMap, z: complex, tol: Tolerances | None = None):
-    """Coefficients (r, s) of X'' + r X' + s X = 0 at a point.
-
-    r = -(log(Q/G'))' and s = Q.  The logarithmic derivative simplifies:
-    Q/G' = c3 (2z-p)^2 / (8 z^2 (z-1)^2) with p the umbilic sum, because
-    the umbilic factors of Q and G' cancel, so
-
-        r(z) = 2/z + 2/(z-1) - 4/(2z-p).
-
-    The evaluation guard still excludes the umbilics themselves since the
-    unsimplified logarithmic derivatives blow up there.
-    """
-    tol = tol or default_tolerances()
-    z = complex(z)
-    q = gauss.q
-    excluded = (0.0, 1.0, q.q1, q.q2, q.pole)
-    for w in excluded:
-        if abs(z - w) <= tol.singular_eval:
-            raise SingularPoint(f"evaluation at {z} is within {tol.singular_eval} of {w}")
-    r = 2.0 / z + 2.0 / (z - 1.0) - 4.0 / (2.0 * z - q.total)
-    return r, hopf(z)

@@ -275,6 +275,31 @@ def test_tol_ode_rejects_invalid(tmp_path, monkeypatch, cmd, value):
     assert main(args) == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["mesh", "--angles", "3,3,3", "--deform", "nan,0,0"], "--deform values must be finite"),
+        (["mesh", "--angles", "3,3,3", "--deform", "0,-inf,0"], "--deform values must be finite"),
+        (["monodromy", "--angles", "2/3,2/3,2/3", "--base-point", "nan,0.5"],
+         "--base-point must be finite"),
+        (["monodromy", "--angles", "2/3,2/3,2/3", "--base-point", "inf,0"],
+         "--base-point must be finite"),
+    ],
+)
+def test_non_finite_inputs_rejected(tmp_path, monkeypatch, capsys, args, message):
+    # a non-finite deformation used to mesh 42 nan vertices with exit 0, and
+    # a non-finite base point to exit 2 with a message from deep inside the
+    # loop planning or an SVD; both now exit 2 before any transport runs
+    def no_transport(*args, **kwargs):
+        raise AssertionError("the pipeline started")
+
+    monkeypatch.setattr(trinoid.cli, "build_trinoid_data", no_transport)
+    if args[0] == "mesh":
+        args = args + ["--rings", "2", "--sectors", "6", "--out", str(tmp_path / "x.obj")]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
 MESH_4X12 = {
     "sym23": ["--angles", "2/3,2/3,2/3"],
     "big": ["--angles", "3,3,3", "--deform", "0.3,0.1,-0.2", "--format", "ply"],

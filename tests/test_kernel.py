@@ -1,5 +1,6 @@
 """Chebyshev collocation transfers against Dormand-Prince and exact invariants."""
 
+import cmath
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from trinoid._kernel import chebyshev_transfer
 from trinoid.algebra import det2_compensated, fro
 from trinoid.config import default_tolerances
 from trinoid.errors import StepUnderflow
-from trinoid.fuchsian import MODE_LOG_CHART, MODE_MATRIX, run_kernel, segment
+from trinoid.fuchsian import MODE_LOG_CHART, MODE_MATRIX, Path, run_kernel, segment
 from trinoid.surface import end_charts, sample_grid
 from trinoid.trinoid_data import build_trinoid_data
 
@@ -51,6 +52,37 @@ def test_collocation_matches_dopri(angles):
         u = chebyshev_transfer(mode, params, a, b, rtol)
         v = run_kernel(segment(a, b), mode, params, np.eye(2), rtol)
         assert np.abs(u - v).max() <= 1e-10 * max(1.0, np.abs(v).max()), mode
+
+
+def _z_ring_arc(ch, r, th0, th1):
+    """The arc x = puncture + r exp(i theta), th0 -> th1, of a chart, as a
+    path in the z chart: z = 1/x at the end at infinity."""
+    if ch.inverted:
+        return Path((("arc", 0j, 1.0 / r, -th0, -th1),))
+    return Path((("arc", ch.puncture, r, th0, th1),))
+
+
+@TRIPLES
+def test_log_chart_transfer_matches_z_chart(angles):
+    # an oracle for the mode-4 coefficients that shares none of them: the
+    # frame transfer EndChart.transfer assembles from the gauge-fixed
+    # system, along a spoke and a ring arc of each end, against DOPRI on
+    # the rank-one system (mode 0) along the same path in the z chart
+    # (measured at most 6.2e-14 relative)
+    data = build_trinoid_data(angles)
+    rtol = _transport_rtol()
+    for ch in end_charts(data):
+        spoke = (math.log(ch.r_out), math.log(ch.r_out / 10.0), 0.7, 0.7)
+        ring = (math.log(ch.r_out / 3.0), math.log(ch.r_out / 3.0), 0.3, 1.3)
+        for lr0, lr1, th0, th1 in (spoke, ring):
+            za, zb = complex(lr0, th0), complex(lr1, th1)
+            u = ch.transfer(za, zb, rtol)
+            if lr0 == lr1:
+                path = _z_ring_arc(ch, math.exp(lr0), th0, th1)
+            else:
+                path = segment(*(ch.to_global(ch.puncture + cmath.exp(z)) for z in (za, zb)))
+            v = run_kernel(path, MODE_MATRIX, data.kernel_params(), np.eye(2), 1e-13)
+            assert np.abs(u - v).max() <= 1e-10 * max(1.0, np.abs(v).max()), (ch.end, th0)
 
 
 @TRIPLES

@@ -16,6 +16,7 @@ from trinoid.config import default_tolerances
 from trinoid.errors import EmptyIntersection, NullStructureViolation, StepUnderflow
 from trinoid.fuchsian import MODE_MATRIX, circle, monodromy, run_kernel, segment
 from trinoid.surface import (
+    build_mesh,
     end_charts,
     export_obj,
     export_ply,
@@ -239,6 +240,13 @@ def test_mesh_inside_ball(sym, big):
         assert r.max() < 1.0
 
 
+def test_mesh_rejects_non_finite_positions(sym):
+    # a nan position fails the unit-ball check like one outside the ball
+    _, _, transport, weier, _, _ = sym
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite or escaped"):
+        build_mesh(transport, weier, np.full((2, 2), np.nan))
+
+
 def test_mesh_radius_monotone_along_spokes(sym, big):
     # from the first annulus ring inward the ball radius must not
     # decrease along any spoke: the ends leave every compact set
@@ -366,17 +374,16 @@ def _plane_complex(chains3d, n):
 
 def _seg_dist(pts, chains2d):
     """Distance from each point to the nearest polyline segment."""
+    p = np.asarray(pts)[:, None]
     best = np.full(len(pts), np.inf)
     for ch in chains2d:
         a, b = ch[:-1], ch[1:]
         ab = b - a
         denom = (ab * ab.conjugate()).real
         denom = np.where(denom == 0.0, 1.0, denom)
-        for i, p in enumerate(pts):
-            ap = p - a
-            tpar = np.clip((ap * ab.conjugate()).real / denom, 0.0, 1.0)
-            dd = np.abs(p - (a + tpar * ab)).min()
-            best[i] = min(best[i], dd)
+        ap = p - a
+        tpar = np.clip((ap * ab.conjugate()).real / denom, 0.0, 1.0)
+        best = np.minimum(best, np.abs(p - (a + tpar * ab)).min(axis=1))
     return best
 
 
