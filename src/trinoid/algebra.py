@@ -1,9 +1,11 @@
 """Small dense linear algebra over 2x2 complex matrices.
 
-Everything downstream works with SL(2,C) elements, their Mobius action on
-the Riemann sphere, and the projection to hyperbolic 3-space realized as
-positive Hermitian matrices of determinant one.  Matrices are plain numpy
-arrays of shape (2, 2) and dtype complex128; no wrapper class is used.
+Everything downstream works with SL(2,C) elements and their projection
+to hyperbolic 3-space realized as positive Hermitian matrices of
+determinant one; INF is the point at infinity of the Riemann sphere, a
+value the Gauss map attains.  No Mobius action is provided: the frames
+act by matrix products only.  Matrices are plain numpy arrays of shape
+(2, 2) and dtype complex128; no wrapper class is used.
 """
 
 from __future__ import annotations
@@ -100,25 +102,6 @@ def det2_compensated(m: np.ndarray) -> complex:
         p, e = _two_prod(u.imag, v.real)
         im_terms += [sign * p, sign * e]
     return complex(math.fsum(re_terms), math.fsum(im_terms))
-
-
-def mobius_star(m: np.ndarray, g):
-    """Fractional linear action of m on g, with infinity as a value.
-
-    Returns (a11*g + a12)/(a21*g + a22); g may be INF, and the pole of the
-    map is sent to INF.
-    """
-    a, b = complex(m[0, 0]), complex(m[0, 1])
-    c, d = complex(m[1, 0]), complex(m[1, 1])
-    if is_inf(g):
-        if c == 0:
-            return INF
-        return a / c
-    g = complex(g)
-    den = c * g + d
-    if den == 0:
-        return INF
-    return (a * g + b) / den
 
 
 @dataclass(frozen=True)

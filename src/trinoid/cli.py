@@ -21,8 +21,6 @@ import numpy as np
 from .algebra import eigenvalues_2x2
 from .config import Tolerances, default_tolerances
 from .errors import (
-    BadEdge,
-    BigonRequiresAcute,
     NonSL2Input,
     NotPositiveDefinite,
     NotUnitarizable,
@@ -275,7 +273,7 @@ def build_surface(angles, rings=8, sectors=48, deform=None, tol=None) -> Surface
         )
     conj = space.sample(np.asarray(deform, dtype=float))
 
-    grid = sample_grid(data, rings=rings, sectors=sectors, tol=tol)
+    grid = sample_grid(data, rings=rings, sectors=sectors)
     transport = transport_frame(data, grid, tol=tol)
     weier = recover_weierstrass(transport, tol)
     mesh = build_mesh(transport, weier, conj, tol=tol)

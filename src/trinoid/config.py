@@ -4,8 +4,9 @@ Every threshold used by the package lives in one frozen record so a global
 loosening or tightening (say, on a noisy CI box) is a one-line change, and
 each field is read by some check or step of the pipeline.  The
 environment variable TRINOID_TOL_SCALE, a finite positive float, multiplies
-all absolute tolerances, the integration tolerance ode included; purely
-geometric ratios such as loop radii are left alone by it.
+all absolute tolerances, the integration tolerance ode included; the
+geometric ratio loop_radius_factor and the two fixed module constants
+below, which no caller varies, are left alone by it.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 
+CLEARANCE_FACTOR = 0.05  # path clearance from singular points, per their spacing
+TRANSPORT_TOL_FACTOR = 1e-3  # tightening of ode for the mesh frame transport
+
 # Ratios describing path geometry rather than error thresholds.  These are
 # not scaled by TRINOID_TOL_SCALE.
-_GEOMETRIC = ("loop_radius_factor", "clearance_factor", "transport_tol_factor")
+_GEOMETRIC = ("loop_radius_factor",)
 
 
 @dataclass(frozen=True)
@@ -37,8 +41,6 @@ class Tolerances:
     well_defined: float = 1e-6       # doubled-path agreement in the ball model
     eigenvalue_warn: float = 1e-4    # monodromy eigenvalue sanity warning level
     loop_radius_factor: float = 0.25
-    clearance_factor: float = 0.05
-    transport_tol_factor: float = 1e-3  # extra tightening for mesh frame transport
 
 
 def default_tolerances() -> Tolerances:

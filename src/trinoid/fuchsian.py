@@ -20,7 +20,7 @@ import numpy as np
 
 from ._kernel import integrate_path
 from .algebra import det2, eigenvalues_2x2, inv2
-from .config import Tolerances, default_tolerances
+from .config import CLEARANCE_FACTOR, Tolerances, default_tolerances
 from .errors import EigenvalueMismatch, NonSL2Input, SingularPathPoint, StepUnderflow
 from .trinoid_data import HypergeometricParams, TrinoidData
 
@@ -30,6 +30,10 @@ MODE_HYPERGEOMETRIC = 2
 MODE_LOG_CHART = 4
 
 _DEFAULT_BASE = 0.5 + 0.5j
+# Largest |explicit base point|.  The tolerance is per unit arclength, so
+# loop error grows with the legs from the base: at |base| = 1e3 the
+# determinant drift of 2/3,2/3,2/3 already exceeds Tolerances.det.
+_MAX_BASE_MODULUS = 100.0
 
 
 @dataclass(frozen=True)
@@ -62,15 +66,6 @@ class Path:
         if p[0] == "seg":
             return p[2]
         return p[1] + p[2] * cmath.exp(1j * p[4])
-
-    def length(self) -> float:
-        total = 0.0
-        for p in self.pieces:
-            if p[0] == "seg":
-                total += abs(p[2] - p[1])
-            else:
-                total += p[2] * abs(p[4] - p[3])
-        return total
 
     def reversed(self) -> "Path":
         rev = []
@@ -228,17 +223,24 @@ def make_path_plan(
     are all kept clear of) or a bare sequence of finite singular points
     that must include 0 and 1.  The loop radii start at
     tol.loop_radius_factor times the distance between the punctures.
+    Raises ValueError for an explicit base point farther than 100 from
+    the origin.
     """
     tol = tol or default_tolerances()
     if isinstance(data, TrinoidData):
         singular = data.finite_singular_points()
     else:
         singular = tuple(complex(s) for s in data)
-    clearance = tol.clearance_factor * _min_pairwise(singular)
+    clearance = CLEARANCE_FACTOR * _min_pairwise(singular)
     if base_point is None:
         base = choose_base_point(singular, clearance)
     else:
         base = complex(base_point)
+        if not abs(base) <= _MAX_BASE_MODULUS:
+            raise ValueError(
+                f"base point {base} lies {abs(base):.3g} from the origin; loop error "
+                f"grows with loop length, so at most {_MAX_BASE_MODULUS:g} is accepted"
+            )
         if min(abs(base - s) for s in singular) < clearance:
             raise SingularPathPoint(f"base point {base} violates clearance {clearance:.3g}")
     loop0 = _build_loop(base, 0.0 + 0.0j, 1.0 + 0.0j, singular, tol.loop_radius_factor, clearance)
@@ -280,7 +282,7 @@ def integrate_matrix_ode(
         raise NonSL2Input(f"initial frame determinant {det2(f0)} is too far from 1")
     singular = data.finite_singular_points()
     if clearance is None:
-        clearance = tol.clearance_factor * _min_pairwise(singular)
+        clearance = CLEARANCE_FACTOR * _min_pairwise(singular)
     validate_path(path, singular, clearance)
     return run_kernel(path, MODE_MATRIX, data.kernel_params(), f0, tol.ode)
 
@@ -302,7 +304,7 @@ def integrate_scalar_ode(
     validate_path(
         path,
         data.finite_singular_points(),
-        tol.clearance_factor * _min_pairwise(data.finite_singular_points()),
+        CLEARANCE_FACTOR * _min_pairwise(data.finite_singular_points()),
     )
     out = run_kernel(path, MODE_SCALAR, data.kernel_params(), u0, tol.ode)
     if init is None:

@@ -8,8 +8,8 @@ It keeps the frame at every vertex and the transfer of every tree edge,
 so continuing a frame once more around a puncture is a product of stored
 transfers.  recover_weierstrass differentiates the transported frame
 numerically, over eleven frames transported from each annulus vertex by
-one sampled transfer, and extracts the induced (g, omega) data, which the
-defining differentials must reproduce; this is the main integrity oracle.
+one sampled transfer, and extracts the induced (g, omega) data there, which
+the defining differentials must reproduce; this is the main integrity oracle.
 build_mesh applies a unitarizing conjugator and projects to the Poincare
 ball.
 
@@ -40,7 +40,7 @@ import numpy as np
 
 from ._kernel import chebyshev_transfer
 from .algebra import det2, det2_compensated, fro, inv2, project_h3, solve_quadratic
-from .config import Tolerances, default_tolerances
+from .config import CLEARANCE_FACTOR, TRANSPORT_TOL_FACTOR, Tolerances, default_tolerances
 from .errors import EmptyIntersection, NonSL2Input, NullStructureViolation, StepUnderflow
 from .fuchsian import MODE_LOG_CHART, MODE_MATRIX, segment, validate_path
 from .trinoid_data import TrinoidData
@@ -152,7 +152,7 @@ class EndChart:
         return m[0] if samples is None else m
 
 
-def end_charts(data: TrinoidData, tol: Tolerances | None = None) -> tuple[EndChart, EndChart, EndChart]:
+def end_charts(data: TrinoidData) -> tuple[EndChart, EndChart, EndChart]:
     """Chart records for the three ends, with safe annulus radii.
 
     The outer radius keeps 55% clearance from the other punctures and 25%
@@ -160,7 +160,6 @@ def end_charts(data: TrinoidData, tol: Tolerances | None = None) -> tuple[EndCha
     scalar reduction has its apparent singularity, and its images under
     inversion), so the gauge-fixed system stays uniformly regular.
     """
-    tol = tol or default_tolerances()
     p = data.q.total
     s = data.q.square_gap
     pole_dist = [abs(0.5 * p), abs(0.5 * p - 1.0)]
@@ -245,7 +244,6 @@ def sample_grid(
     data: TrinoidData,
     rings: int = 8,
     sectors: int = 48,
-    tol: Tolerances | None = None,
 ) -> SampleGrid:
     """Polar annuli around the three punctures plus a triangulated core.
 
@@ -260,14 +258,13 @@ def sample_grid(
     # only meshing needs it
     from scipy.spatial import Delaunay
 
-    tol = tol or default_tolerances()
     rings = int(rings)
     sectors = int(sectors)
     if rings < 2:
         raise ValueError("need at least two rings per end")
     if sectors < 3:
         raise ValueError("need at least three vertices per ring")
-    charts = end_charts(data, tol)
+    charts = end_charts(data)
     nr, ns = rings, sectors
     n_ann = 3 * nr * ns
 
@@ -349,7 +346,7 @@ def sample_grid(
     faces.extend(tuple(f) for f in core_faces)
     faces = np.array(faces, dtype=np.int64)
 
-    clearance = tol.clearance_factor
+    clearance = CLEARANCE_FACTOR
     edges = []
     for ch in charts:
         anchor = (ch.end * nr) * ns
@@ -467,15 +464,15 @@ def transport_frame(
 ) -> FrameTransport:
     """Integrate the frame equation along the spanning tree from the base.
 
-    The transport tolerance is the monodromy tolerance tightened by the
-    configured factor, since mesh positions accumulate error over paths a
+    The transport tolerance is the monodromy tolerance tightened by
+    TRANSPORT_TOL_FACTOR, since mesh positions accumulate error over paths a
     few dozen edges deep.  Every edge transfer is one Chebyshev collocation
     transfer; stats["n_pieces"] counts their accepted pieces.  Raises with
     the offending edge identified if the solver fails, and checks det F = 1
     at every vertex afterwards.
     """
     tol = tol or default_tolerances()
-    rtol = tol.ode * tol.transport_tol_factor
+    rtol = tol.ode * TRANSPORT_TOL_FACTOR
     params0 = data.kernel_params()
     ns = grid.sectors
     nv = grid.n_vertices
@@ -540,11 +537,11 @@ class WeierstrassData:
     g and omega are the entries of F^{-1} dF/dz per its rank-one shape,
     dg the z derivative of g, and gauss_ratio the quotient of the first
     column entries of dF/dz, which must reproduce the hyperbolic Gauss
-    map.  numeric marks vertices where everything came from finite
-    differences of the transported frame (annulus rings); on core vertices
-    the derivative comes from the defining connection, so those entries
-    are consistency-free diagnostics.  null_defect measures how far
-    F^{-1} dF/dz is from its required nilpotent rank-one shape.
+    map.  numeric marks the vertices where they were recovered, from
+    finite differences of the transported frame (the annulus rings); on
+    core vertices nothing is recovered and those four entries are NaN.
+    null_defect measures how far F^{-1} dF/dz is from its required
+    nilpotent rank-one shape (0 on core vertices).
     stats["n_pieces"] counts the collocation pieces of the stencil
     transfers, one transfer per annulus vertex (a piece more for each
     bisection).
@@ -557,20 +554,6 @@ class WeierstrassData:
     numeric: np.ndarray
     null_defect: np.ndarray
     stats: dict = field(default_factory=dict)
-
-
-def _connection_value(data: TrinoidData, z: complex) -> tuple[np.ndarray, np.ndarray]:
-    """The defining connection A(z) and its z derivative."""
-    kap = data.hopf.c[2]
-    den = 2.0 * z - data.q.total
-    w = z - 1.0
-    kap = kap * den * den / (8.0 * z * z * w * w)
-    g = data.gauss(z)
-    gp = data.gauss.deriv(z)
-    n_g = np.array([[g, -g * g], [1.0, -g]], dtype=complex)
-    n_gp = np.array([[gp, -2.0 * g * gp], [0.0, -gp]], dtype=complex)
-    dlog = 4.0 / den - 2.0 / z - 2.0 / w
-    return kap * n_g, kap * (dlog * n_g + n_gp)
 
 
 def recover_weierstrass(
@@ -597,15 +580,14 @@ def recover_weierstrass(
     pointwise residual of omega times dg against the defining quadratic
     differential makes any such loss visible per vertex.
     """
-    data = frames.data
     tol = tol or default_tolerances()
     grid = frames.grid
     nr, ns = grid.rings, grid.sectors
     nv = grid.n_vertices
-    g = np.zeros(nv, dtype=complex)
-    omega = np.zeros(nv, dtype=complex)
-    dg = np.zeros(nv, dtype=complex)
-    ratio = np.zeros(nv, dtype=complex)
+    g = np.full(nv, np.nan + 0j)
+    omega = np.full(nv, np.nan + 0j)
+    dg = np.full(nv, np.nan + 0j)
+    ratio = np.full(nv, np.nan + 0j)
     numeric = np.zeros(nv, dtype=bool)
     defect = np.zeros(nv)
     delta = min(2.0 * math.pi / (3.0 * ns), 2.0 * math.pi / 144.0)
@@ -655,25 +637,10 @@ def recover_weierstrass(
                 defect[vi] = dd / scale if scale > 0.0 else math.inf
                 numeric[vi] = True
 
-    for v in range(nv):
-        if numeric[v]:
-            continue
-        z = grid.vertices[v]
-        a_val, a_der = _connection_value(data, z)
-        f_here = frames.frames[v]
-        f_inv = inv2(f_here)
-        m = f_inv @ a_val @ f_here
-        mp = f_inv @ a_der @ f_here
-        om = m[1, 0]
-        g[v] = m[0, 0] / om
-        omega[v] = om
-        dg[v] = (mp[0, 0] * m[1, 0] - m[0, 0] * mp[1, 0]) / (om * om)
-        ratio[v] = data.gauss(z)
-        defect[v] = 0.0
-
-    worst = float(np.max(defect[numeric])) if numeric.any() else 0.0
+    # defect is 0 on core vertices, so its maximum is the annulus maximum
+    worst = float(defect.max())
     if worst > tol.null_structure:
-        v_bad = int(np.argmax(np.where(numeric, defect, -1.0)))
+        v_bad = int(np.argmax(defect))
         raise NullStructureViolation(
             f"frame derivative at vertex {v_bad} (z = {grid.vertices[v_bad]:.4g}) "
             f"violates the rank-one shape by {worst:.3g}, above {tol.null_structure:.3g}"
@@ -694,8 +661,9 @@ class SurfaceMesh:
 
     positions holds ball coordinates; diagnostics carries per-vertex
     scalars: rel, the relative residual |omega dg - Q| / |Q| of the
-    recovered data against the Hopf differential Q, and quality (log10
-    of rel where it was measured, -16 elsewhere).
+    recovered data against the Hopf differential Q (NaN on core vertices,
+    where nothing is recovered), and quality (log10 of rel where it was
+    measured, -16 elsewhere).
     """
 
     positions: np.ndarray
@@ -765,26 +733,6 @@ def well_definedness_defect(
     return float(np.linalg.norm(p - q))
 
 
-def second_fundamental_form(g, omega_density, hopf_value):
-    """Coefficients (h11, h12, h22) of h = -Q - conj(Q) + ds^2.
-
-    In real coordinates z = x + i y the form is h11 dx^2 + 2 h12 dx dy +
-    h22 dy^2 with the metric density E = (1+|g|^2)^2 |omega|^2.  h is
-    proportional to the metric exactly where the quadratic differential
-    vanishes, which is the umbilic detector.
-    """
-    g = np.asarray(g, dtype=complex)
-    omega_density = np.asarray(omega_density, dtype=complex)
-    q = np.asarray(hopf_value, dtype=complex)
-    e_metric = (1.0 + np.abs(g) ** 2) ** 2 * np.abs(omega_density) ** 2
-    h11 = e_metric - 2.0 * q.real
-    h12 = 2.0 * q.imag
-    h22 = e_metric + 2.0 * q.real
-    if h11.ndim == 0:
-        return float(h11), float(h12), float(h22)
-    return h11, h12, h22
-
-
 # ---------------------------------------------------------------------------
 # profile curves
 
@@ -793,12 +741,11 @@ def second_fundamental_form(g, omega_density, hopf_value):
 class ProfileCurve:
     """Plane section of the mesh: the longest chain plus all the others.
 
-    points2d are coordinates in an orthonormal frame of the cutting plane,
-    t the arclength parameter normalized to [0, 1] (including the closing
-    edge when the chain is a cycle).
+    points3d is the longest chain in ball coordinates, t its arclength
+    parameter normalized to [0, 1] (including the closing edge when the
+    chain is a cycle).
     """
 
-    points2d: np.ndarray
     points3d: np.ndarray
     t: np.ndarray
     closed: bool
@@ -882,13 +829,7 @@ def profile_curve(mesh: SurfaceMesh, plane_normal) -> ProfileCurve:
     seglen = np.linalg.norm(np.diff(pts3, axis=0), axis=1)
     total = seglen.sum() + (np.linalg.norm(pts3[0] - pts3[-1]) if closed else 0.0)
     t = np.concatenate([[0.0], np.cumsum(seglen)]) / (total if total > 0.0 else 1.0)
-    helper = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(n, helper)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    pts2 = np.column_stack([pts3 @ e1, pts3 @ e2])
     return ProfileCurve(
-        points2d=pts2,
         points3d=pts3,
         t=t,
         closed=closed,
@@ -909,29 +850,18 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
             fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
 
 
-def export_ply(mesh: SurfaceMesh, path, quality: bool = True) -> None:
-    """Binary little-endian PLY, float64 positions, optional quality scalar."""
+def export_ply(mesh: SurfaceMesh, path) -> None:
+    """Binary little-endian PLY: float64 positions and the quality diagnostic
+    per vertex, int32 triangles."""
     nv = mesh.n_vertices
     nf = len(mesh.faces)
     header = ["ply", "format binary_little_endian 1.0", f"element vertex {nv}"]
-    header += ["property float64 x", "property float64 y", "property float64 z"]
-    if quality:
-        header.append("property float64 quality")
+    header += [f"property float64 {name}" for name in ("x", "y", "z", "quality")]
     header += [f"element face {nf}", "property list uchar int32 vertex_indices", "end_header"]
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if quality:
-            block = np.column_stack([mesh.positions, mesh.diagnostics["quality"]])
-        else:
-            block = mesh.positions
+        block = np.column_stack([mesh.positions, mesh.diagnostics["quality"]])
         fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
         for f in mesh.faces:
             fh.write(struct.pack("<B3i", 3, int(f[0]), int(f[1]), int(f[2])))
 
-
-def export_profile_csv(curve: ProfileCurve, path) -> None:
-    """CSV rows t,x,y along the primary chain."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("t,x,y\n")
-        for ti, (x, y) in zip(curve.t, curve.points2d):
-            fh.write(f"{ti:.9g},{x:.9g},{y:.9g}\n")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import fro, hermitian_sqrt, inv2
 from .config import Tolerances, default_tolerances
-from .errors import NonSL2Input, NotPositiveDefinite, NotUnitarizable
+from .errors import NonSL2Input, NotUnitarizable
 from .fuchsian import MonodromyRep, Source
 from .moduli import Status, classify
 

@@ -3,16 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trinoid.algebra import (
-    INF,
     ball_distance,
     det2,
     det2_compensated,
     eigenvalues_2x2,
     hermitian_sqrt,
     inv2,
-    is_inf,
     mat2,
-    mobius_star,
     project_h3,
     solve_quadratic,
     su2_defect,
@@ -63,26 +60,6 @@ def test_inv2_round_trip():
     for _ in range(100):
         m = random_mat(rng)
         assert_allclose(m @ inv2(m), np.eye(2), atol=1e-12)
-
-
-def test_mobius_group_action():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        a = random_sl2(rng)
-        b = random_sl2(rng)
-        g = complex(*rng.standard_normal(2))
-        one = mobius_star(a @ b, g)
-        two = mobius_star(a, mobius_star(b, g))
-        assert abs(one - two) < 1e-10 * max(1.0, abs(one))
-
-
-def test_mobius_infinity_handling():
-    m = mat2(1, 2, 3, 4)
-    assert abs(mobius_star(m, INF) - 1 / 3) < 1e-15
-    # pole of the map goes to infinity
-    assert is_inf(mobius_star(m, -4 / 3))
-    # upper triangular fixes infinity
-    assert is_inf(mobius_star(mat2(2, 1, 0, 0.5), INF))
 
 
 def test_project_h3_identity():

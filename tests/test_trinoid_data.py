@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trinoid._kernel import _coeff_scalar
+from trinoid.algebra import is_inf
 from trinoid.errors import DegenerateHanbetu, ExcludedAngleIsPi
 from trinoid.moduli import Status, classify, conical_data, hanbetu_holds
 from trinoid.trinoid_data import (
@@ -113,11 +114,14 @@ def test_hanbetu_agrees_with_discriminant():
 
 def test_gauss_map_symmetric_closed_form():
     q = build_hopf((PI / 2, PI / 2, PI / 2))
-    g = build_gauss_map(umbilics(q))
+    u = umbilics(q)
+    g = build_gauss_map(u)
     # (q1-q2)^2 = -3 and q1+q2 = 1: G(z) = z - 3/(2(2z-1))
     for z in (0.3 + 0.2j, -1.0 + 1.0j, 4.0):
         expect = z - 3 / (2 * (2 * z - 1))
         assert abs(g(z) - expect) < 1e-13
+    # the finite pole is attained exactly, as the point at infinity
+    assert is_inf(g(u.pole))
 
 
 def test_gauss_map_branched_exactly_at_umbilics():
