@@ -11,11 +11,12 @@ matrix C, once per call:
 
 integrate_path runs adaptive Dormand-Prince along a piecewise path of
 segments and circular arcs; it carries the loop monodromies.
-chebyshev_transfer solves the transfer U(b) of one straight segment a -> b
-with U(a) = I by Chebyshev collocation; it carries every grid edge of the
-mesh, and through its dense output (U at given points of the segment)
-every recovery stencil.  The coefficient functions work pointwise on
-scalars and elementwise on numpy arrays alike.
+chebyshev_transfers solves the transfers U(b) of a batch of straight
+segments a -> b with U(a) = I by Chebyshev collocation; it carries every
+grid edge of the mesh, and through its dense output (U at given points of
+the segments) every recovery stencil.  chebyshev_transfer is its batch of
+one.  The coefficient functions work pointwise on scalars and elementwise
+on numpy arrays alike.
 
 Parameters arrive as a flat float array: (c1, c2, c3, Re p, Im p, Re s,
 Im s) for modes 0/1 where p is the umbilic sum and s the squared umbilic
@@ -72,17 +73,26 @@ pieces that make up most transfers.  The piece is accepted when its last
 three Chebyshev coefficients, over the four entries of U, are at most
 max(rtol * |b - a|, 64 eps) * max(1, max-norm of U), the same
 per-unit-length rule as above with a floor at the rounding level of the
-solve (the tail-decay test of Chebfun).  Otherwise it is bisected and the
-halves are composed left to right.  Coefficients or a solution that are
-not finite, a singular system, a piece bisected more than _MAX_DEPTH
-times, or an rtol below the unit roundoff raise StepUnderflow.
+solve (the tail-decay test of Chebfun).  Otherwise it is bisected.
+Coefficients or a solution that are not finite, a singular system, a
+piece bisected more than _MAX_DEPTH times, or an rtol below the unit
+roundoff raise StepUnderflow.
 
-Dense output.  U at a point inside an accepted piece is the barycentric
-interpolant of that piece's W at its N + 1 nodes (Berrut & Trefethen,
-SIAM Rev. 46, 2004), plus I, times the transfer up to the piece's start.
-The interpolant carries the accuracy of the nodal values, so the samples
-cost no extra solve and need no extra tolerance; a piece that bisects
-hands its samples to its halves.
+Batched rounds.  The segments of a batch are independent initial value
+problems, so they are solved together, in rounds over the pending pieces,
+_CHUNK pieces at a time (which bounds the memory): the coefficients are
+evaluated on a (k, N + 1) node array, the k systems assembled in place,
+solved by one stacked LAPACK call and tail-tested at once, and the halves
+of the failed pieces go to the next round.  The accepted pieces of each segment are then composed left to
+right; the piece count and the arithmetic of every piece are those of a
+segment solved alone.
+
+Dense output.  U at a point of a segment is the barycentric interpolant
+of W at the N + 1 nodes (Berrut & Trefethen, SIAM Rev. 46, 2004) of the
+first accepted piece that ends at or after it, plus I, times the transfer
+up to that piece's start.  The interpolant carries the accuracy of the
+nodal values, so the samples cost no extra solve and need no extra
+tolerance.
 """
 
 import numpy as np
@@ -311,19 +321,24 @@ def _chebyshev_tables(n):
 
 
 _X, _S, _TAIL = _chebyshev_tables(_N)
+_NEG_S = (-_S).astype(complex)  # complex, so that assembly multiplies without casting
 _EYE = np.eye(2)[:, None, :]
 # barycentric weights of the second-kind points (Berrut & Trefethen 2004)
 _BARY = (-1.0) ** np.arange(_N + 1)
 _BARY[[0, _N]] *= 0.5
+# pieces solved at once and samples interpolated at once: 8 complex 50x50
+# systems are 320 KB, and 128 samples gather 200 KB of nodal values, which
+# keeps these transients small against the process (and is no slower than
+# larger chunks, since the systems stay in cache)
+_CHUNK = 8
+_DENSE_CHUNK = 128
 
 
 def _interpolate(w, x):
-    """Values at the local coordinates x in [-1, 1] of the polynomial through
-    the nodal values w of _collocate, shape (len(x), 2, 2).
-
-    Barycentric formula of the second kind; a coordinate that falls on a
-    node takes that node's value.
-    """
+    """I plus the polynomials through the nodal values w (shape (n, 2, N + 1,
+    2), a piece per sample) at the local coordinates x in [-1, 1], shape
+    (n, 2, 2), by the barycentric formula of the second kind; a coordinate
+    that falls on a node takes that node's value."""
     d = x[:, None] - _X[None, :]
     hit = d == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -331,97 +346,124 @@ def _interpolate(w, x):
     on_node = hit.any(axis=1)
     lag[on_node] = hit[on_node]
     lag /= lag.sum(axis=1, keepdims=True)
-    return (lag @ w.transpose(1, 0, 2).reshape(_N + 1, 4)).reshape(-1, 2, 2)
+    return np.eye(2) + np.einsum("sj,srjc->src", lag, w)
 
 
-def _collocate(coeff, params, a, b, rtol):
-    """W = U - I of one piece a -> b at its nodes, shape (2, N + 1, 2) with
-    the node index in the middle, or None when its tail has not decayed.
+def _collocate(coeff, params, a, b, rtol, buf):
+    """W = U - I of the pieces a -> b at their nodes, shape (k, 2, N + 1, 2)
+    with the node index in the middle, and whether each tail has decayed.
 
     Solves the integral form W = S (hC (I + W)) for W = U - I at the nodes,
-    with h = (b - a) / 2 and S the integration matrix from the start.
+    with h = (b - a) / 2 and S the integration matrix from the start, for at
+    most _CHUNK pieces at once; the systems are assembled in buf.
     """
-    n1 = _N + 1
+    k, n1 = len(a), _N + 1
     h = 0.5 * (b - a)
-    hc = np.empty((4, n1), dtype=complex)
+    hc = np.empty((k, 2, 2, n1), dtype=complex)
     with np.errstate(all="ignore"):
-        for k, ck in enumerate(coeff(params, (a + h) + h * _X)):
-            hc[k] = h * ck
+        for i, ck in enumerate(coeff(params, (a + h)[:, None] + h[:, None] * _X)):
+            hc[:, i // 2, i % 2] = h[:, None] * ck
     if not np.isfinite(hc).all():
         raise StepUnderflow("the coefficients are singular on the segment")
-    # block (r, s) of the system is I - S diag(h C_rs); block r of column s
-    # of the right-hand side is S (h C_rs)
-    blocks = (_S[None, :, :] * hc[:, None, :]).reshape(2, 2, n1, n1)
-    m = np.eye(2 * n1) - blocks.transpose(0, 2, 1, 3).reshape(2 * n1, 2 * n1)
-    rhs = (_S @ hc.T).T.reshape(2, 2, n1).transpose(0, 2, 1).reshape(2 * n1, 2)
+    # block (r, s) of a system is I - S diag(h C_rs); block r of column s of
+    # its right-hand side is S (h C_rs)
+    m = buf[:k]
+    np.multiply(_NEG_S[:, None, :], hc[:, :, None], out=m)
+    m.reshape(k, -1)[:, :: 2 * n1 + 1] += 1.0
+    rhs = (hc @ _S.T).transpose(0, 1, 3, 2).reshape(k, 2 * n1, 2)
     try:
-        sol = np.linalg.solve(m, rhs)
+        sol = np.linalg.solve(m.reshape(k, 2 * n1, 2 * n1), rhs)
     except np.linalg.LinAlgError as exc:
         raise StepUnderflow("singular collocation system") from exc
     if not np.isfinite(sol).all():
         raise StepUnderflow("the collocation solution is not finite")
-    w = sol.reshape(2, n1, 2)
-    unorm = max(1.0, np.abs(w + _EYE).max())
-    if np.abs(_TAIL @ w).max() > max(rtol * abs(b - a), _FLOOR) * unorm:
-        return None
-    return w
+    w = sol.reshape(k, 2, n1, 2)
+    unorm = np.maximum(1.0, np.abs(w + _EYE).max(axis=(1, 2, 3)))
+    tail = np.abs(_TAIL @ w).max(axis=(1, 2, 3))
+    return w, tail <= np.maximum(rtol * np.abs(b - a), _FLOOR) * unorm
 
 
-def chebyshev_transfer(mode, params, a, b, rtol, stats=None, samples=None):
-    """Transfer matrix U(b) of dU = C(z) U dz along the segment a -> b, U(a) = I.
+def chebyshev_transfers(mode, params, a, b, rtol, stats=None, samples=None):
+    """Transfer matrices U(b_i) of dU = C(z) U dz along the segments
+    a_i -> b_i with U(a_i) = I, shape (len(a), 2, 2).
 
-    Pieces are bisected until each passes the tail test; see the module
-    docstring.  stats, when given, accumulates the accepted pieces under
-    "n_pieces".  With samples, an array of points on the segment, returns
-    U at each of them instead, shape (len(samples), 2, 2) (dense output):
-    the accepted piece that contains a sample interpolates its W there and
-    composes it with the transfer up to the piece's start.
+    All segments share the mode and the parameters; see the module
+    docstring for the rounds.  stats, when given, accumulates the accepted
+    pieces under "n_pieces".  With samples, an array of shape (len(a), n)
+    of points on the segments, returns U at each of them instead, shape
+    (len(a), n, 2, 2) (dense output).
     """
     if not rtol >= _UNIT_ROUNDOFF:
         raise StepUnderflow(f"tolerance {rtol:.3g} is below the unit roundoff")
     coeff = _COEFF[mode]
-    a, b = complex(a), complex(b)
-    if samples is not None:
-        # position of each sample along the segment as a parameter in [0, 1]
-        # (an orthogonal projection, so that a sample at b gets exactly 1)
-        d = b - a
-        dd = d.real * d.real + d.imag * d.imag
-        off = np.asarray(samples, dtype=complex) - a
-        tau = off.real * d.real + off.imag * d.imag
-        tau = np.clip(tau / dd, 0.0, 1.0) if dd else np.zeros(len(tau))
-        order = np.argsort(tau, kind="stable")
-        dense = np.empty((len(tau), 2, 2), dtype=complex)
-        served = 0
-    u = np.eye(2, dtype=complex)
-    # pieces (start, end, parameter at start, parameter at end, depth); the
-    # parameters are dyadic, so bisecting them is exact
-    stack = [(a, b, 0.0, 1.0, 0)]
-    n_pieces = 0
-    while stack:
-        pa, pb, ta, tb, depth = stack.pop()
-        w = _collocate(coeff, params, pa, pb, rtol)
-        if w is None:
-            if depth == _MAX_DEPTH:
-                raise StepUnderflow(
-                    f"no convergence after {_MAX_DEPTH} bisections; "
-                    "the segment passes too close to a singular point"
-                )
-            mid = pa + 0.5 * (pb - pa)
-            tm = 0.5 * (ta + tb)
-            stack.append((mid, pb, tm, tb, depth + 1))
-            stack.append((pa, mid, ta, tm, depth + 1))
-            continue
-        if samples is not None:
-            # pieces are accepted left to right, so this piece serves the
-            # next samples up to its end
-            upto = int(np.searchsorted(tau, tb, side="right", sorter=order))
-            if upto > served:
-                mine = order[served:upto]
-                x = np.clip(2.0 * (tau[mine] - ta) / (tb - ta) - 1.0, -1.0, 1.0)
-                dense[mine] = (np.eye(2) + _interpolate(w, x)) @ u
-                served = upto
-        u = (w[:, 0, :] + np.eye(2)) @ u
-        n_pieces += 1
+    a = np.atleast_1d(np.asarray(a, dtype=complex))
+    b = np.atleast_1d(np.asarray(b, dtype=complex))
+    nseg = len(a)
+    # pending pieces: segment, start, end and the parameters of both ends,
+    # which are dyadic, so bisecting them is exact
+    seg, pa, pb, ta, tb = np.arange(nseg), a, b, np.zeros(nseg), np.ones(nseg)
+    done = []  # accepted pieces: segment, ta, tb and W (at the end node only without samples)
+    keep = _N + 1 if samples is not None else 1
+    buf = np.empty((_CHUNK, 2, _N + 1, 2, _N + 1), dtype=complex)
+    for depth in range(_MAX_DEPTH + 1):
+        ok = np.empty(len(seg), dtype=bool)
+        for lo in range(0, len(seg), _CHUNK):
+            hi = lo + _CHUNK
+            w, ok[lo:hi] = _collocate(coeff, params, pa[lo:hi], pb[lo:hi], rtol, buf)
+            mine = lo + np.flatnonzero(ok[lo:hi])
+            done.append((seg[mine], ta[mine], tb[mine], w[mine - lo, :, :keep]))
+        if ok.all():
+            break
+        if depth == _MAX_DEPTH:
+            raise StepUnderflow(
+                f"no convergence after {_MAX_DEPTH} bisections; "
+                "the segment passes too close to a singular point"
+            )
+        seg, pa, pb, ta, tb = (x[~ok] for x in (seg, pa, pb, ta, tb))
+        mid, tm = pa + 0.5 * (pb - pa), 0.5 * (ta + tb)
+        seg, pa, pb = np.r_[seg, seg], np.r_[pa, mid], np.r_[mid, pb]
+        ta, tb = np.r_[ta, tm], np.r_[tm, tb]
+    seg, ta, tb, w = (np.concatenate(x) for x in zip(*done))
     if stats is not None:
-        stats["n_pieces"] = stats.get("n_pieces", 0) + n_pieces
-    return u if samples is None else dense
+        stats["n_pieces"] = stats.get("n_pieces", 0) + len(seg)
+    # slot[i, k] is the k-th piece of segment i from the left (len(seg) past
+    # its last); compose them left to right, keeping the transfer up to the
+    # start of each
+    order = np.lexsort((ta, seg))
+    pos = np.empty(len(seg), dtype=np.int64)
+    pos[order] = np.arange(len(seg)) - np.searchsorted(seg[order], seg[order])
+    slot = np.full((nseg, pos.max() + 1), len(seg))
+    slot[seg, pos] = np.arange(len(seg))
+    ends = w[:, :, 0, :] + np.eye(2)
+    u = np.tile(np.eye(2, dtype=complex), (nseg, 1, 1))
+    start = np.empty_like(ends)
+    for k in range(slot.shape[1]):
+        mine = slot[:, k][slot[:, k] < len(seg)]
+        start[mine] = u[seg[mine]]
+        u[seg[mine]] = ends[mine] @ start[mine]
+    if samples is None:
+        return u
+    # position of each sample along its segment as a parameter in [0, 1]
+    # (an orthogonal projection, so that a sample at b gets exactly 1), and
+    # the first piece of its segment that ends at or after it
+    d = (b - a)[:, None]
+    dd = d.real * d.real + d.imag * d.imag
+    off = np.asarray(samples, dtype=complex) - a[:, None]
+    tau = np.clip((off.real * d.real + off.imag * d.imag) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
+    own = slot[np.repeat(np.arange(nseg), off.shape[1])]
+    tau = tau.ravel()
+    piece = own[np.arange(len(tau)), (np.r_[tb, 2.0][own] < tau[:, None]).sum(axis=1)]
+    x = np.clip(2.0 * (tau - ta[piece]) / (tb[piece] - ta[piece]) - 1.0, -1.0, 1.0)
+    dense = np.empty((len(tau), 2, 2), dtype=complex)
+    for lo in range(0, len(tau), _DENSE_CHUNK):
+        p = piece[lo:lo + _DENSE_CHUNK]
+        dense[lo:lo + _DENSE_CHUNK] = _interpolate(w[p], x[lo:lo + _DENSE_CHUNK]) @ start[p]
+    return dense.reshape(nseg, -1, 2, 2)
+
+
+def chebyshev_transfer(mode, params, a, b, rtol, stats=None, samples=None):
+    """chebyshev_transfers for the one segment a -> b: U(b), or with samples
+    (points on the segment) U at each, shape (len(samples), 2, 2)."""
+    if samples is not None:
+        samples = np.asarray(samples, dtype=complex)[None]
+    return chebyshev_transfers(mode, params, [a], [b], rtol, stats, samples)[0]

@@ -288,11 +288,11 @@ def cmd_mesh(cfg: RunConfig) -> dict:
 
     max_omega_dg_residual is the largest relative omega dg residual (the
     mesh's "rel" diagnostic) over the annulus vertices, inner rings
-    included.  There the dg identity of recover_weierstrass loses about
-    the squared frame norm in precision, so for large half-angles the
-    field is dominated by that loss (about 5e3 for 3,3,3 at 4x12, against
-    2e-9 for 2/3,2/3,2/3) and says little about the transport.  No gate
-    reads it.
+    included.  The recovery takes it in each stencil's local frame, so it
+    measures the transport along the stencils whatever the frame norm
+    (about 8e-10 for 3,3,3 at 4x12, whose frames reach norm 1e6, and 6e-10
+    for 2/3,2/3,2/3); it does not see an error of the vertex frames
+    themselves.  No gate reads it.
     """
     if cfg.target != "h3":
         raise ValueError("mesh generation supports the h3 target only")

@@ -3,15 +3,18 @@
 The surface is produced in four stages.  A SampleGrid covers the thrice
 punctured sphere with one polar annulus per puncture plus a triangulated
 core, and carries a spanning tree of integration edges rooted at a base
-point.  transport_frame solves the frame equation dF = A F along the tree.
-It keeps the frame at every vertex and the transfer of every tree edge,
-so continuing a frame once more around a puncture is a product of stored
-transfers.  recover_weierstrass differentiates the transported frame
-numerically, over eleven frames transported from each annulus vertex by
-one sampled transfer, and extracts the induced (g, omega) data there, which
-the defining differentials must reproduce; this is the main integrity oracle.
-build_mesh applies a unitarizing conjugator and projects to the Poincare
-ball.
+point.  transport_frame solves the frame equation dF = A F along the tree:
+every edge is an initial value problem from the identity, so all edges of
+the core, and all edges of each end, are solved as one batch, and the
+frames are composed in tree order afterwards.  It keeps the frame at every
+vertex and the transfer of every tree edge, so continuing a frame once
+more around a puncture is a product of stored transfers.
+recover_weierstrass differentiates the transported frame numerically in
+the local frame of an eleven-point stencil around each annulus vertex,
+sampled from one transfer, and extracts the induced (g, omega) data there,
+which the defining differentials must reproduce; this is the main
+integrity oracle.  build_mesh applies a unitarizing conjugator and
+projects to the Poincare ball.
 
 Transport inside an annulus does not use the raw z chart: the connection
 has double poles at the punctures, so the step count would grow like the
@@ -19,13 +22,14 @@ inverse square of the radius.  Instead the frame is written as
 F = P(x) diag(1, x - p) V with P = [[G, 1], [1, 0]], which turns the
 system into dV = B V dzeta in the logarithmic chart zeta = log(x - p)
 with B bounded down the whole neck (coefficient mode 4 of _kernel).
-EndChart.transfer is the one log-chart step: it solves the V transfer by
-Chebyshev collocation, rescales it by its exact determinant exp(-dzeta),
-making the assembled F transfer unimodular by construction, and serves
-tree edges, seam arcs and, through the collocation's dense output at
-eleven sample points, the recovery stencils alike.  The segment edges
-of the core use the same collocation in the z chart.  The end at infinity
-is handled in the x = 1/z chart through conjugation by [[0, 1], [1, 0]].
+EndChart.transfer is the one log-chart step: it solves the V transfers of
+a batch of segments by Chebyshev collocation, rescales them by their
+exact determinant exp(-dzeta), making the assembled F transfers
+unimodular by construction, and serves tree edges, seam arcs and, through
+the collocation's dense output at eleven sample points, the recovery
+stencils alike.  The segment edges of the core use the same collocation
+in the z chart.  The end at infinity is handled in the x = 1/z chart
+through conjugation by [[0, 1], [1, 0]].
 """
 
 from __future__ import annotations
@@ -35,14 +39,15 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from ._kernel import chebyshev_transfer
-from .algebra import det2, det2_compensated, fro, inv2, project_h3, solve_quadratic
+from ._kernel import chebyshev_transfers
+from .algebra import det2, det_defect, inv2, project_h3, solve_quadratic
 from .config import CLEARANCE_FACTOR, TRANSPORT_TOL_FACTOR, Tolerances, default_tolerances
 from .errors import EmptyIntersection, NonSL2Input, NullStructureViolation, StepUnderflow
-from .fuchsian import MODE_LOG_CHART, MODE_MATRIX, segment, validate_path
+from .fuchsian import MODE_LOG_CHART, MODE_MATRIX, concat, path_clearance, segment, validate_path
 from .trinoid_data import TrinoidData
 
 _BASE_POINT = 0.5 + 0.5j
@@ -94,62 +99,56 @@ class EndChart:
 
     def transfer(
         self,
-        za: complex,
-        zb: complex,
+        za,
+        zb,
         rtol: float,
         stats: dict | None = None,
         samples: np.ndarray | None = None,
-        origin: complex | None = None,
+        origin=None,
     ) -> np.ndarray:
-        """Frame transfer between the log-chart points za and zb.
+        """Frame transfers between the log-chart points za and zb, which are
+        points or equal-length arrays of them, one batch of segments.
 
-        Solves the gauge-fixed system dV = B V dzeta on the segment by
+        Solves the gauge-fixed system dV = B V dzeta on each segment by
         Chebyshev collocation (coefficient mode 4; stats collects its piece
         count).  That system has trace -1, so its transfer determinant is
         exactly exp(-(zb - za)); rescaling by the measured determinant
         removes the solver's determinant error, and the frame transfer
         P(gb) diag(1, xi_b) V diag(1, 1/xi_a) P(ga)^-1 then has unit
         determinant up to rounding.  For the end at infinity it is
-        conjugated by the index swap.
+        conjugated by the index swap.  Shape (2, 2), or (len(za), 2, 2).
 
-        With samples, an array of log-chart points on the segment, returns
-        instead the frame transfer from origin (za unless given; any point
-        of the segment) to each sample, shape (len(samples), 2, 2), all
-        from the one solve over za -> zb (the collocation's dense output).
-        Each V transfer U(s) U(origin)^-1 is rescaled to its exact
-        determinant exp(-(s - origin)) and assembled as above.  Composing
-        in V, before the gauge assembly, matters: composed as frame
-        transfers, the factor diag(1, 1/xi_a) P(ga)^-1 and its inverse
-        would leave their rounding behind, enough to double the omega dg
-        residual of the recovery stencils.
+        With samples, log-chart points on the segment (a row per segment
+        for arrays), returns instead the frame transfer from origin (za
+        unless given; any point of the segment) to each sample, with a
+        sample axis before the matrix axes, from the one solve over
+        za -> zb (the collocation's dense output).  Each V transfer
+        U(s) U(origin)^-1 is rescaled to its exact determinant
+        exp(-(s - origin)) and assembled as above.  Composing in V, before
+        the gauge assembly, matters: composed as frame transfers, the factor
+        diag(1, 1/xi_a) P(ga)^-1 and its inverse would leave their rounding
+        behind, enough to double the omega dg residual of the recovery
+        stencils.
         """
-        zs = np.array([zb], dtype=complex) if samples is None else np.asarray(samples, dtype=complex)
-        if origin is None:
-            t_v = chebyshev_transfer(MODE_LOG_CHART, self.kernel_params, za, zb, rtol, stats, zs)
-            origin = za
-        else:
-            t_v = chebyshev_transfer(
-                MODE_LOG_CHART, self.kernel_params, za, zb, rtol, stats, np.append(zs, origin)
-            )
-            t_v = t_v[:-1] @ inv2(t_v[-1])
-        # The determinants and the Gauss-map values are taken per sample in
-        # scalar complex arithmetic: numpy's array loops may fuse the
-        # multiply-adds of a complex product, which would move the
-        # transported frames in their last bits.
-        xi = [cmath.exp(z) for z in zs]
-        det = np.array([det2(t) for t in t_v])
-        t_v = t_v * np.sqrt(np.exp(-(zs - origin)) / det)[:, None, None]
-        xi_o = cmath.exp(origin)
-        g_o = self.chart_gauss(self.puncture + xi_o)
-        left = np.zeros_like(t_v)
-        left[:, 0, 0] = [self.chart_gauss(self.puncture + x) for x in xi]
-        left[:, 0, 1] = xi
-        left[:, 1, 0] = 1.0
-        right = np.diag([1.0 + 0.0j, 1.0 / xi_o]) @ np.array([[0.0, 1.0], [1.0, -g_o]], dtype=complex)
-        m = left @ t_v @ right
+        one = np.ndim(za) == 0
+        za, zb = np.atleast_1d(za).astype(complex), np.atleast_1d(zb).astype(complex)
+        org = za if origin is None else np.atleast_1d(origin).astype(complex)
+        zs = (zb if samples is None else np.asarray(samples, dtype=complex)).reshape(len(za), -1)
+        t_v = chebyshev_transfers(
+            MODE_LOG_CHART, self.kernel_params, za, zb, rtol, stats, np.c_[zs, org]
+        )
+        t_v = t_v[:, :-1] @ np.linalg.inv(t_v[:, -1:])
+        t_v *= np.sqrt(np.exp(-(zs - org[:, None])) / det2(t_v))[..., None, None]
+        xi, xo = np.exp(zs), np.exp(org)[:, None]
+        g, g_o = self.chart_gauss(self.puncture + xi), self.chart_gauss(self.puncture + xo)
+        left = np.stack([g, xi, np.ones_like(xi), np.zeros_like(xi)], axis=-1)
+        right = np.stack([np.zeros_like(xo), np.ones_like(xo), 1.0 / xo, -g_o / xo], axis=-1)
+        m = left.reshape(t_v.shape) @ t_v @ right.reshape(-1, 1, 2, 2)
         if self.inverted:
-            m = m[:, ::-1, ::-1]
-        return m[0] if samples is None else m
+            m = m[..., ::-1, ::-1]
+        if samples is None:
+            m = m[:, 0]
+        return m[0] if one else m
 
 
 def end_charts(data: TrinoidData) -> tuple[EndChart, EndChart, EndChart]:
@@ -197,9 +196,10 @@ def end_charts(data: TrinoidData) -> tuple[EndChart, EndChart, EndChart]:
 class GridEdge:
     """One spanning-tree edge; a and b are chart points for the transport.
 
-    kind "segment" integrates the raw system between z points a and b;
-    "ring_arc" and "spoke" integrate the gauge-fixed system between the
-    log-chart points a and b of the given end.
+    kind "segment" integrates the raw system between z points a and b,
+    through the waypoint via when the straight segment would pass too close
+    to a puncture; "ring_arc" and "spoke" integrate the gauge-fixed system
+    between the log-chart points a and b of the given end.
     """
 
     child: int
@@ -208,6 +208,7 @@ class GridEdge:
     end: int = -1
     a: complex = 0j
     b: complex = 0j
+    via: complex | None = None
 
 
 @dataclass(frozen=True)
@@ -235,9 +236,27 @@ class SampleGrid:
         return (end * self.rings + ring) * ns + sector % ns
 
 
-def _segment_edge(child, parent, za, zb, clearance):
-    validate_path(segment(za, zb), (0.0 + 0.0j, 1.0 + 0.0j), clearance)
+_PUNCTURES = (0.0 + 0.0j, 1.0 + 0.0j)
+
+
+def _segment_edge(child, parent, za, zb):
+    validate_path(segment(za, zb), _PUNCTURES, CLEARANCE_FACTOR)
     return GridEdge(child=child, parent=parent, kind="segment", a=complex(za), b=complex(zb))
+
+
+def _anchor_edge(child, parent, za, zb):
+    """The tree edge from the base point to an end's anchor: the straight
+    segment where it keeps the clearance from the punctures, else a route
+    through whichever apex of the right isosceles triangles over the segment
+    leaves both legs more room."""
+    route = segment(za, zb)
+    if path_clearance(route, _PUNCTURES) < CLEARANCE_FACTOR:
+        apexes = (za + (zb - za) * (0.5 + 0.5j), za + (zb - za) * (0.5 - 0.5j))
+        routes = [concat(segment(za, w), segment(w, zb)) for w in apexes]
+        route = max(routes, key=lambda path: path_clearance(path, _PUNCTURES))
+    validate_path(route, _PUNCTURES, CLEARANCE_FACTOR)
+    via = route.pieces[0][2] if len(route.pieces) == 2 else None
+    return GridEdge(child=child, parent=parent, kind="segment", a=complex(za), b=complex(zb), via=via)
 
 
 def sample_grid(
@@ -346,11 +365,10 @@ def sample_grid(
     faces.extend(tuple(f) for f in core_faces)
     faces = np.array(faces, dtype=np.int64)
 
-    clearance = CLEARANCE_FACTOR
     edges = []
     for ch in charts:
         anchor = (ch.end * nr) * ns
-        edges.append(_segment_edge(anchor, base_index, _BASE_POINT, all_verts[anchor], clearance))
+        edges.append(_anchor_edge(anchor, base_index, _BASE_POINT, all_verts[anchor]))
         for i in range(ns - 1):
             a = (ch.end * nr) * ns + i
             edges.append(
@@ -382,7 +400,7 @@ def sample_grid(
             if v in seen or v < base_index:
                 continue
             seen.add(v)
-            edges.append(_segment_edge(v, u, all_verts[u], all_verts[v], clearance))
+            edges.append(_segment_edge(v, u, all_verts[u], all_verts[v]))
             queue.append(v)
     unreachable = [v for v in range(base_index + 1, len(all_verts)) if v not in seen]
     if unreachable:
@@ -466,58 +484,71 @@ def transport_frame(
 
     The transport tolerance is the monodromy tolerance tightened by
     TRANSPORT_TOL_FACTOR, since mesh positions accumulate error over paths a
-    few dozen edges deep.  Every edge transfer is one Chebyshev collocation
-    transfer; stats["n_pieces"] counts their accepted pieces.  Raises with
-    the offending edge identified if the solver fails, and checks det F = 1
-    at every vertex afterwards.
+    few dozen edges deep.  Every edge is an initial value problem from the
+    identity, so the edge transfers come from one batch of Chebyshev
+    collocation transfers for the core segments (a routed edge as the
+    product of its two legs) and one EndChart.transfer batch per end for
+    its ring arcs, spokes and seam; the frames are then composed in tree
+    order.  stats["n_pieces"] counts the accepted collocation pieces.
+    Raises with the offending edge identified if the solver fails, and
+    checks det F = 1 at every vertex afterwards.
     """
     tol = tol or default_tolerances()
     rtol = tol.ode * TRANSPORT_TOL_FACTOR
     params0 = data.kernel_params()
     ns = grid.sectors
     nv = grid.n_vertices
-    frames = np.zeros((nv, 2, 2), dtype=complex)
-    frames[grid.base_index] = np.eye(2)
     transfers = np.zeros((nv, 2, 2), dtype=complex)
     seams = np.zeros((3, 2, 2), dtype=complex)
     stats: dict = {"n_pieces": 0}
 
-    def _run(edge_desc: str, step, *args) -> np.ndarray:
+    def _run(names, step, a, b) -> np.ndarray:
         try:
-            return step(*args)
+            return step(np.array(a), np.array(b), rtol, stats)
         except StepUnderflow as exc:
-            raise StepUnderflow(f"transport stalled on {edge_desc}: {exc}") from exc
+            # name the edge that stalls by solving the batch one edge at a time
+            for name, x, y in zip(names, a, b):
+                try:
+                    step(np.array([x]), np.array([y]), rtol)
+                except StepUnderflow as one:
+                    raise StepUnderflow(f"transport stalled on {name}: {one}") from one
+            raise StepUnderflow(f"transport stalled on a batch of {len(a)} edges: {exc}") from exc
 
-    for edge in grid.edges:
-        if edge.kind == "segment":
-            t = _run(
-                f"segment edge {edge.parent}->{edge.child}",
-                chebyshev_transfer, MODE_MATRIX, params0, edge.a, edge.b, rtol, stats,
-            )
-        else:
-            t = _run(
-                f"{edge.kind} edge {edge.parent}->{edge.child} (end {edge.end + 1})",
-                grid.charts[edge.end].transfer, edge.a, edge.b, rtol, stats,
-            )
-        transfers[edge.child] = t
-        frames[edge.child] = t @ frames[edge.parent]
-
-    # one extra arc per end closes the outer ring across the seam
+    core = [e for e in grid.edges if e.kind == "segment"]
+    routed = [e for e in core if e.via is not None]
+    t = _run(
+        [f"segment edge {e.parent}->{e.child}" for e in core + routed],
+        partial(chebyshev_transfers, MODE_MATRIX, params0),
+        [e.a for e in core] + [e.via for e in routed],
+        [e.b if e.via is None else e.via for e in core] + [e.b for e in routed],
+    )
+    transfers[[e.child for e in core]] = t[: len(core)]
+    for e, leg in zip(routed, t[len(core):]):
+        transfers[e.child] = leg @ transfers[e.child]
     for ch in grid.charts:
-        a = grid.zeta[grid.annulus_index(ch.end, 0, ns - 1)]
-        b = grid.zeta[grid.annulus_index(ch.end, 0, 0)] + 2.0j * math.pi
-        seams[ch.end] = _run(f"seam arc (end {ch.end + 1})", ch.transfer, a, b, rtol, stats)
+        # one extra arc per end closes the outer ring across the seam
+        mine = [e for e in grid.edges if e.end == ch.end]
+        t = _run(
+            [f"{e.kind} edge {e.parent}->{e.child} (end {ch.end + 1})" for e in mine]
+            + [f"seam arc (end {ch.end + 1})"],
+            ch.transfer,
+            [e.a for e in mine] + [grid.zeta[grid.annulus_index(ch.end, 0, ns - 1)]],
+            [e.b for e in mine] + [grid.zeta[grid.annulus_index(ch.end, 0, 0)] + 2.0j * math.pi],
+        )
+        transfers[[e.child for e in mine]] = t[:-1]
+        seams[ch.end] = t[-1]
+    frames = np.zeros((nv, 2, 2), dtype=complex)
+    frames[grid.base_index] = np.eye(2)
+    for e in grid.edges:
+        frames[e.child] = transfers[e.child] @ frames[e.parent]
 
     # The determinant of a large-entry frame is an ill-conditioned 2x2
     # evaluation (terms of size |F|^2 cancel to 1), so the conservation gate
     # scales with the squared Frobenius norm of each frame.
-    stats["max_det_defect"] = det_defect = max(
-        abs(det2_compensated(frames[v]) - 1.0) / max(1.0, fro(frames[v]) ** 2)
-        for v in range(nv)
-    )
-    if det_defect > tol.det:
+    stats["max_det_defect"] = worst = float(det_defect(frames).max())
+    if worst > tol.det:
         raise NonSL2Input(
-            f"transported frame determinant drifted to {det_defect:.3g} "
+            f"transported frame determinant drifted to {worst:.3g} "
             f"(relative to squared frame norm), above {tol.det:.3g}"
         )
     return FrameTransport(
@@ -540,8 +571,9 @@ class WeierstrassData:
     map.  numeric marks the vertices where they were recovered, from
     finite differences of the transported frame (the annulus rings); on
     core vertices nothing is recovered and those four entries are NaN.
-    null_defect measures how far F^{-1} dF/dz is from its required
-    nilpotent rank-one shape (0 on core vertices).
+    null_defect measures how far F^{-1} dF/dz, conjugated to the stencil's
+    local frame, is from its required nilpotent rank-one shape, as the
+    larger of |det| / |.|^2 and |trace| / |.| (0 on core vertices).
     stats["n_pieces"] counts the collocation pieces of the stencil
     transfers, one transfer per annulus vertex (a piece more for each
     bisection).
@@ -562,32 +594,35 @@ def recover_weierstrass(
 ) -> WeierstrassData:
     """Extract (g, omega) from the transported frame and check its shape.
 
-    On annulus vertices dF/dz and d2F/dz2 come from eleven-point stencils
-    in the angular direction, spacing delta about one third of the grid
+    On annulus vertices the derivatives come from eleven-point stencils in
+    the angular direction, spacing delta about one third of the grid
     spacing, where the order-ten truncation error drops below the shape
-    tolerance with room to spare.  The stencil frames are transported
-    from the vertex frame by one EndChart.transfer across the 10 delta arc,
-    sampled at the eleven points (the collocation's dense output).  Only
-    transported values enter, so agreement of omega dg
-    with the defining quadratic differential is a genuine end-to-end test
-    of the transport machinery.  F^{-1} dF/dz must be trace-free with
-    determinant zero; a relative defect beyond the null_structure
-    tolerance raises NullStructureViolation.  dg comes from the same two
-    derivatives through d(F^{-1}F') = F^{-1}F'' - (F^{-1}F')^2, which
-    avoids stacking stencils.  The subtractions in that identity lose
-    roughly the squared frame norm in precision, so dg degrades far down
-    an end when the half-angles are large and the frame grows fast; the
-    pointwise residual of omega times dg against the defining quadratic
-    differential makes any such loss visible per vertex.
+    tolerance with room to spare.  They are taken in the stencil's local
+    frame T(s) = F(s) F0^-1, the frame transfer from the vertex (T = I
+    there) to each stencil point, sampled from one EndChart.transfer
+    across the 10 delta arc (dense output, one batch per end).  So
+    n = T' = F0 (F^-1 F') F0^-1 and its derivative n' = T'' - n^2 = T''
+    (n is nilpotent; the product would only add the finite-difference
+    noise of the shape) are of the size of the connection, not of the
+    frame.
+
+    n must be trace free with determinant zero; a relative defect beyond
+    the null_structure tolerance raises NullStructureViolation.  With
+    F^-1 F' = omega (g, 1)^T (1, -g), the image v of n spans the columns of
+    dF/dz = n F0, whose ratio is the Gauss ratio, and n' v = -omega dg v.
+    So the null shape, the Gauss ratio and omega dg = -v* n' v / |v|^2 are
+    read off the transported stencil alone, and no oracle here sees an
+    error or the rounding of the vertex frame F0.  g and omega conjugate
+    n = v u^T back by F0 in that factored form (g is the Gauss ratio moved
+    by the Mobius action of F0^-1), and dg = (omega dg) / omega.  Only
+    transported values enter, so agreement of omega dg with the defining
+    quadratic differential tests the transport along every stencil.
     """
     tol = tol or default_tolerances()
     grid = frames.grid
     nr, ns = grid.rings, grid.sectors
     nv = grid.n_vertices
-    g = np.full(nv, np.nan + 0j)
-    omega = np.full(nv, np.nan + 0j)
-    dg = np.full(nv, np.nan + 0j)
-    ratio = np.full(nv, np.nan + 0j)
+    g, omega, dg, ratio = (np.full(nv, np.nan + 0j) for _ in range(4))
     numeric = np.zeros(nv, dtype=bool)
     defect = np.zeros(nv)
     delta = min(2.0 * math.pi / (3.0 * ns), 2.0 * math.pi / 144.0)
@@ -595,47 +630,38 @@ def recover_weierstrass(
     stats: dict = {"n_pieces": 0}
 
     for ch in grid.charts:
-        for k in range(nr):
-            for i in range(ns):
-                vi = grid.annulus_index(ch.end, k, i)
-                zeta0 = grid.zeta[vi]
-                xi = cmath.exp(zeta0)
-                f0 = frames.frames[vi]
-                # one transfer across the stencil, sampled at its eleven
-                # points and taken from the vertex
-                pts = zeta0 + offsets
-                t = ch.transfer(pts[0], pts[-1], frames.rtol, stats, samples=pts, origin=zeta0)
-                vals = t @ f0
-                vals[5] = f0
-                f_th = np.zeros((2, 2), dtype=complex)
-                f_thth = _FD_SECOND_CENTER * vals[5]
-                for m in range(1, 6):
-                    f_th = f_th + _FD_FIRST[m - 1] * (vals[5 + m] - vals[5 - m])
-                    f_thth = f_thth + _FD_SECOND[m - 1] * (vals[5 + m] + vals[5 - m])
-                f_th /= delta
-                f_thth /= delta * delta
-                if ch.inverted:
-                    zdot = -1j / xi
-                    zddot = -1.0 / xi
-                else:
-                    zdot = 1j * xi
-                    zddot = -xi
-                f_z = f_th / zdot
-                f_zz = (f_thth * zdot - f_th * zddot) / zdot**3
-                f_inv = inv2(vals[5])
-                m_rec = f_inv @ f_z
-                om = m_rec[1, 0]
-                gg = m_rec[0, 0] / om
-                scale = fro(m_rec)
-                dd = max(abs(m_rec[0, 1] + gg * gg * om), abs(m_rec[1, 1] + gg * om))
-                c = 0 if abs(f_z[1, 0]) >= abs(f_z[1, 1]) else 1
-                m_z = f_inv @ f_zz - m_rec @ m_rec
-                g[vi] = gg
-                omega[vi] = om
-                dg[vi] = (m_z[0, 0] * om - m_rec[0, 0] * m_z[1, 0]) / (om * om)
-                ratio[vi] = f_z[0, c] / f_z[1, c]
-                defect[vi] = dd / scale if scale > 0.0 else math.inf
-                numeric[vi] = True
+        vi = grid.annulus_index(ch.end, 0, 0) + np.arange(nr * ns)
+        zeta0 = grid.zeta[vi]
+        pts = zeta0[:, None] + offsets
+        t = ch.transfer(pts[:, 0], pts[:, -1], frames.rtol, stats, samples=pts, origin=zeta0)
+        t[:, 5] = np.eye(2)
+        t_th = np.tensordot(_FD_FIRST, t[:, 6:] - t[:, 4::-1], axes=(0, 1)) / delta
+        t_thth = np.tensordot(_FD_SECOND, t[:, 6:] + t[:, 4::-1], axes=(0, 1))
+        t_thth = (t_thth + _FD_SECOND_CENTER * t[:, 5]) / (delta * delta)
+        xi = np.exp(zeta0)[:, None, None]
+        zdot, zddot = (-1j / xi, -1.0 / xi) if ch.inverted else (1j * xi, -xi)
+        n = t_th / zdot
+        # d(F^-1 F')/dz conjugated is T'' - n^2, and n^2 = 0 for the nilpotent n
+        dn = (t_thth * zdot - t_th * zddot) / zdot**3
+        # rank-one factors n = v u^T: v the larger column, u from v's larger entry
+        rows = np.arange(len(vi))
+        v = n[rows, :, np.argmax((np.abs(n) ** 2).sum(axis=1), axis=1)]
+        big = np.argmax(np.abs(v), axis=1)
+        u = n[rows, big] / v[rows, big, None]
+        f0 = frames.frames[vi]
+        x0 = f0[:, 1, 1] * v[:, 0] - f0[:, 0, 1] * v[:, 1]
+        x1 = f0[:, 0, 0] * v[:, 1] - f0[:, 1, 0] * v[:, 0]
+        omega[vi] = x1 * (u[:, 0] * f0[:, 0, 0] + u[:, 1] * f0[:, 1, 0])
+        g[vi] = x0 / x1
+        q = -np.einsum("bi,bij,bj->b", v.conj(), dn, v) / (np.abs(v) ** 2).sum(axis=1)
+        dg[vi] = q / omega[vi]
+        ratio[vi] = v[:, 0] / v[:, 1]
+        scale = (np.abs(n) ** 2).sum(axis=(1, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shape = np.abs(det2(n)) / scale
+            shape = np.maximum(shape, np.abs(n[:, 0, 0] + n[:, 1, 1]) / np.sqrt(scale))
+        defect[vi] = np.where(scale > 0.0, shape, math.inf)
+        numeric[vi] = True
 
     # defect is 0 on core vertices, so its maximum is the annulus maximum
     worst = float(defect.max())
@@ -695,17 +721,13 @@ def build_mesh(
     grid, data = transport.grid, transport.data
     right = inv2(np.asarray(conjugator, dtype=complex))
     nv = grid.n_vertices
-    ball = np.zeros((nv, 3))
-    for v in range(nv):
-        ball[v] = project_h3(transport.frames[v] @ right, tol).ball
+    ball = project_h3(transport.frames @ right, tol).ball
     radius = np.linalg.norm(ball, axis=1)
     if not radius.max() < 1.0:
         raise ValueError("a mesh position is not finite or escaped the unit ball")
-    hopf = [data.hopf(z) for z in grid.vertices]
-    # CPython's complex abs: np.abs differs from it in the last bit on some vertices
-    hopf_abs = np.array([abs(q) for q in hopf])
-    resid = np.abs(weier.omega * weier.dg - np.array(hopf))
-    rel = np.where(hopf_abs > 0.0, resid / hopf_abs, np.inf)
+    hopf = data.hopf(grid.vertices)
+    hopf_abs = np.abs(hopf)
+    rel = np.where(hopf_abs > 0.0, np.abs(weier.omega * weier.dg - hopf) / hopf_abs, np.inf)
     quality = np.full(nv, -16.0)
     mask = weier.numeric & (rel > 1e-16)
     quality[mask] = np.log10(rel[mask])

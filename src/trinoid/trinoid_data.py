@@ -39,8 +39,8 @@ class HopfDifferential:
         c1, c2, c3 = self.c
         return 2.0 * c3 * z + (c2 - c3 - c1)
 
-    def __call__(self, z: complex) -> complex:
-        z = complex(z)
+    def __call__(self, z):
+        """Q at a point or elementwise on an array of points."""
         w = z - 1.0
         return self.numerator(z) / (2.0 * z * z * w * w)
 

@@ -350,6 +350,21 @@ def test_mesh_fails_fast_below_unit_roundoff(tmp_path, monkeypatch, triple):
     assert main(args) == 3
 
 
+@pytest.mark.parametrize("angles", ["1.413393,0.790404,1.622530", "2.539933,0.686478,0.703347"])
+def test_mesh_former_failures_exit_zero(tmp_path, angles):
+    # two triples of the mesh fuzz that used to exit 3: the first one's
+    # base-to-anchor segment of end 2 grazes the puncture at 1 and is now
+    # routed through a waypoint; the second one's null shape read 7.2e-7
+    # (gate 1e-7) from the rounding of its large frames, entries up to 1.7e7,
+    # before the recovery moved into the stencils' local frames, where they
+    # do not enter (null defects 1.7e-10 and 2.2e-12 now, omega dg
+    # residuals 3.1e-9 and 5.4e-9)
+    rep = run_json(tmp_path, "mesh", ["mesh", "--angles", angles, "--rings", "4", "--sectors", "12",
+                                     "--out", str(tmp_path / "m.obj")])
+    assert rep["well_definedness"]["passed"] is True
+    assert rep["max_omega_dg_residual"] < 1e-6
+
+
 _OFF_INTEGER = st.floats(0.1, 2.9).filter(lambda b: abs(b - round(b)) > 0.05)
 
 

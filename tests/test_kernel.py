@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trinoid._kernel import chebyshev_transfer
+from trinoid._kernel import chebyshev_transfer, chebyshev_transfers
 from trinoid.algebra import det2_compensated, fro
 from trinoid.config import TRANSPORT_TOL_FACTOR, default_tolerances
 from trinoid.errors import StepUnderflow
@@ -175,3 +175,51 @@ def test_dense_output_matches_shorter_transfers(angles):
         for x, ux in zip(points, dense):
             v = chebyshev_transfer(mode, params, a, x, rtol)
             assert _relative_gap(ux, v) <= 1e-13, (mode, x)
+
+
+def _mixed_batch(data, mode):
+    """A short segment, a long one that bisects, a zero-length one, each with
+    sixteen samples given out of order (the zero-length one all at a)."""
+    if mode == MODE_LOG_CHART:
+        params, a, b = _spoke(data)
+        short = (a + 0.3j, a + 0.05 + 0.35j)
+    else:
+        params, a, b = _base_to_anchor(data)
+        short = (0.45 + 0.45j, 0.55 + 0.5j)
+    starts = np.array([short[0], a, a])
+    ends = np.array([short[1], b, a])
+    tau = (np.arange(16) + 0.5) / 16.0
+    tau = np.concatenate([tau[1::2], tau[::-1][1::2]])
+    return params, starts, ends, starts[:, None] + tau * (ends - starts)[:, None]
+
+
+@TRIPLES
+@pytest.mark.parametrize("mode", [MODE_MATRIX, MODE_LOG_CHART], ids=["mode0", "mode4"])
+def test_batch_matches_batches_of_one(angles, mode):
+    # a batch solves each segment exactly as alone: the same pieces, and
+    # transfers and dense samples within 1e-13 (measured equal); a
+    # segment's piece count in the batch is what the batch loses without it
+    data = build_trinoid_data(angles)
+    rtol = _transport_rtol()
+    params, a, b, samples = _mixed_batch(data, mode)
+
+    def pieces(keep):
+        stats: dict = {}
+        chebyshev_transfers(mode, params, a[keep], b[keep], rtol, stats)
+        return stats["n_pieces"]
+
+    total = pieces(np.ones(3, dtype=bool))
+    stats: dict = {}
+    u = chebyshev_transfers(mode, params, a, b, rtol)
+    dense = chebyshev_transfers(mode, params, a, b, rtol, stats, samples)
+    assert stats["n_pieces"] == total
+    assert dense.shape == (3, 16, 2, 2)
+    for i in range(3):
+        one: dict = {}
+        v = chebyshev_transfer(mode, params, a[i], b[i], rtol, one)
+        assert total - pieces(np.arange(3) != i) == one["n_pieces"], i
+        assert _relative_gap(u[i], v) <= 1e-13, i
+        for ux, vx in zip(dense[i], chebyshev_transfer(mode, params, a[i], b[i], rtol, samples=samples[i])):
+            assert _relative_gap(ux, vx) <= 1e-13, i
+    np.testing.assert_array_equal(u[2], np.eye(2))
+    np.testing.assert_array_equal(dense[2], np.broadcast_to(np.eye(2), (16, 2, 2)))
