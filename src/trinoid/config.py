@@ -1,12 +1,13 @@
 """Shared numerical tolerances.
 
 Every threshold used by the package lives in one frozen record so a global
-loosening or tightening (say, on a noisy CI box) is a one-line change, and
-each field is read by some check or step of the pipeline.  The
-environment variable TRINOID_TOL_SCALE, a finite positive float, multiplies
-all absolute tolerances, the integration tolerance ode included; the
-geometric ratio loop_radius_factor and the two fixed module constants
-below, which no caller varies, are left alone by it.
+loosening or tightening (say, on a noisy CI box) is a one-line change.  The
+record has 15 fields, and each is read by some check or step of the
+pipeline (tests/test_unread_tolerances.py guards this).  The environment
+variable TRINOID_TOL_SCALE, a finite positive float, multiplies the 14
+absolute tolerances, the integration tolerance ode included; the geometric
+ratio loop_radius_factor and the two fixed module constants below, which
+no caller varies, are left alone by it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class Tolerances:
     integer: float = 1e-9            # B/pi integrality detection
     angle_is_pi: float = 1e-12       # excluded cone angle gate
     umbilic: float = 1e-10           # coincidence threshold for the two umbilics
-    commutator: float = 1e-7         # abelian-image detection on generators
     form_residual: float = 1e-9      # invariant-form linear system residual
     posdef_margin: float = 1e-8      # relative eigenvalue margin for definiteness
     null_sv: float = 1e-7            # singular value cutoff for null spaces

@@ -43,7 +43,11 @@ class StepUnderflow(TrinoidError):
 
 
 class NotUnitarizable(TrinoidError):
-    """No positive definite invariant Hermitian form exists for the rep."""
+    """No conjugation of the kind its moduli class fixes makes the rep unitary.
+
+    The invariant form is not positive definite, or the rep contradicts its
+    class (a ReducibleC2 generator away from +-I, no common eigenbasis).
+    """
 
 
 class NotPositiveDefinite(TrinoidError):

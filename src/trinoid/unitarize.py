@@ -1,12 +1,14 @@
 """Unitarization of monodromy representations.
 
 A representation generated by two SL(2,C) matrices descends to a surface in
-hyperbolic space only after conjugation into SU(2).  This module solves the
-real-linear system for an invariant Hermitian form, turns a positive definite
-form into an explicit conjugator, and describes the full set of unitarizing
-conjugators: a single point for irreducible representations, a geodesic line
-of conjugators for abelian ones with a non-integer half-angle, and all of
-hyperbolic space when the projective image is trivial.
+hyperbolic space only after conjugation into SU(2).  The set of unitarizing
+conjugators is fixed by the moduli class of the angle triple: a single
+point for an irreducible triple, a geodesic line of conjugators for the
+reducible one-parameter class, and all of hyperbolic space for the
+three-parameter class.  This module takes that kind from moduli.classify
+and uses the numerics only to build and check the base conjugator: the
+unique invariant Hermitian form of the real-linear system, the
+norm-minimal diagonalizing conjugator of an abelian pair, or the identity.
 
 It also constructs the canonical diagonal representation carried by trinoids
 with reducible monodromy, which the normal-form equation does not always
@@ -19,8 +21,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,13 +34,12 @@ from .moduli import Status, classify
 __all__ = [
     "SpaceKind",
     "UnitarizerSpace",
-    "invariant_hermitian_form",
     "conjugator_from_form",
     "family_representation",
     "unitarizer_space",
 ]
 
-# Real parametrization of Hermitian 2x2 matrices used by the linear solve:
+# Real coordinates of Hermitian 2x2 matrices used by the linear solve:
 # H = x0*E0 + x1*E1 + x2*E2 + x3*E3 with real coefficients.
 _HERM_BASIS = (
     np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
@@ -87,115 +87,8 @@ def _scalar_defect(m: np.ndarray) -> float:
     return fro(m - mean * np.eye(2))
 
 
-@dataclass
-class _FormAnalysis:
-    """Internal result of the invariant-form solve."""
-
-    form: np.ndarray           # trace-2 positive definite invariant form
-    nullity: int               # dimension of the linear solution space
-    trivial: bool              # both generators scalar (+-I like)
-    eigenbasis: np.ndarray | None  # det-1 simultaneous eigenvector matrix
-
-
-def _diagonalizing_matrix(g: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Eigenvector matrix of a non-scalar matrix, scaled to determinant 1.
-
-    Raises NotUnitarizable when an eigenvalue leaves the unit circle, since
-    no conjugate of such a matrix can be unitary.
-    """
-    lam, vec = np.linalg.eig(g)
-    off = max(abs(abs(lam[0]) - 1.0), abs(abs(lam[1]) - 1.0))
-    if off > 1e3 * tol.projective:
-        raise NotUnitarizable(
-            f"generator eigenvalues {lam} leave the unit circle by {off:.3e}"
-        )
-    vec = vec / np.linalg.norm(vec, axis=0, keepdims=True)
-    d = complex(np.linalg.det(vec))
-    if abs(d) < 1e-12:
-        raise NotUnitarizable("generator is not diagonalizable")
-    return vec / cmath.sqrt(d)
-
-
-def _minimal_diagonal_conjugator(u: np.ndarray) -> np.ndarray:
-    """Left diagonal factor making diag(e^{t/2}, e^{-t/2}) @ u norm-minimal.
-
-    Minimizing e^t*|row1|^2 + e^{-t}*|row2|^2 over t gives
-    e^{2t} = |row2|^2/|row1|^2.
-    """
-    r1 = float(np.sum(np.abs(u[0]) ** 2))
-    r2 = float(np.sum(np.abs(u[1]) ** 2))
-    t = 0.5 * math.log(r2 / r1)
-    return np.diag([cmath.exp(0.5 * t), cmath.exp(-0.5 * t)]) @ u
-
-
-def _analyze_forms(rep: MonodromyRep, tol: Tolerances) -> _FormAnalysis:
-    """Solve rho_j^* H rho_j = H over Hermitian H and pick a definite one."""
-    _check_sl2(rep, tol)
-    rhos = (rep.rho1, rep.rho2)
-
-    rows = np.empty((8, 4))
-    for i, rho in enumerate(rhos):
-        for k, basis in enumerate(_HERM_BASIS):
-            image = rho.conj().T @ basis @ rho - basis
-            rows[4 * i : 4 * i + 4, k] = _herm_to_vec(image)
-    sv = np.linalg.svd(rows, compute_uv=False)
-    cutoff = tol.null_sv * max(sv[0], 1.0)
-    nullity = int(np.sum(sv <= cutoff))
-
-    if nullity == 0:
-        raise NotUnitarizable(
-            f"no invariant Hermitian form: smallest singular value {sv[-1]:.3e}"
-        )
-
-    trivial = max(_scalar_defect(r) for r in rhos) < tol.apparent
-    if trivial:
-        # Every Hermitian form is invariant; the identity is the canonical
-        # positive definite representative.
-        return _FormAnalysis(
-            form=np.eye(2, dtype=complex),
-            nullity=nullity,
-            trivial=True,
-            eigenbasis=None,
-        )
-
-    if nullity == 1:
-        _, _, vt = np.linalg.svd(rows)
-        cand = _vec_to_herm(vt[-1])
-        tr = cand[0, 0].real + cand[1, 1].real
-        if abs(tr) < 1e-10 * fro(cand):
-            raise NotUnitarizable(
-                "the invariant form is traceless, hence indefinite"
-            )
-        h = (2.0 / tr) * cand
-        return _finish(h, rhos, nullity, None, tol)
-
-    # Reducible case with a non-scalar generator: diagonalize the generator
-    # farthest from scalar, check the other is diagonal in the same basis,
-    # and take the form of the norm-minimal diagonal conjugator.
-    g = max(rhos, key=_scalar_defect)
-    vec = _diagonalizing_matrix(g, tol)
-    u = inv2(vec)
-    other = min(rhos, key=_scalar_defect)
-    w = u @ other @ vec
-    off = max(abs(w[0, 1]), abs(w[1, 0]))
-    if off > 1e3 * tol.projective * max(1.0, fro(w)):
-        raise NotUnitarizable(
-            "solution space is degenerate: generators share no eigenbasis"
-        )
-    b = _minimal_diagonal_conjugator(u)
-    h = b.conj().T @ b
-    h = (2.0 / (h[0, 0].real + h[1, 1].real)) * h
-    return _finish(h, rhos, nullity, vec, tol)
-
-
-def _finish(
-    h: np.ndarray,
-    rhos,
-    nullity: int,
-    eigenbasis: np.ndarray | None,
-    tol: Tolerances,
-) -> _FormAnalysis:
-    h = 0.5 * (h + h.conj().T)
+def _check_form(h: np.ndarray, rhos, tol: Tolerances) -> None:
+    """The form_residual and posdef_margin gates on a trace-2 form H."""
     resid = _form_residual(h, rhos)
     if resid > tol.form_residual:
         raise NotUnitarizable(
@@ -207,25 +100,62 @@ def _finish(
         raise NotUnitarizable(
             f"invariant form is not positive definite: eigenvalues {lam}"
         )
-    return _FormAnalysis(
-        form=h, nullity=nullity, trivial=False, eigenbasis=eigenbasis
-    )
 
 
-def invariant_hermitian_form(
-    rep: MonodromyRep, tol: Tolerances | None = None
-) -> np.ndarray:
-    """Positive definite Hermitian H with rho_j^* H rho_j = H, trace 2.
+def _point_base(rhos, tol: Tolerances) -> np.ndarray:
+    """Conjugator of the unique invariant form of an irreducible pair.
 
-    The two generators give a real-linear 8x4 system over Hermitian matrices.
-    For an irreducible representation the solution space is a line and the
-    form is unique up to scale; for an abelian one the space is larger and
-    the returned form is the one whose conjugator has minimal Frobenius
-    norm.  Raises NotUnitarizable when the space contains no positive
-    definite element.
+    The form is the smallest right singular vector of the real-linear 8x4
+    system rho_j^* H rho_j = H over Hermitian H, scaled to trace 2.
     """
-    tol = tol or default_tolerances()
-    return _analyze_forms(rep, tol).form
+    rows = np.empty((8, 4))
+    for i, rho in enumerate(rhos):
+        for k, basis in enumerate(_HERM_BASIS):
+            image = rho.conj().T @ basis @ rho - basis
+            rows[4 * i : 4 * i + 4, k] = _herm_to_vec(image)
+    _, _, vt = np.linalg.svd(rows)
+    cand = _vec_to_herm(vt[-1])
+    tr = cand[0, 0].real + cand[1, 1].real
+    if abs(tr) < 1e-10 * fro(cand):
+        raise NotUnitarizable("the invariant form is traceless, hence indefinite")
+    h = (2.0 / tr) * cand
+    _check_form(h, rhos, tol)
+    return conjugator_from_form(h, tol)
+
+
+def _line_base(rhos, tol: Tolerances) -> np.ndarray:
+    """Norm-minimal conjugator diagonalizing an abelian pair.
+
+    Diagonalizes the generator farthest from scalar by its eigenvector
+    matrix, scaled to determinant 1, and requires the other generator to be
+    diagonal in that basis.  With u the inverse eigenbasis, the base is the
+    left diagonal rescaling diag(e^{t/2}, e^{-t/2}) u of least Frobenius
+    norm: minimizing e^t*|row1|^2 + e^{-t}*|row2|^2 over t gives
+    e^{2t} = |row2|^2/|row1|^2.  An eigenvalue off the unit circle rules
+    out every unitary conjugate.
+    """
+    lam, vec = np.linalg.eig(max(rhos, key=_scalar_defect))
+    off = max(abs(abs(lam[0]) - 1.0), abs(abs(lam[1]) - 1.0))
+    if off > 1e3 * tol.projective:
+        raise NotUnitarizable(
+            f"generator eigenvalues {lam} leave the unit circle by {off:.3e}"
+        )
+    vec = vec / np.linalg.norm(vec, axis=0, keepdims=True)
+    d = complex(np.linalg.det(vec))
+    if abs(d) < 1e-12:
+        raise NotUnitarizable("generator is not diagonalizable")
+    vec = vec / cmath.sqrt(d)
+    u = inv2(vec)
+    w = u @ min(rhos, key=_scalar_defect) @ vec
+    if max(abs(w[0, 1]), abs(w[1, 0])) > 1e3 * tol.projective * max(1.0, fro(w)):
+        raise NotUnitarizable("the generators share no eigenbasis")
+    r1 = float(np.sum(np.abs(u[0]) ** 2))
+    r2 = float(np.sum(np.abs(u[1]) ** 2))
+    t = 0.5 * math.log(r2 / r1)
+    base = np.diag([cmath.exp(0.5 * t), cmath.exp(-0.5 * t)]) @ u
+    h = base.conj().T @ base
+    _check_form((2.0 / (h[0, 0].real + h[1, 1].real)) * h, rhos, tol)
+    return base
 
 
 def conjugator_from_form(h: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
@@ -316,33 +246,44 @@ _KIND_DIM = {
     SpaceKind.ALL_OF_H3: 3,
 }
 
+_KIND_OF_STATUS = {
+    Status.REDUCIBLE_C1: SpaceKind.GEODESIC_LINE,
+    Status.REDUCIBLE_C2: SpaceKind.ALL_OF_H3,
+}
+
 
 @dataclass(frozen=True)
 class UnitarizerSpace:
     """All conjugators carrying a representation into SU(2).
 
-    parametrization maps a real parameter vector of length dim to a
-    conjugator; the base conjugator is the parameter-zero point and
-    minimizes the Frobenius norm over the space.
+    sample maps a real parameter vector of length dim to a conjugator: the
+    base conjugator for a single point, diag(e^{t/2}, e^{-t/2}) times the
+    base along a geodesic line, and the ball chart for all of hyperbolic
+    space, where the base is I.  The base conjugator is the parameter-zero
+    point and minimizes the Frobenius norm over the space.
     """
 
     kind: SpaceKind
-    base_conjugator: np.ndarray | None
-    parametrization: Callable[..., np.ndarray] = field(repr=False)
+    base_conjugator: np.ndarray
 
     @property
     def dim(self) -> int:
         return _KIND_DIM[self.kind]
 
     def sample(self, params) -> np.ndarray:
-        """Parametrization with shape checking; accepts a scalar when dim=1."""
+        """The conjugator at params, shape checked; a scalar is accepted when dim=1."""
         p = np.atleast_1d(np.asarray(params, dtype=float))
         if p.shape != (self.dim,):
             raise ValueError(
                 f"expected {self.dim} parameters for {self.kind.value}, "
                 f"got shape {p.shape}"
             )
-        return self.parametrization(p)
+        if self.kind is SpaceKind.GEODESIC_LINE:
+            t = float(p[0])
+            return np.diag([cmath.exp(0.5 * t), cmath.exp(-0.5 * t)]) @ self.base_conjugator
+        if self.kind is SpaceKind.ALL_OF_H3:
+            return _ball_chart(p)
+        return self.base_conjugator
 
 
 def _ball_chart(p: np.ndarray) -> np.ndarray:
@@ -370,65 +311,30 @@ def unitarizer_space(
 ) -> UnitarizerSpace:
     """Describe every conjugator a with a rho_j a^(-1) in SU(2).
 
-    The kind follows the reducibility of the representation: a single point
-    when it is irreducible, a geodesic line of conjugators when the image is
-    abelian but nontrivial (which requires a non-integer half-angle), and
-    all of hyperbolic space when the projective image is trivial (all
-    half-angles integer multiples of pi).  Raises NotUnitarizable when no
-    conjugator exists at all.
+    The kind is the h3 moduli class of the angle triple: all of hyperbolic
+    space for ReducibleC2, a geodesic line of conjugators for ReducibleC1,
+    and a single point for every other class.  The representation only
+    supplies the base conjugator, and NotUnitarizable is raised when it
+    contradicts its class or has no positive definite invariant form: a
+    ReducibleC2 generator farther than tol.apparent from +-I, ReducibleC1
+    generators that share no eigenbasis, or a form that fails the
+    form_residual or posdef_margin gate.
     """
     tol = tol or default_tolerances()
-    b = tuple(float(x) for x in angles)
-    analysis = _analyze_forms(rep, tol)
-
-    all_integer = all(
-        abs(x / math.pi - round(x / math.pi)) <= tol.integer for x in b
+    _check_sl2(rep, tol)
+    rhos = (rep.rho1, rep.rho2)
+    kind = _KIND_OF_STATUS.get(
+        classify(angles, target="h3", tol=tol).status, SpaceKind.SINGLE_POINT
     )
-    commutator = fro(rep.rho1 @ rep.rho2 - rep.rho2 @ rep.rho1)
-
-    if analysis.trivial:
-        if not all_integer:
-            raise ValueError(
-                "trivial projective image is inconsistent with a "
-                f"non-integer half-angle triple {b}"
+    if kind is SpaceKind.ALL_OF_H3:
+        defect = max(_scalar_defect(r) for r in rhos)
+        if defect >= tol.apparent:
+            raise NotUnitarizable(
+                f"a generator is {defect:.3e} from +-I in a ReducibleC2 class"
             )
-        return UnitarizerSpace(
-            kind=SpaceKind.ALL_OF_H3,
-            base_conjugator=np.eye(2, dtype=complex),
-            parametrization=_ball_chart,
-        )
-
-    if commutator < tol.commutator:
-        if all_integer:
-            raise ValueError(
-                "abelian nontrivial image is inconsistent with an "
-                f"all-integer half-angle triple {b}"
-            )
-        vec = analysis.eigenbasis
-        if vec is None:
-            vec = _diagonalizing_matrix(
-                max((rep.rho1, rep.rho2), key=_scalar_defect), tol
-            )
-        u = inv2(vec)
-        base = _minimal_diagonal_conjugator(u)
-
-        def line(p: np.ndarray, _base=base) -> np.ndarray:
-            t = float(p[0])
-            return np.diag([cmath.exp(0.5 * t), cmath.exp(-0.5 * t)]) @ _base
-
-        return UnitarizerSpace(
-            kind=SpaceKind.GEODESIC_LINE,
-            base_conjugator=base,
-            parametrization=line,
-        )
-
-    base = conjugator_from_form(analysis.form, tol)
-
-    def point(_p: np.ndarray, _base=base) -> np.ndarray:
-        return _base
-
-    return UnitarizerSpace(
-        kind=SpaceKind.SINGLE_POINT,
-        base_conjugator=base,
-        parametrization=point,
-    )
+        base = np.eye(2, dtype=complex)
+    elif kind is SpaceKind.GEODESIC_LINE:
+        base = _line_base(rhos, tol)
+    else:
+        base = _point_base(rhos, tol)
+    return UnitarizerSpace(kind=kind, base_conjugator=base)

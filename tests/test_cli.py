@@ -125,6 +125,17 @@ def test_monodromy_c1_family_fallback(tmp_path):
     assert rep["unitarizer_source"] == "family"
 
 
+def test_monodromy_near_boundary_triple_unitarizable(tmp_path):
+    # IrreducibleUnique 0.017 inside the irreducibility boundary, loop
+    # transports of norm 4e3: the class makes the space a single point, and
+    # the unique invariant form of the loop transports unitarizes them
+    rep = run_json(tmp_path, "near", ["monodromy", "--angles", "1.712131,0.249075,0.930997"])
+    assert rep["unitarizable"] is True
+    assert "unitarizable_detail" not in rep
+    assert rep["unitarizer_kind"] == "SinglePoint"
+    assert rep["unitarizer_source"] == "ode"
+
+
 def test_monodromy_base_point_override(tmp_path):
     rep = run_json(
         tmp_path, "base",
@@ -350,15 +361,20 @@ def test_mesh_fails_fast_below_unit_roundoff(tmp_path, monkeypatch, triple):
     assert main(args) == 3
 
 
-@pytest.mark.parametrize("angles", ["1.413393,0.790404,1.622530", "2.539933,0.686478,0.703347"])
+@pytest.mark.parametrize("angles", [
+    "1.413393,0.790404,1.622530", "2.539933,0.686478,0.703347", "1.712131,0.249075,0.930997",
+])
 def test_mesh_former_failures_exit_zero(tmp_path, angles):
-    # two triples of the mesh fuzz that used to exit 3: the first one's
-    # base-to-anchor segment of end 2 grazes the puncture at 1 and is now
-    # routed through a waypoint; the second one's null shape read 7.2e-7
-    # (gate 1e-7) from the rounding of its large frames, entries up to 1.7e7,
-    # before the recovery moved into the stencils' local frames, where they
-    # do not enter (null defects 1.7e-10 and 2.2e-12 now, omega dg
-    # residuals 3.1e-9 and 5.4e-9)
+    # triples of the mesh fuzz and the monodromy sweep that used to exit 3:
+    # the first one's base-to-anchor segment of end 2 grazes the puncture at
+    # 1 and is now routed through a waypoint; the second one's null shape
+    # read 7.2e-7 (gate 1e-7) from the rounding of its large frames, entries
+    # up to 1.7e7, before the recovery moved into the stencils' local
+    # frames, where they do not enter (null defects 1.7e-10 and 2.2e-12 now,
+    # omega dg residuals 3.1e-9 and 5.4e-9); the third one's loop transports
+    # of norm 4e3 made a numerical null-space count call its irreducible
+    # representation reducible ("generators share no eigenbasis"), before
+    # the moduli class picked the unitarizer space
     rep = run_json(tmp_path, "mesh", ["mesh", "--angles", angles, "--rings", "4", "--sectors", "12",
                                      "--out", str(tmp_path / "m.obj")])
     assert rep["well_definedness"]["passed"] is True

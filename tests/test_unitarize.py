@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -17,7 +17,6 @@ from trinoid.unitarize import (
     SpaceKind,
     conjugator_from_form,
     family_representation,
-    invariant_hermitian_form,
     unitarizer_space,
 )
 
@@ -55,6 +54,13 @@ def _random_su2(rng):
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
 
 
+def _form(rep, angles=SYM23):
+    """The trace-2 invariant form a^* a of the space's base conjugator a."""
+    a = unitarizer_space(rep, angles).base_conjugator
+    h = a.conj().T @ a
+    return (2.0 / np.trace(h).real) * h
+
+
 def _random_sl2(rng):
     while True:
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -66,7 +72,7 @@ def _random_sl2(rng):
 def test_su2_rep_has_identity_form():
     rng = np.random.default_rng(7)
     rep = _synthetic_rep(_random_su2(rng), _random_su2(rng))
-    h = invariant_hermitian_form(rep)
+    h = _form(rep)
     assert_allclose(h, np.eye(2), atol=1e-10)
 
 
@@ -80,20 +86,40 @@ def test_conjugated_su2_recovers_transported_form():
         rep = _synthetic_rep(
             a @ _random_su2(rng) @ ai, a @ _random_su2(rng) @ ai
         )
-        h = invariant_hermitian_form(rep)
+        h = _form(rep)
         target = ai.conj().T @ ai
         target = (2.0 / np.trace(target).real) * target
         assert_allclose(h, target, atol=1e-7)
+
+
+def test_large_conjugated_su2_pair_is_a_single_point():
+    # A generic SU(2) pair conjugated by diag(60, 1/60) [[1, 0.3], [0.2, 1.06]]
+    # has generators of norm up to 3.7e3, and its invariance system has the
+    # singular values [1.4e7, 3.0e3, 1.1, 3e-16]: a cutoff relative to the
+    # largest (1e-7 of it is 1.4) cannot tell the one null direction from
+    # a second.  The label's class picks the kind, and the smallest
+    # singular vector gives the unique form.
+    rng = np.random.default_rng(4)
+    conj = np.diag([60.0, 1.0 / 60.0]) @ np.array([[1.0, 0.3], [0.2, 1.06]])
+    ci = inv2(conj)
+    rep = _synthetic_rep(conj @ _random_su2(rng) @ ci, conj @ _random_su2(rng) @ ci)
+    assert max(fro(rep.rho1), fro(rep.rho2)) > 3e3
+    space = unitarizer_space(rep, SYM23)
+    assert space.kind is SpaceKind.SINGLE_POINT
+    a = space.sample([])
+    ai = inv2(a)
+    for rho in (rep.rho1, rep.rho2, rep.rho3):
+        assert su2_defect(a @ rho @ ai) < 1e-6
 
 
 def test_hyperbolic_generator_not_unitarizable():
     # |eigenvalue| != 1 rules out any conjugate being unitary.
     hyp = np.diag([2.0 + 0j, 0.5 + 0j])
     with pytest.raises(NotUnitarizable):
-        invariant_hermitian_form(_synthetic_rep(hyp, np.eye(2, dtype=complex)))
+        unitarizer_space(_synthetic_rep(hyp, np.eye(2, dtype=complex)), SYM23)
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     with pytest.raises(NotUnitarizable):
-        invariant_hermitian_form(_synthetic_rep(hyp, rot))
+        unitarizer_space(_synthetic_rep(hyp, rot), SYM23)
 
 
 def test_conjugator_from_form_diagonal_and_scale():
@@ -122,7 +148,7 @@ def test_conjugator_round_trip_unitarizes():
         rep = _synthetic_rep(
             conj @ _random_su2(rng) @ ci, conj @ _random_su2(rng) @ ci
         )
-        a = conjugator_from_form(invariant_hermitian_form(rep))
+        a = conjugator_from_form(_form(rep))
         ai = inv2(a)
         for rho in (rep.rho1, rep.rho2, rep.rho3):
             assert su2_defect(a @ rho @ ai) < 1e-7
@@ -297,16 +323,27 @@ def test_c1_normal_form_rep_is_not_unitarizable():
     # nontrivial Jordan block is unitary, so the ODE-sourced representation
     # has no invariant positive definite form.  The trinoid family itself
     # carries the diagonal model tested above instead.
+    # Neither the unique-form path of an irreducible label nor the
+    # eigenbasis path of the triple's own class finds one.
     rep = _pipeline_rep(C1)
     with pytest.raises(NotUnitarizable):
-        invariant_hermitian_form(rep)
-    with pytest.raises(NotUnitarizable):
+        unitarizer_space(rep, SYM23)
+    with pytest.raises(NotUnitarizable, match="share no eigenbasis"):
         unitarizer_space(rep, C1)
 
 
 def test_family_rep_form_is_identity():
-    h = invariant_hermitian_form(family_representation(C1))
+    h = _form(family_representation(C1), C1)
     assert_allclose(h, np.eye(2), atol=1e-14)
+
+
+def test_rep_contradicting_its_class_not_unitarizable():
+    # The class fixes the kind; a representation that cannot have it is a
+    # numerical failure of the monodromy, not an input error.
+    with pytest.raises(NotUnitarizable, match="from \\+-I"):
+        unitarizer_space(family_representation(C1), C2)
+    with pytest.raises(NotUnitarizable, match="share no eigenbasis"):
+        unitarizer_space(_pipeline_rep(SYM23), C1)
 
 
 # B/pi over the sweep's range, U(0.1, 1.95) without the band around 1
@@ -315,6 +352,9 @@ _SWEEP_ANGLE = st.floats(0.1, 1.95).filter(lambda b: abs(b - 1.0) >= 0.05)
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(st.tuples(_SWEEP_ANGLE, _SWEEP_ANGLE, _SWEEP_ANGLE))
+# 0.017 inside the irreducibility boundary, with loop transports of norm 4e3
+# and invariance singular values [2.4e7, 8.3e3, 0.47, 8e-12]
+@example((1.712131, 0.249075, 0.930997))
 def test_monodromy_properties_over_sweep_range(triple):
     # every loop transport has the trace its cone angle predicts; the
     # pipeline's representation is unitarizable exactly when the triple
