@@ -21,6 +21,7 @@ import numpy as np
 from .algebra import eigenvalues_2x2
 from .config import Tolerances, default_tolerances
 from .errors import (
+    BallEscape,
     NonSL2Input,
     NotPositiveDefinite,
     NotUnitarizable,
@@ -158,7 +159,7 @@ def cmd_classify(cfg: RunConfig) -> dict:
         "beta": list(cone.beta),
         "c": list(cone.c),
         "hanbetu": hanbetu_holds(cone, cfg.tol),
-        "irreducible_quadratic": irreducible_exists(b),
+        "irreducible_quadratic": irreducible_exists(b, cfg.tol),
         "irreducible_reduced_sum": sum(reduce_angles(b)) > math.pi,
         "h3": _class_json(classify(b, target="h3", tol=cfg.tol)),
         "s2": _class_json(classify(b, target="s2", tol=cfg.tol)),
@@ -176,7 +177,7 @@ def cmd_monodromy(cfg: RunConfig) -> dict:
     """Monodromy report: generators, eigenvalue checks, unitarizability."""
     b = cfg.angles
     data = build_trinoid_data(b, cfg.tol)
-    plan = make_path_plan(data, base_point=cfg.base_point, tol=cfg.tol)
+    plan = make_path_plan(data, base_point=cfg.base_point)
     rep = monodromy(data, plan=plan, tol=cfg.tol)
     scalar = monodromy(data, plan=plan, source=Source.SCALAR_ODE, tol=cfg.tol)
     report = {
@@ -294,8 +295,6 @@ def cmd_mesh(cfg: RunConfig) -> dict:
     for 2/3,2/3,2/3); it does not see an error of the vertex frames
     themselves.  No gate reads it.
     """
-    if cfg.target != "h3":
-        raise ValueError("mesh generation supports the h3 target only")
     sizes = {k: v for k, v in (("rings", cfg.rings), ("sectors", cfg.sectors)) if v is not None}
     surf = build_surface(cfg.angles, deform=cfg.deform, tol=cfg.tol, **sizes)
     grid, transport, weier = surf.grid, surf.transport, surf.weier
@@ -396,6 +395,15 @@ def _parse_pair(text: str, what: str) -> tuple:
     return tuple(parts)
 
 
+# the options some commands take, each added only where it is read
+_OPTIONS = {
+    "--target": dict(choices=("h3", "s2"), default="h3"),
+    "--tol-ode": dict(type=float, default=None, help="integration tolerance, overriding Tolerances.ode"),
+    "--base-point": dict(default=None, help="re,im override for loop planning"),
+    "--seed": dict(type=int, default=None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trinoid",
@@ -404,32 +412,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--angles", required=True, help="three angles a,b,c (fractions allowed)")
         p.add_argument("--units", choices=("pi", "rad"), default="pi")
-        p.add_argument("--target", choices=("h3", "s2"), default="h3")
-        p.add_argument("--tol-ode", type=float, default=None,
-                       help="integration tolerance, overriding Tolerances.ode")
-        p.add_argument("--base-point", default=None, help="re,im override for loop planning")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", default=None, help="write the JSON report to this path")
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
+        return p
 
-    p_cls = sub.add_parser("classify", help="moduli classification report")
-    common(p_cls)
+    command("classify", "moduli classification report", "--target", "--seed")
+    command("monodromy", "loop transport report", "--tol-ode", "--base-point", "--seed")
 
-    p_mon = sub.add_parser("monodromy", help="loop transport report")
-    common(p_mon)
-
-    p_mesh = sub.add_parser("mesh", help="generate and export a surface mesh")
-    common(p_mesh)
+    p_mesh = command("mesh", "generate and export a surface mesh", "--tol-ode", "--seed")
     p_mesh.add_argument("--rings", type=int, default=None)
     p_mesh.add_argument("--sectors", type=int, default=None)
     p_mesh.add_argument("--deform", default=None, help="t1 or t1,t2,t3 family parameters")
     p_mesh.add_argument("--out", default=None)
     p_mesh.add_argument("--format", choices=("obj", "ply"), default="obj", dest="fmt")
 
-    p_fh = sub.add_parser("fh", help="angle surgery with before/after classification")
-    common(p_fh)
+    p_fh = command("fh", "angle surgery with before/after classification", "--target")
     p_fh.add_argument("op", choices=("hemisphere", "bigon"))
     p_fh.add_argument("--edge", default=None, help="i,j edge for hemisphere surgery")
     p_fh.add_argument("--vertex", type=int, default=None)
@@ -438,34 +440,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(ns: argparse.Namespace) -> RunConfig:
+    get = vars(ns).get
     angles = _parse_angles(ns.angles, ns.units)
     base_point = None
-    if ns.base_point is not None:
+    if get("base_point") is not None:
         re_s, im_s = _parse_pair(ns.base_point, "--base-point")
         base_point = complex(float(re_s), float(im_s))
         if not cmath.isfinite(base_point):
             raise ValueError(f"--base-point must be finite, got {ns.base_point!r}")
     deform = None
-    if getattr(ns, "deform", None) is not None:
+    if get("deform") is not None:
         deform = tuple(float(p) for p in ns.deform.split(","))
         if not all(map(math.isfinite, deform)):
             raise ValueError(f"--deform values must be finite, got {ns.deform!r}")
     tol = default_tolerances()
-    if ns.tol_ode is not None:
+    if get("tol_ode") is not None:
         if not 0.0 < ns.tol_ode < math.inf:
             raise ValueError(f"--tol-ode must be a finite positive float, got {ns.tol_ode!r}")
         tol = dataclasses.replace(tol, ode=ns.tol_ode)
     return RunConfig(
         angles=angles,
-        target=ns.target,
+        target=get("target", "h3"),
         tol=tol,
         base_point=base_point,
-        rings=getattr(ns, "rings", None),
-        sectors=getattr(ns, "sectors", None),
+        rings=get("rings"),
+        sectors=get("sectors"),
         deform=deform,
-        seed=ns.seed,
-        out=getattr(ns, "out", None),
-        fmt=getattr(ns, "fmt", "obj"),
+        seed=get("seed"),
+        out=get("out"),
+        fmt=get("fmt", "obj"),
         json_path=ns.json,
     )
 
@@ -503,7 +506,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (StepUnderflow, SingularPathPoint, NonSL2Input, NullStructureViolation,
-            NotUnitarizable, NotPositiveDefinite) as exc:
+            NotUnitarizable, NotPositiveDefinite, BallEscape) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TrinoidError) as exc:

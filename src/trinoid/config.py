@@ -2,12 +2,11 @@
 
 Every threshold used by the package lives in one frozen record so a global
 loosening or tightening (say, on a noisy CI box) is a one-line change.  The
-record has 15 fields, and each is read by some check or step of the
+record has 14 fields, and each is read by some check or step of the
 pipeline (tests/test_unread_tolerances.py guards this).  The environment
-variable TRINOID_TOL_SCALE, a finite positive float, multiplies the 14
-absolute tolerances, the integration tolerance ode included; the geometric
-ratio loop_radius_factor and the two fixed module constants below, which
-no caller varies, are left alone by it.
+variable TRINOID_TOL_SCALE, a finite positive float, multiplies all 14,
+the integration tolerance ode included; the three fixed module constants
+below, which no caller varies, are left alone by it.
 """
 
 from __future__ import annotations
@@ -17,11 +16,8 @@ import os
 from dataclasses import dataclass, fields, replace
 
 CLEARANCE_FACTOR = 0.05  # path clearance from singular points, per their spacing
+LOOP_RADIUS_FACTOR = 0.25  # first monodromy loop radius, per puncture spacing
 TRANSPORT_TOL_FACTOR = 1e-3  # tightening of ode for the mesh frame transport
-
-# Ratios describing path geometry rather than error thresholds.  These are
-# not scaled by TRINOID_TOL_SCALE.
-_GEOMETRIC = ("loop_radius_factor",)
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,6 @@ class Tolerances:
     apparent: float = 1e-6           # monodromy deviation from +-I at apparent points
     well_defined: float = 1e-6       # doubled-path agreement in the ball model
     eigenvalue_warn: float = 1e-4    # monodromy eigenvalue sanity warning level
-    loop_radius_factor: float = 0.25
 
 
 def default_tolerances() -> Tolerances:
@@ -55,9 +50,4 @@ def default_tolerances() -> Tolerances:
         scale = math.nan
     if not 0.0 < scale < math.inf:
         raise ValueError("TRINOID_TOL_SCALE must be a finite positive float, got %r" % raw)
-    scaled = {
-        f.name: getattr(tol, f.name) * scale
-        for f in fields(tol)
-        if f.name not in _GEOMETRIC
-    }
-    return replace(tol, **scaled)
+    return replace(tol, **{f.name: getattr(tol, f.name) * scale for f in fields(tol)})

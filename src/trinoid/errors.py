@@ -58,6 +58,10 @@ class NullStructureViolation(TrinoidError):
     """Recovered connection data is not rank one trace free within drift tolerance."""
 
 
+class BallEscape(TrinoidError):
+    """A projected mesh position is not finite or lies outside the open unit ball."""
+
+
 class EmptyIntersection(TrinoidError):
     """A cutting plane does not meet the surface mesh."""
 

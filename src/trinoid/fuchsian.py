@@ -20,7 +20,7 @@ import numpy as np
 
 from ._kernel import integrate_path
 from .algebra import det2, eigenvalues_2x2, inv2
-from .config import CLEARANCE_FACTOR, Tolerances, default_tolerances
+from .config import CLEARANCE_FACTOR, LOOP_RADIUS_FACTOR, Tolerances, default_tolerances
 from .errors import EigenvalueMismatch, NonSL2Input, SingularPathPoint, StepUnderflow
 from .trinoid_data import HypergeometricParams, TrinoidData
 
@@ -212,21 +212,16 @@ def _build_loop(base, center, other_puncture, singular_points, radius_factor, cl
     )
 
 
-def make_path_plan(
-    data,
-    base_point: complex | None = None,
-    tol: Tolerances | None = None,
-) -> PathPlan:
+def make_path_plan(data, base_point: complex | None = None) -> PathPlan:
     """Plan the two monodromy loops for trinoid data or an explicit point set.
 
     data may be a TrinoidData (its punctures, umbilics and Gauss-map pole
     are all kept clear of) or a bare sequence of finite singular points
     that must include 0 and 1.  The loop radii start at
-    tol.loop_radius_factor times the distance between the punctures.
+    LOOP_RADIUS_FACTOR times the distance between the punctures.
     Raises ValueError for an explicit base point farther than 100 from
     the origin.
     """
-    tol = tol or default_tolerances()
     if isinstance(data, TrinoidData):
         singular = data.finite_singular_points()
     else:
@@ -243,8 +238,8 @@ def make_path_plan(
             )
         if min(abs(base - s) for s in singular) < clearance:
             raise SingularPathPoint(f"base point {base} violates clearance {clearance:.3g}")
-    loop0 = _build_loop(base, 0.0 + 0.0j, 1.0 + 0.0j, singular, tol.loop_radius_factor, clearance)
-    loop1 = _build_loop(base, 1.0 + 0.0j, 0.0 + 0.0j, singular, tol.loop_radius_factor, clearance)
+    loop0 = _build_loop(base, 0.0 + 0.0j, 1.0 + 0.0j, singular, LOOP_RADIUS_FACTOR, clearance)
+    loop1 = _build_loop(base, 1.0 + 0.0j, 0.0 + 0.0j, singular, LOOP_RADIUS_FACTOR, clearance)
     return PathPlan(base_point=base, loops=(loop0, loop1), singular_points=singular, clearance=clearance)
 
 
@@ -364,7 +359,7 @@ def monodromy(
     """
     tol = tol or default_tolerances()
     if plan is None:
-        plan = make_path_plan(data, tol=tol)
+        plan = make_path_plan(data)
     if source is Source.MATRIX_ODE:
         mode = MODE_MATRIX
     elif source is Source.SCALAR_ODE:
@@ -412,7 +407,7 @@ def hypergeometric_monodromy(
     """
     tol = tol or default_tolerances()
     if plan is None:
-        plan = make_path_plan([0.0, 1.0], tol=tol)
+        plan = make_path_plan([0.0, 1.0])
     kparams = np.array([params.a, params.b, params.c, 0.0, 0.0, 0.0, 0.0])
     stats: dict = {}
     rhos = []

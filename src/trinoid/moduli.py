@@ -120,9 +120,21 @@ def reduce_angles(angles) -> tuple[float, float, float]:
     return (out1, out2, out3)
 
 
-def irreducible_exists(angles) -> bool:
-    """Strict spherical-triangle-type inequality on the cosines."""
+def irreducible_exists(angles, tol: Tolerances | None = None) -> bool:
+    """Strict spherical-triangle-type inequality on the cosines.
+
+    1 - c1^2 - c2^2 - c3^2 - 2 c1 c2 c3 = -4 prod cos((+-B1 +- B2 +- B3)/2),
+    so the expression vanishes exactly where some t1 +- t2 +- t3 (with
+    t = B/pi) is an odd integer.  Within tol.integer of that boundary the
+    sign of the expression is a rounding error, and the triple counts as
+    not irreducible; away from it the inequality decides.
+    """
+    tol = tol or default_tolerances()
     b = _check_angles(angles)
+    t1, t2, t3 = (x / math.pi for x in b)
+    for s in (t1 + t2 + t3, -t1 + t2 + t3, t1 - t2 + t3, t1 + t2 - t3):
+        if _near_int(s, tol.integer) and round(s) % 2 == 1:
+            return False
     c1, c2, c3 = (math.cos(x) for x in b)
     return c1 * c1 + c2 * c2 + c3 * c3 + 2.0 * c1 * c2 * c3 < 1.0
 
@@ -160,7 +172,7 @@ def classify(angles, target="h3", tol: Tolerances | None = None) -> ModuliClass:
     n = [x / math.pi for x in b]
     is_int = [_near_int(x, tol.integer) for x in n]
 
-    if not any(is_int) and irreducible_exists(b):
+    if not any(is_int) and irreducible_exists(b, tol):
         return ModuliClass(target, Status.IRREDUCIBLE_UNIQUE, 0, flags=tuple(flags))
 
     if sum(is_int) == 1:

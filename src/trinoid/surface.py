@@ -2,13 +2,15 @@
 
 The surface is produced in four stages.  A SampleGrid covers the thrice
 punctured sphere with one polar annulus per puncture plus a triangulated
-core, and carries a spanning tree of integration edges rooted at a base
-point.  transport_frame solves the frame equation dF = A F along the tree:
-every edge is an initial value problem from the identity, so all edges of
-the core, and all edges of each end, are solved as one batch, and the
-frames are composed in tree order afterwards.  It keeps the frame at every
-vertex and the transfer of every tree edge, so continuing a frame once
-more around a puncture is a product of stored transfers.
+core.  Its layout is index arithmetic: annulus vertex (end, ring, sector)
+is number (end * rings + ring) * sectors + sector, and its spanning tree,
+rooted at a base point, is an array of (parent, child) vertex rows.
+transport_frame solves the frame equation dF = A F along the tree: every
+edge is an initial value problem from the identity, so the z-chart rows
+of the core, and the rows inside each annulus, are solved as one batch
+each, and the frames are composed in row order afterwards.  It keeps the
+frame at every vertex and the transfer of every tree edge, so continuing
+a frame once more around a puncture is a product of stored transfers.
 recover_weierstrass differentiates the transported frame numerically in
 the local frame of an eleven-point stencil around each annulus vertex,
 sampled from one transfer, and extracts the induced (g, omega) data there,
@@ -27,9 +29,10 @@ a batch of segments by Chebyshev collocation, rescales them by their
 exact determinant exp(-dzeta), making the assembled F transfers
 unimodular by construction, and serves tree edges, seam arcs and, through
 the collocation's dense output at eleven sample points, the recovery
-stencils alike.  The segment edges of the core use the same collocation
-in the z chart.  The end at infinity is handled in the x = 1/z chart
-through conjugation by [[0, 1], [1, 0]].
+stencils alike.  The rows that leave an annulus (the core edges and the
+base-to-anchor edges) use the same collocation in the z chart.  The end
+at infinity is handled in the x = 1/z chart through conjugation by
+[[0, 1], [1, 0]].
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 from ._kernel import chebyshev_transfers
 from .algebra import det2, det_defect, inv2, project_h3, solve_quadratic
 from .config import CLEARANCE_FACTOR, TRANSPORT_TOL_FACTOR, Tolerances, default_tolerances
-from .errors import EmptyIntersection, NonSL2Input, NullStructureViolation, StepUnderflow
+from .errors import BallEscape, EmptyIntersection, NonSL2Input, NullStructureViolation, StepUnderflow
 from .fuchsian import MODE_LOG_CHART, MODE_MATRIX, concat, path_clearance, segment, validate_path
 from .trinoid_data import TrinoidData
 
@@ -193,38 +196,30 @@ def end_charts(data: TrinoidData) -> tuple[EndChart, EndChart, EndChart]:
 
 
 @dataclass(frozen=True)
-class GridEdge:
-    """One spanning-tree edge; a and b are chart points for the transport.
+class SampleGrid:
+    """Vertices, spanning tree and triangulation of the sampling domain.
 
-    kind "segment" integrates the raw system between z points a and b,
-    through the waypoint via when the straight segment would pass too close
-    to a puncture; "ring_arc" and "spoke" integrate the gauge-fixed system
-    between the log-chart points a and b of the given end.
+    The annulus vertices come first, numbered by annulus_index: end, then
+    ring (outermost first), then sector.  zeta holds their log-chart
+    points, a row per vertex; the base point and the core lattice follow
+    them in vertices.  edges is the spanning tree as (parent, child) rows
+    in composition order, every parent a child of an earlier row (the base
+    excepted): per end the edge from the base to its anchor (sector 0 of
+    the outer ring), the outer ring's arcs and the spokes, then the core
+    edges breadth first.  A row between two annulus vertices runs in its
+    end's log chart; every other row is a z-chart segment, and via maps an
+    anchor to the waypoint of its edge where the straight segment would
+    pass too close to a puncture.
     """
 
-    child: int
-    parent: int
-    kind: str
-    end: int = -1
-    a: complex = 0j
-    b: complex = 0j
-    via: complex | None = None
-
-
-@dataclass(frozen=True)
-class SampleGrid:
-    """Vertices, spanning tree and triangulation of the sampling domain."""
-
     vertices: np.ndarray
-    edges: tuple
+    edges: np.ndarray
+    via: dict
     faces: np.ndarray
     rings: int
     sectors: int
     charts: tuple
     zeta: np.ndarray
-    vertex_end: np.ndarray
-    vertex_ring: np.ndarray
-    vertex_sector: np.ndarray
     base_index: int
 
     @property
@@ -235,28 +230,29 @@ class SampleGrid:
         ns = self.sectors
         return (end * self.rings + ring) * ns + sector % ns
 
+    def annulus_position(self, v: int) -> tuple[int, int, int]:
+        """(end, ring, sector) of annulus vertex v, inverting annulus_index."""
+        if not 0 <= v < len(self.zeta):
+            raise ValueError(f"vertex {v} is not an annulus vertex")
+        end_ring, sector = divmod(int(v), self.sectors)
+        return (*divmod(end_ring, self.rings), sector)
+
 
 _PUNCTURES = (0.0 + 0.0j, 1.0 + 0.0j)
 
 
-def _segment_edge(child, parent, za, zb):
-    validate_path(segment(za, zb), _PUNCTURES, CLEARANCE_FACTOR)
-    return GridEdge(child=child, parent=parent, kind="segment", a=complex(za), b=complex(zb))
-
-
-def _anchor_edge(child, parent, za, zb):
-    """The tree edge from the base point to an end's anchor: the straight
-    segment where it keeps the clearance from the punctures, else a route
-    through whichever apex of the right isosceles triangles over the segment
-    leaves both legs more room."""
+def _anchor_waypoint(za, zb):
+    """Waypoint of the tree edge from the base point to an end's anchor, or
+    None: the straight segment where it keeps the clearance from the
+    punctures, else a route through whichever apex of the right isosceles
+    triangles over the segment leaves both legs more room."""
     route = segment(za, zb)
     if path_clearance(route, _PUNCTURES) < CLEARANCE_FACTOR:
         apexes = (za + (zb - za) * (0.5 + 0.5j), za + (zb - za) * (0.5 - 0.5j))
         routes = [concat(segment(za, w), segment(w, zb)) for w in apexes]
         route = max(routes, key=lambda path: path_clearance(path, _PUNCTURES))
     validate_path(route, _PUNCTURES, CLEARANCE_FACTOR)
-    via = route.pieces[0][2] if len(route.pieces) == 2 else None
-    return GridEdge(child=child, parent=parent, kind="segment", a=complex(za), b=complex(zb), via=via)
+    return route.pieces[0][2] if len(route.pieces) == 2 else None
 
 
 def sample_grid(
@@ -287,10 +283,7 @@ def sample_grid(
     nr, ns = rings, sectors
     n_ann = 3 * nr * ns
 
-    zeta = np.full(n_ann, np.nan + 0j, dtype=complex)
-    vend = np.full(n_ann, -1, dtype=np.int64)
-    vring = np.full(n_ann, -1, dtype=np.int64)
-    vsec = np.full(n_ann, -1, dtype=np.int64)
+    zeta = np.zeros(n_ann, dtype=complex)
     verts = np.zeros(n_ann, dtype=complex)
     dtheta = 2.0 * math.pi / ns
     for ch in charts:
@@ -299,11 +292,7 @@ def sample_grid(
             logr = math.log(ch.r_out) + ratio * k
             for i in range(ns):
                 idx = (ch.end * nr + k) * ns + i
-                zt = complex(logr, dtheta * i)
-                zeta[idx] = zt
-                vend[idx] = ch.end
-                vring[idx] = k
-                vsec[idx] = i
+                zeta[idx] = zt = complex(logr, dtheta * i)
                 verts[idx] = ch.to_global(ch.puncture + cmath.exp(zt))
 
     base_index = n_ann
@@ -329,22 +318,15 @@ def sample_grid(
             lattice.append(z)
 
     all_verts = np.concatenate([verts, [_BASE_POINT], np.array(lattice, dtype=complex)])
-    zeta = np.concatenate([zeta, np.full(1 + len(lattice), np.nan + 0j)])
-    vend = np.concatenate([vend, np.full(1 + len(lattice), -1, dtype=np.int64)])
-    vring = np.concatenate([vring, np.full(1 + len(lattice), -1, dtype=np.int64)])
-    vsec = np.concatenate([vsec, np.full(1 + len(lattice), -1, dtype=np.int64)])
 
     # triangulate the core over the outer rings, the base point and the lattice
-    ring0_ids = [(e * nr) * ns + i for e in range(3) for i in range(ns)]
-    local_ids = ring0_ids + [base_index] + list(range(base_index + 1, len(all_verts)))
-    pts = np.column_stack(
-        [all_verts[local_ids].real, all_verts[local_ids].imag]
-    )
-    tri = Delaunay(pts)
-    local_to_global = np.array(local_ids, dtype=np.int64)
+    ann = np.arange(n_ann).reshape(3, nr, ns)
+    ring0_ids = ann[:, 0].ravel().tolist()
+    local_ids = np.array(ring0_ids + list(range(base_index, len(all_verts))))
+    tri = Delaunay(np.column_stack([all_verts[local_ids].real, all_verts[local_ids].imag]))
     core_faces = []
     for simplex in tri.simplices:
-        gids = local_to_global[simplex]
+        gids = local_ids[simplex]
         c = all_verts[gids].mean()
         if abs(c) <= charts[0].r_out or abs(c - 1.0) <= charts[1].r_out:
             continue
@@ -352,38 +334,23 @@ def sample_grid(
             continue
         core_faces.append(gids)
 
-    faces = []
-    for e in range(3):
-        for k in range(nr - 1):
-            for i in range(ns):
-                a = (e * nr + k) * ns + i
-                b = (e * nr + k) * ns + (i + 1) % ns
-                cc = (e * nr + k + 1) * ns + (i + 1) % ns
-                d = (e * nr + k + 1) * ns + i
-                faces.append((a, b, cc))
-                faces.append((a, cc, d))
-    faces.extend(tuple(f) for f in core_faces)
-    faces = np.array(faces, dtype=np.int64)
+    # two triangles per annulus quad from sector i to i + 1 (across the
+    # seam for the last) and from ring k to k + 1
+    turn = np.roll(ann, -1, axis=2)
+    quads = np.stack([ann[:, :-1], turn[:, :-1], turn[:, 1:], ann[:, 1:]], axis=-1)
+    core_faces = np.array(core_faces, dtype=np.int64).reshape(-1, 3)
+    faces = np.concatenate([quads[..., [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3), core_faces])
 
+    # per end: base to anchor, the outer ring's arcs, the spokes ring by ring
     edges = []
-    for ch in charts:
-        anchor = (ch.end * nr) * ns
-        edges.append(_anchor_edge(anchor, base_index, _BASE_POINT, all_verts[anchor]))
-        for i in range(ns - 1):
-            a = (ch.end * nr) * ns + i
-            edges.append(
-                GridEdge(child=a + 1, parent=a, kind="ring_arc", end=ch.end, a=zeta[a], b=zeta[a + 1])
-            )
-        for k in range(1, nr):
-            for i in range(ns):
-                child = (ch.end * nr + k) * ns + i
-                parent = (ch.end * nr + k - 1) * ns + i
-                edges.append(
-                    GridEdge(
-                        child=child, parent=parent, kind="spoke", end=ch.end,
-                        a=zeta[parent], b=zeta[child],
-                    )
-                )
+    via = {}
+    for end in ann:
+        anchor = int(end[0, 0])
+        waypoint = _anchor_waypoint(_BASE_POINT, all_verts[anchor])
+        if waypoint is not None:
+            via[anchor] = waypoint
+        arcs = np.c_[end[0, :-1], end[0, 1:]]
+        edges += [[(base_index, anchor)], arcs, np.c_[end[:-1].ravel(), end[1:].ravel()]]
 
     # breadth-first tree over the surviving core triangulation
     adj: dict[int, set] = {}
@@ -400,7 +367,8 @@ def sample_grid(
             if v in seen or v < base_index:
                 continue
             seen.add(v)
-            edges.append(_segment_edge(v, u, all_verts[u], all_verts[v]))
+            validate_path(segment(all_verts[u], all_verts[v]), _PUNCTURES, CLEARANCE_FACTOR)
+            edges.append([(u, v)])
             queue.append(v)
     unreachable = [v for v in range(base_index + 1, len(all_verts)) if v not in seen]
     if unreachable:
@@ -411,15 +379,13 @@ def sample_grid(
 
     return SampleGrid(
         vertices=all_verts,
-        edges=tuple(edges),
+        edges=np.concatenate(edges).astype(np.int64),
+        via=via,
         faces=faces,
         rings=nr,
         sectors=ns,
         charts=charts,
         zeta=zeta,
-        vertex_end=vend,
-        vertex_ring=vring,
-        vertex_sector=vsec,
         base_index=base_index,
     )
 
@@ -460,11 +426,7 @@ class FrameTransport:
         of derived quantities.
         """
         grid = self.grid
-        end = int(grid.vertex_end[v])
-        if end < 0:
-            raise ValueError("branch continuation is defined for annulus vertices only")
-        ring = int(grid.vertex_ring[v])
-        sec = int(grid.vertex_sector[v])
+        end, ring, sec = grid.annulus_position(v)
         ns = grid.sectors
         f = self.frames[grid.annulus_index(end, 0, 0)]
         for j in range(1, ns + sec + 1):
@@ -486,61 +448,66 @@ def transport_frame(
     TRANSPORT_TOL_FACTOR, since mesh positions accumulate error over paths a
     few dozen edges deep.  Every edge is an initial value problem from the
     identity, so the edge transfers come from one batch of Chebyshev
-    collocation transfers for the core segments (a routed edge as the
-    product of its two legs) and one EndChart.transfer batch per end for
-    its ring arcs, spokes and seam; the frames are then composed in tree
-    order.  stats["n_pieces"] counts the accepted collocation pieces.
-    Raises with the offending edge identified if the solver fails, and
-    checks det F = 1 at every vertex afterwards.
+    collocation transfers for the z-chart rows (a row into a grid.via
+    anchor as the product of its two legs) and one EndChart.transfer batch
+    per end for the rows between its annulus vertices (ring arcs and
+    spokes) and its seam; the frames are then composed in row order.
+    stats["n_pieces"] counts the accepted collocation pieces.  If the
+    solver fails, the failed batch is solved again an edge at a time to
+    name the edge that stalls.  Checks det F = 1 at every vertex
+    afterwards.
     """
     tol = tol or default_tolerances()
     rtol = tol.ode * TRANSPORT_TOL_FACTOR
     params0 = data.kernel_params()
-    ns = grid.sectors
     nv = grid.n_vertices
+    n_ann = len(grid.zeta)
     transfers = np.zeros((nv, 2, 2), dtype=complex)
     seams = np.zeros((3, 2, 2), dtype=complex)
     stats: dict = {"n_pieces": 0}
 
-    def _run(names, step, a, b) -> np.ndarray:
+    def _run(step, rows, za, zb, where="") -> np.ndarray:
         try:
-            return step(np.array(a), np.array(b), rtol, stats)
+            return step(za, zb, rtol, stats)
         except StepUnderflow as exc:
             # name the edge that stalls by solving the batch one edge at a time
-            for name, x, y in zip(names, a, b):
+            for (p, c), x, y in zip(rows.tolist(), za, zb):
                 try:
                     step(np.array([x]), np.array([y]), rtol)
                 except StepUnderflow as one:
-                    raise StepUnderflow(f"transport stalled on {name}: {one}") from one
-            raise StepUnderflow(f"transport stalled on a batch of {len(a)} edges: {exc}") from exc
+                    raise StepUnderflow(f"transport stalled on edge {p}->{c}{where}: {one}") from one
+            raise StepUnderflow(f"transport stalled on a batch of {len(za)} edges: {exc}") from exc
 
-    core = [e for e in grid.edges if e.kind == "segment"]
-    routed = [e for e in core if e.via is not None]
+    in_end = (grid.edges < n_ann).all(axis=1)
+    core = grid.edges[~in_end]
+    # a routed row runs to its waypoint, and a second leg from there on
+    routed = np.isin(core[:, 1], list(grid.via))
+    anchors = core[routed, 1]
+    waypoints = np.array([grid.via[c] for c in anchors.tolist()], dtype=complex)
+    zb = grid.vertices[core[:, 1]]
+    zb[routed] = waypoints
     t = _run(
-        [f"segment edge {e.parent}->{e.child}" for e in core + routed],
         partial(chebyshev_transfers, MODE_MATRIX, params0),
-        [e.a for e in core] + [e.via for e in routed],
-        [e.b if e.via is None else e.via for e in core] + [e.b for e in routed],
+        np.r_[core, core[routed]],
+        np.r_[grid.vertices[core[:, 0]], waypoints],
+        np.r_[zb, grid.vertices[anchors]],
     )
-    transfers[[e.child for e in core]] = t[: len(core)]
-    for e, leg in zip(routed, t[len(core):]):
-        transfers[e.child] = leg @ transfers[e.child]
+    transfers[core[:, 1]] = t[: len(core)]
+    transfers[anchors] = t[len(core):] @ transfers[anchors]
+    end_of = grid.edges[:, 0] // (grid.rings * grid.sectors)
     for ch in grid.charts:
         # one extra arc per end closes the outer ring across the seam
-        mine = [e for e in grid.edges if e.end == ch.end]
-        t = _run(
-            [f"{e.kind} edge {e.parent}->{e.child} (end {ch.end + 1})" for e in mine]
-            + [f"seam arc (end {ch.end + 1})"],
-            ch.transfer,
-            [e.a for e in mine] + [grid.zeta[grid.annulus_index(ch.end, 0, ns - 1)]],
-            [e.b for e in mine] + [grid.zeta[grid.annulus_index(ch.end, 0, 0)] + 2.0j * math.pi],
-        )
-        transfers[[e.child for e in mine]] = t[:-1]
+        seam = (grid.annulus_index(ch.end, 0, -1), grid.annulus_index(ch.end, 0, 0))
+        rows = np.r_[grid.edges[in_end & (end_of == ch.end)], [seam]]
+        zb = grid.zeta[rows[:, 1]]
+        zb[-1] += 2.0j * math.pi
+        t = _run(ch.transfer, rows, grid.zeta[rows[:, 0]], zb, f" (end {ch.end + 1})")
+        transfers[rows[:-1, 1]] = t[:-1]
         seams[ch.end] = t[-1]
     frames = np.zeros((nv, 2, 2), dtype=complex)
     frames[grid.base_index] = np.eye(2)
-    for e in grid.edges:
-        frames[e.child] = transfers[e.child] @ frames[e.parent]
+    for p, c in grid.edges.tolist():
+        frames[c] = transfers[c] @ frames[p]
 
     # The determinant of a large-entry frame is an ill-conditioned 2x2
     # evaluation (terms of size |F|^2 cancel to 1), so the conservation gate
@@ -722,9 +689,16 @@ def build_mesh(
     right = inv2(np.asarray(conjugator, dtype=complex))
     nv = grid.n_vertices
     ball = project_h3(transport.frames @ right, tol).ball
-    radius = np.linalg.norm(ball, axis=1)
-    if not radius.max() < 1.0:
-        raise ValueError("a mesh position is not finite or escaped the unit ball")
+    escaped = ~(np.linalg.norm(ball, axis=1) < 1.0)
+    if escaped.any():
+        v = int(np.argmax(escaped))
+        where = "in the core"
+        if v < len(grid.zeta):
+            end, ring, _ = grid.annulus_position(v)
+            where = f"on end {end + 1}, ring {ring + 1} of {grid.rings}"
+        raise BallEscape(
+            f"a mesh position is not finite or escaped the unit ball, first at vertex {v} {where}"
+        )
     hopf = data.hopf(grid.vertices)
     hopf_abs = np.abs(hopf)
     rel = np.where(hopf_abs > 0.0, np.abs(weier.omega * weier.dg - hopf) / hopf_abs, np.inf)

@@ -120,7 +120,7 @@ def _point_base(rhos, tol: Tolerances) -> np.ndarray:
         raise NotUnitarizable("the invariant form is traceless, hence indefinite")
     h = (2.0 / tr) * cand
     _check_form(h, rhos, tol)
-    return conjugator_from_form(h, tol)
+    return conjugator_from_form(h)
 
 
 def _line_base(rhos, tol: Tolerances) -> np.ndarray:
@@ -158,7 +158,7 @@ def _line_base(rhos, tol: Tolerances) -> np.ndarray:
     return base
 
 
-def conjugator_from_form(h: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
+def conjugator_from_form(h: np.ndarray) -> np.ndarray:
     """The unit-determinant positive square root a = H^(1/2)/det(H^(1/2))^(1/2).
 
     If rho preserves H in the sense rho^* H rho = H, then a rho a^(-1) is

@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import trinoid.fuchsian
 from trinoid.config import TRANSPORT_TOL_FACTOR, default_tolerances
 from trinoid.errors import SingularPathPoint, StepUnderflow
 from trinoid.fuchsian import (
@@ -182,10 +183,12 @@ def test_monodromy_traces_and_invariants():
         assert rep.det_drift < 1e-9
 
 
-def test_loop_homotopy_invariance():
+def test_loop_homotopy_invariance(monkeypatch):
     data = build_trinoid_data(SYM23)
-    plan_a = make_path_plan(data, tol=replace(default_tolerances(), loop_radius_factor=0.25))
-    plan_b = make_path_plan(data, tol=replace(default_tolerances(), loop_radius_factor=0.15))
+    monkeypatch.setattr(trinoid.fuchsian, "LOOP_RADIUS_FACTOR", 0.25)
+    plan_a = make_path_plan(data)
+    monkeypatch.setattr(trinoid.fuchsian, "LOOP_RADIUS_FACTOR", 0.15)
+    plan_b = make_path_plan(data)
     rep_a = monodromy(data, plan=plan_a)
     rep_b = monodromy(data, plan=plan_b)
     npt.assert_allclose(rep_a.rho1, rep_b.rho1, atol=1e-8)

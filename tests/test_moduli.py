@@ -82,6 +82,16 @@ def test_irreducible_examples():
     assert not irreducible_exists((2 * PI, PI / 2, PI / 2))
 
 
+@pytest.mark.parametrize("t", [(0.5, 0.6, 0.9), (0.3, 0.4, 0.9), (2.7, 2.8, 2.9)])
+def test_irreducibility_boundary_is_empty(t):
+    # -t1 + t2 + t3 is the odd integer 1 or 3, so the cosine expression is
+    # 1 up to rounding, whose sign used to decide the class both ways
+    b = tuple(x * PI for x in t)
+    assert not irreducible_exists(b)
+    assert classify(b, "h3").status is Status.EMPTY
+    assert classify(b, "s2").status is Status.EMPTY
+
+
 def test_irreducible_agrees_with_reduction():
     # the cosine criterion and the reduced-sum criterion must agree away
     # from a neutral zone around the common boundary

@@ -13,7 +13,7 @@ from scipy.optimize import minimize, minimize_scalar
 from trinoid.algebra import fro, inv2, project_h3
 from trinoid.cli import build_surface
 from trinoid.config import CLEARANCE_FACTOR, default_tolerances
-from trinoid.errors import EmptyIntersection, NullStructureViolation, StepUnderflow
+from trinoid.errors import BallEscape, EmptyIntersection, NullStructureViolation, StepUnderflow
 from trinoid.fuchsian import MODE_MATRIX, circle, concat, monodromy, path_clearance, run_kernel, segment
 from trinoid.surface import (
     build_mesh,
@@ -190,27 +190,68 @@ def test_transfer_piece_counts_pinned_8x48(angles, pieces):
     assert recover_weierstrass(transport).stats["n_pieces"] == 1162
 
 
+ROUTED = tuple(b * math.pi for b in (1.413393, 0.790404, 1.622530))
+
+
+@pytest.mark.parametrize("angles, rings, sectors, n_edges", [
+    (SYM23, 4, 12, 186), (SYM23, 8, 48, 2089), (ROUTED, 4, 12, 191), (ROUTED, 8, 48, 2108),
+], ids=["sym23-4x12", "sym23-8x48", "routed-4x12", "routed-8x48"])
+def test_spanning_tree_rows(angles, rings, sectors, n_edges):
+    # the (parent, child) rows form a spanning tree rooted at the base
+    # point, in an order in which every frame is composed after its parent's
+    grid = sample_grid(build_trinoid_data(angles), rings=rings, sectors=sectors)
+    parent, child = grid.edges.T
+    assert len(grid.edges) == grid.n_vertices - 1 == n_edges
+    assert sorted(child.tolist()) == [v for v in range(grid.n_vertices) if v != grid.base_index]
+    row_of = {int(c): i for i, c in enumerate(child)}
+    for i, p in enumerate(parent.tolist()):
+        assert p == grid.base_index or row_of[p] < i
+    # a row between two annulus vertices runs in one end's log chart
+    n_ann = 3 * rings * sectors
+    assert len(grid.zeta) == n_ann
+    in_end = (grid.edges < n_ann).all(axis=1)
+    ends = [[grid.annulus_position(v)[0] for v in row] for row in grid.edges[in_end].tolist()]
+    assert all(a == b for a, b in ends)
+
+
+def test_annulus_faces_follow_the_index_layout():
+    # the annulus faces, listed first, are two triangles per quad from
+    # sector i to i + 1 and ring k to k + 1, in (end, ring, sector) order
+    grid = sample_grid(build_trinoid_data(SYM23), rings=4, sectors=12)
+    idx = grid.annulus_index
+    expected = []
+    for e in range(3):
+        for k in range(grid.rings - 1):
+            for i in range(grid.sectors):
+                a, b = idx(e, k, i), idx(e, k, i + 1)
+                c, d = idx(e, k + 1, i + 1), idx(e, k + 1, i)
+                expected += [(a, b, c), (a, c, d)]
+    assert grid.faces[: len(expected)].tolist() == [list(f) for f in expected]
+    for v in range(len(grid.zeta)):
+        assert idx(*grid.annulus_position(v)) == v
+
+
 def test_grazing_anchor_segment_is_routed():
     # the straight segment from the base point to the anchor of end 2 passes
     # 0.0397 from the puncture at 1 for this triple (clearance 0.05), so that
     # tree edge goes through a waypoint with both legs clear; the SYM23 and
     # BIG grids keep every edge straight
-    data = build_trinoid_data(tuple(b * math.pi for b in (1.413393, 0.790404, 1.622530)))
+    data = build_trinoid_data(ROUTED)
     grid = sample_grid(data, rings=4, sectors=12)
-    routed = [e for e in grid.edges if e.via is not None]
-    assert [e.child for e in routed] == [grid.annulus_index(1, 0, 0)]
-    e = routed[0]
-    assert path_clearance(segment(e.a, e.b), (0.0, 1.0)) < CLEARANCE_FACTOR
-    legs = concat(segment(e.a, e.via), segment(e.via, e.b))
+    assert list(grid.via) == [grid.annulus_index(1, 0, 0)]
+    (child, via), = grid.via.items()
+    a, b = grid.vertices[grid.base_index], grid.vertices[child]
+    assert path_clearance(segment(a, b), (0.0, 1.0)) < CLEARANCE_FACTOR
+    legs = concat(segment(a, via), segment(via, b))
     assert path_clearance(legs, (0.0, 1.0)) >= CLEARANCE_FACTOR
     # the anchor's frame is the product of the two collocated legs: DOPRI
     # along the same route agrees (measured 3.1e-15 relative)
-    anchor = transport_frame(data, grid).frames[e.child]
+    anchor = transport_frame(data, grid).frames[child]
     ref = run_kernel(legs, MODE_MATRIX, data.kernel_params(), np.eye(2), 1e-13)
     assert np.abs(anchor - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
     for angles in (SYM23, BIG):
         data = build_trinoid_data(angles)
-        assert all(e.via is None for e in sample_grid(data, rings=4, sectors=12).edges)
+        assert sample_grid(data, rings=4, sectors=12).via == {}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +347,7 @@ def test_mesh_inside_ball(sym, big):
 def test_mesh_rejects_non_finite_positions(sym):
     # a nan position fails the unit-ball check like one outside the ball
     _, _, transport, weier, _, _ = sym
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite or escaped"):
+    with np.errstate(invalid="ignore"), pytest.raises(BallEscape, match="not finite or escaped"):
         build_mesh(transport, weier, np.full((2, 2), np.nan))
 
 
@@ -388,7 +429,7 @@ def test_branch_frame_carries_local_monodromy(sym, big):
         for v in range(3 * grid.rings * grid.sectors):
             f = transport.frames[v]
             loop = transport.branch_frame(v) @ inv2(f)
-            expected = -2.0 * math.cos(data.angles[grid.vertex_end[v]])
+            expected = -2.0 * math.cos(data.angles[grid.annulus_position(v)[0]])
             assert abs(np.trace(loop) - expected) <= 1e-9 * max(1.0, fro(f) ** 2)
 
 
