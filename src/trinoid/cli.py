@@ -2,8 +2,12 @@
 
 Every command prints one JSON document with sorted keys and floats fixed
 at seventeen significant digits, so identical configurations produce byte
-identical output.  Exit codes: 0 success, 2 invalid input, 3 numerical
-failure, 4 empty moduli for a mesh request.
+identical output.  Each command reads the argparse namespace, with the
+angle, base point and deformation strings replaced by their parsed values
+and the tolerances added (``_config_from``); ``COMMANDS`` maps the
+subcommand name to it.  An error's type carries its exit code: 2 for
+invalid input (``TrinoidError`` and ``ValueError``), 3 for a
+``NumericalFailure``, 4 for empty moduli in a mesh request; 0 is success.
 """
 
 from __future__ import annotations
@@ -19,18 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import eigenvalues_2x2
-from .config import Tolerances, default_tolerances
-from .errors import (
-    BallEscape,
-    NonSL2Input,
-    NotPositiveDefinite,
-    NotUnitarizable,
-    NullStructureViolation,
-    SingularPathPoint,
-    StepUnderflow,
-    TrinoidError,
-    ZeroCoefficient,
-)
+from .config import default_tolerances
+from .errors import NotUnitarizable, TrinoidError, ZeroCoefficient
 from .fuchsian import MonodromyRep, Source, make_path_plan, monodromy, projective_equivalence
 from .moduli import (
     ModuliClass,
@@ -41,7 +35,7 @@ from .moduli import (
     fh_attach_hemisphere,
     hanbetu_holds,
     irreducible_exists,
-    reduce_angles,
+    irreducible_reduced_sum,
     type_signature,
 )
 from .surface import (
@@ -66,24 +60,9 @@ _EMPTYISH = (Status.EMPTY, Status.EXCLUDED_ANGLE_IS_PI, Status.DEGENERATE_HANBET
 
 
 class _EmptyModuli(TrinoidError):
-    pass
+    """The h3 classification leaves no surface to mesh."""
 
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: angles in radians plus every knob a command reads."""
-
-    angles: tuple[float, float, float]
-    target: str = "h3"
-    tol: Tolerances = dataclasses.field(default_factory=default_tolerances)
-    base_point: complex | None = None
-    rings: int | None = None
-    sectors: int | None = None
-    deform: tuple[float, ...] | None = None
-    seed: int | None = None
-    out: str | None = None
-    fmt: str = "obj"
-    json_path: str | None = None
+    exit_code = 4
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +125,23 @@ def _class_json(mc) -> dict:
 # commands
 
 
-def cmd_classify(cfg: RunConfig) -> dict:
+def cmd_classify(ns: argparse.Namespace) -> dict:
     """Classification report: exponents, existence gates, both targets."""
-    b = cfg.angles
+    b, tol = ns.angles, ns.tol
     cone = conical_data(b)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "classify",
         "angles": _angles_json(b),
-        "target": cfg.target,
-        "seed": cfg.seed,
+        "target": ns.target,
+        "seed": ns.seed,
         "beta": list(cone.beta),
         "c": list(cone.c),
-        "hanbetu": hanbetu_holds(cone, cfg.tol),
-        "irreducible_quadratic": irreducible_exists(b, cfg.tol),
-        "irreducible_reduced_sum": sum(reduce_angles(b)) > math.pi,
-        "h3": _class_json(classify(b, target="h3", tol=cfg.tol)),
-        "s2": _class_json(classify(b, target="s2", tol=cfg.tol)),
+        "hanbetu": hanbetu_holds(cone, tol),
+        "irreducible_quadratic": irreducible_exists(b, tol),
+        "irreducible_reduced_sum": irreducible_reduced_sum(b, tol),
+        "h3": _class_json(classify(b, target="h3", tol=tol)),
+        "s2": _class_json(classify(b, target="s2", tol=tol)),
     }
     try:
         report["type_signature"] = list(type_signature(cone))
@@ -173,22 +152,27 @@ def cmd_classify(cfg: RunConfig) -> dict:
     return report
 
 
-def cmd_monodromy(cfg: RunConfig) -> dict:
-    """Monodromy report: generators, eigenvalue checks, unitarizability."""
-    b = cfg.angles
-    data = build_trinoid_data(b, cfg.tol)
-    plan = make_path_plan(data, base_point=cfg.base_point)
-    rep = monodromy(data, plan=plan, tol=cfg.tol)
-    scalar = monodromy(data, plan=plan, source=Source.SCALAR_ODE, tol=cfg.tol)
+def cmd_monodromy(ns: argparse.Namespace) -> dict:
+    """Monodromy report: generators, eigenvalue checks, unitarizability.
+
+    det_drift_passed reads the det gate (det_drift <= Tolerances.det) but
+    does not fail the command: a drift past it is reported, with exit 0.
+    """
+    b, tol = ns.angles, ns.tol
+    data = build_trinoid_data(b, tol)
+    plan = make_path_plan(data, base_point=ns.base_point)
+    rep = monodromy(data, plan=plan, tol=tol)
+    scalar = monodromy(data, plan=plan, source=Source.SCALAR_ODE, tol=tol)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "monodromy",
         "angles": _angles_json(b),
-        "seed": cfg.seed,
+        "seed": ns.seed,
         "base_point": complex(plan.base_point),
         "det_drift": rep.det_drift,
+        "det_drift_passed": bool(rep.det_drift <= tol.det),
         "err_estimate": rep.err_estimate,
-        "scalar_matrix_equivalent": projective_equivalence(rep, scalar, cfg.tol),
+        "scalar_matrix_equivalent": projective_equivalence(rep, scalar, tol),
         "generators": {},
     }
     for name, rho, angle in (
@@ -207,7 +191,7 @@ def cmd_monodromy(cfg: RunConfig) -> dict:
             "trace_defect": abs(trace - expected),
         }
     try:
-        space = unitarizer_space(rep, b, cfg.tol)
+        space = unitarizer_space(rep, b, tol)
         report["unitarizable"] = True
         report["unitarizer_kind"] = space.kind.value
         report["unitarizer_dimension"] = space.dim
@@ -219,9 +203,9 @@ def cmd_monodromy(cfg: RunConfig) -> dict:
         # report falls back to it for the space kind
         report["unitarizable"] = False
         report["unitarizable_detail"] = str(exc)
-        verdict = classify(b, target="h3", tol=cfg.tol)
+        verdict = classify(b, target="h3", tol=tol)
         if verdict.status in (Status.REDUCIBLE_C1, Status.REDUCIBLE_C2):
-            space = unitarizer_space(family_representation(b, cfg.tol), b, cfg.tol)
+            space = unitarizer_space(family_representation(b, tol), b, tol)
             report["unitarizer_kind"] = space.kind.value
             report["unitarizer_dimension"] = space.dim
             report["unitarizer_source"] = "family"
@@ -284,7 +268,7 @@ def build_surface(angles, rings=8, sectors=48, deform=None, tol=None) -> Surface
     )
 
 
-def cmd_mesh(cfg: RunConfig) -> dict:
+def cmd_mesh(ns: argparse.Namespace) -> dict:
     """Generate and export the mesh, reporting residual diagnostics.
 
     max_omega_dg_residual is the largest relative omega dg residual (the
@@ -295,17 +279,16 @@ def cmd_mesh(cfg: RunConfig) -> dict:
     for 2/3,2/3,2/3); it does not see an error of the vertex frames
     themselves.  No gate reads it.
     """
-    sizes = {k: v for k, v in (("rings", cfg.rings), ("sectors", cfg.sectors)) if v is not None}
-    surf = build_surface(cfg.angles, deform=cfg.deform, tol=cfg.tol, **sizes)
+    surf = build_surface(ns.angles, ns.rings, ns.sectors, ns.deform, ns.tol)
     grid, transport, weier = surf.grid, surf.transport, surf.weier
 
-    out = cfg.out or f"trinoid.{cfg.fmt}"
-    if cfg.fmt == "ply":
+    out = ns.out or f"trinoid.{ns.fmt}"
+    if ns.fmt == "ply":
         export_ply(surf.mesh, out)
     else:
         export_obj(surf.mesh, out)
 
-    rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
+    rng = np.random.default_rng(ns.seed if ns.seed is not None else 0)
     checks = []
     for e in range(3):
         for k in sorted(rng.choice(grid.rings, size=min(2, grid.rings), replace=False)):
@@ -314,7 +297,7 @@ def cmd_mesh(cfg: RunConfig) -> dict:
             checks.append(
                 {
                     "vertex": int(v),
-                    "defect": well_definedness_defect(transport, surf.conj, v, tol=cfg.tol),
+                    "defect": well_definedness_defect(transport, surf.conj, v, tol=ns.tol),
                 }
             )
     worst = max(c["defect"] for c in checks)
@@ -322,14 +305,14 @@ def cmd_mesh(cfg: RunConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "mesh",
-        "angles": _angles_json(cfg.angles),
-        "seed": cfg.seed,
+        "angles": _angles_json(ns.angles),
+        "seed": ns.seed,
         "classification": _class_json(surf.verdict),
         "unitarizer_kind": surf.space.kind.value,
         "deformation": list(surf.deform),
         "grid": {"rings": grid.rings, "sectors": grid.sectors},
         "files": [str(out)],
-        "format": cfg.fmt,
+        "format": ns.fmt,
         "n_vertices": grid.n_vertices,
         "n_faces": int(len(grid.faces)),
         "max_det_defect": transport.stats["max_det_defect"],
@@ -337,31 +320,30 @@ def cmd_mesh(cfg: RunConfig) -> dict:
         "well_definedness": {
             "checks": checks,
             "max_defect": worst,
-            "passed": bool(worst < cfg.tol.well_defined),
+            "passed": bool(worst < ns.tol.well_defined),
         },
     }
 
 
-def cmd_fh(cfg: RunConfig, op: str, edge=None, vertex=None, edge_other=None) -> dict:
+def cmd_fh(ns: argparse.Namespace) -> dict:
     """Angle surgery report: classification before and after."""
-    b = cfg.angles
-    before = classify(b, target=cfg.target, tol=cfg.tol)
-    if op == "hemisphere":
+    b, tol = ns.angles, ns.tol
+    edge = None if ns.edge is None else tuple(int(p) for p in _parse_pair(ns.edge, "--edge"))
+    before = classify(b, target=ns.target, tol=tol)
+    if ns.op == "hemisphere":
         if edge is None:
             raise ValueError("hemisphere surgery needs --edge i,j")
         after_angles = fh_attach_hemisphere(b, edge)
-    elif op == "bigon":
-        if vertex is None or edge_other is None:
-            raise ValueError("bigon surgery needs --vertex and --edge-other")
-        after_angles = fh_attach_bigon(b, vertex, edge_other)
     else:
-        raise ValueError(f"unknown surgery {op!r}")
-    after = classify(after_angles, target=cfg.target, tol=cfg.tol)
+        if ns.vertex is None or ns.edge_other is None:
+            raise ValueError("bigon surgery needs --vertex and --edge-other")
+        after_angles = fh_attach_bigon(b, ns.vertex, ns.edge_other)
+    after = classify(after_angles, target=ns.target, tol=tol)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "fh",
-        "operation": op,
-        "target": cfg.target,
+        "operation": ns.op,
+        "target": ns.target,
         "angles_before": _angles_json(b),
         "angles_after": _angles_json(after_angles),
         "before": _class_json(before),
@@ -425,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     command("monodromy", "loop transport report", "--tol-ode", "--base-point", "--seed")
 
     p_mesh = command("mesh", "generate and export a surface mesh", "--tol-ode", "--seed")
-    p_mesh.add_argument("--rings", type=int, default=None)
-    p_mesh.add_argument("--sectors", type=int, default=None)
+    p_mesh.add_argument("--rings", type=int, default=8)
+    p_mesh.add_argument("--sectors", type=int, default=48)
     p_mesh.add_argument("--deform", default=None, help="t1 or t1,t2,t3 family parameters")
     p_mesh.add_argument("--out", default=None)
     p_mesh.add_argument("--format", choices=("obj", "ply"), default="obj", dest="fmt")
@@ -439,38 +421,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    get = vars(ns).get
-    angles = _parse_angles(ns.angles, ns.units)
-    base_point = None
-    if get("base_point") is not None:
+def _config_from(ns: argparse.Namespace) -> argparse.Namespace:
+    """Replace the raw --angles, --base-point and --deform strings on ns by
+    their parsed values, add the tolerances as ns.tol, and return ns."""
+    opts = vars(ns)
+    ns.angles = _parse_angles(ns.angles, ns.units)
+    if opts.get("base_point") is not None:
         re_s, im_s = _parse_pair(ns.base_point, "--base-point")
         base_point = complex(float(re_s), float(im_s))
         if not cmath.isfinite(base_point):
             raise ValueError(f"--base-point must be finite, got {ns.base_point!r}")
-    deform = None
-    if get("deform") is not None:
+        ns.base_point = base_point
+    if opts.get("deform") is not None:
         deform = tuple(float(p) for p in ns.deform.split(","))
         if not all(map(math.isfinite, deform)):
             raise ValueError(f"--deform values must be finite, got {ns.deform!r}")
-    tol = default_tolerances()
-    if get("tol_ode") is not None:
+        ns.deform = deform
+    ns.tol = default_tolerances()
+    if opts.get("tol_ode") is not None:
         if not 0.0 < ns.tol_ode < math.inf:
             raise ValueError(f"--tol-ode must be a finite positive float, got {ns.tol_ode!r}")
-        tol = dataclasses.replace(tol, ode=ns.tol_ode)
-    return RunConfig(
-        angles=angles,
-        target=get("target", "h3"),
-        tol=tol,
-        base_point=base_point,
-        rings=get("rings"),
-        sectors=get("sectors"),
-        deform=deform,
-        seed=get("seed"),
-        out=get("out"),
-        fmt=get("fmt", "obj"),
-        json_path=ns.json,
-    )
+        ns.tol = dataclasses.replace(ns.tol, ode=ns.tol_ode)
+    return ns
 
 
 def _emit(report: dict, path: str | None) -> None:
@@ -482,38 +454,22 @@ def _emit(report: dict, path: str | None) -> None:
             fh.write(text)
 
 
+COMMANDS = {"classify": cmd_classify, "monodromy": cmd_monodromy, "mesh": cmd_mesh, "fh": cmd_fh}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     try:
-        cfg = _config_from(ns)
-        if ns.cmd == "classify":
-            report = cmd_classify(cfg)
-        elif ns.cmd == "monodromy":
-            report = cmd_monodromy(cfg)
-        elif ns.cmd == "mesh":
-            report = cmd_mesh(cfg)
-        else:
-            edge = None
-            if ns.edge is not None:
-                edge = tuple(int(p) for p in _parse_pair(ns.edge, "--edge"))
-            report = cmd_fh(cfg, ns.op, edge=edge, vertex=ns.vertex, edge_other=ns.edge_other)
-    except _EmptyModuli as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (StepUnderflow, SingularPathPoint, NonSL2Input, NullStructureViolation,
-            NotUnitarizable, NotPositiveDefinite, BallEscape) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        report = COMMANDS[ns.cmd](_config_from(ns))
     except (ValueError, TrinoidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
-    _emit(report, cfg.json_path)
+    _emit(report, ns.json)
     return 0
 
 

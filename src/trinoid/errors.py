@@ -1,11 +1,25 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package.
+
+Each error type carries the exit code the command line returns for it:
+``TrinoidError`` and its direct subclasses are invalid input (2), and a
+``NumericalFailure`` is a computation that could not meet its gates on a
+valid input (3).
+"""
 
 
 class TrinoidError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    exit_code = 2
 
-class NonSL2Input(TrinoidError):
+
+class NumericalFailure(TrinoidError):
+    """Base class for the failures of a computation on a valid input."""
+
+    exit_code = 3
+
+
+class NonSL2Input(NumericalFailure):
     """A matrix expected to lie in SL(2, C) has determinant away from 1."""
 
 
@@ -29,11 +43,11 @@ class BigonRequiresAcute(TrinoidError):
     """Bigon attachment needs the modified half-angle to satisfy B < pi."""
 
 
-class SingularPathPoint(TrinoidError):
+class SingularPathPoint(NumericalFailure):
     """An integration path passes within clearance of a singular point."""
 
 
-class StepUnderflow(TrinoidError):
+class StepUnderflow(NumericalFailure):
     """A transport step could not be resolved near a singular point.
 
     Raised when adaptive step control shrinks the step below the useful
@@ -42,7 +56,7 @@ class StepUnderflow(TrinoidError):
     """
 
 
-class NotUnitarizable(TrinoidError):
+class NotUnitarizable(NumericalFailure):
     """No conjugation of the kind its moduli class fixes makes the rep unitary.
 
     The invariant form is not positive definite, or the rep contradicts its
@@ -50,15 +64,15 @@ class NotUnitarizable(TrinoidError):
     """
 
 
-class NotPositiveDefinite(TrinoidError):
+class NotPositiveDefinite(NumericalFailure):
     """A Hermitian matrix required to be positive definite is not."""
 
 
-class NullStructureViolation(TrinoidError):
+class NullStructureViolation(NumericalFailure):
     """Recovered connection data is not rank one trace free within drift tolerance."""
 
 
-class BallEscape(TrinoidError):
+class BallEscape(NumericalFailure):
     """A projected mesh position is not finite or lies outside the open unit ball."""
 
 

@@ -120,23 +120,43 @@ def reduce_angles(angles) -> tuple[float, float, float]:
     return (out1, out2, out3)
 
 
+def _on_irreducibility_boundary(b, tol: Tolerances) -> bool:
+    """Whether some t1 +- t2 +- t3 (t = B/pi) is within tol.integer of an odd integer.
+
+    There 1 - c1^2 - c2^2 - c3^2 - 2 c1 c2 c3 = -4 prod cos((+-B1 +- B2 +- B3)/2)
+    vanishes and the reduced angles sum to pi, so the sign of either
+    irreducibility criterion is a rounding error.
+    """
+    t1, t2, t3 = (x / math.pi for x in b)
+    return any(
+        _near_int(s, tol.integer) and round(s) % 2 == 1
+        for s in (t1 + t2 + t3, -t1 + t2 + t3, t1 - t2 + t3, t1 + t2 - t3)
+    )
+
+
 def irreducible_exists(angles, tol: Tolerances | None = None) -> bool:
     """Strict spherical-triangle-type inequality on the cosines.
 
-    1 - c1^2 - c2^2 - c3^2 - 2 c1 c2 c3 = -4 prod cos((+-B1 +- B2 +- B3)/2),
-    so the expression vanishes exactly where some t1 +- t2 +- t3 (with
-    t = B/pi) is an odd integer.  Within tol.integer of that boundary the
-    sign of the expression is a rounding error, and the triple counts as
-    not irreducible; away from it the inequality decides.
+    A triple on the irreducibility boundary (see _on_irreducibility_boundary)
+    counts as not irreducible; away from it the inequality decides.
     """
     tol = tol or default_tolerances()
     b = _check_angles(angles)
-    t1, t2, t3 = (x / math.pi for x in b)
-    for s in (t1 + t2 + t3, -t1 + t2 + t3, t1 - t2 + t3, t1 + t2 - t3):
-        if _near_int(s, tol.integer) and round(s) % 2 == 1:
-            return False
+    if _on_irreducibility_boundary(b, tol):
+        return False
     c1, c2, c3 = (math.cos(x) for x in b)
     return c1 * c1 + c2 * c2 + c3 * c3 + 2.0 * c1 * c2 * c3 < 1.0
+
+
+def irreducible_reduced_sum(angles, tol: Tolerances | None = None) -> bool:
+    """The reduced-sum criterion: the reduced angles sum to more than pi.
+
+    Equivalent to irreducible_exists, and like it false on the boundary,
+    where the reduced sum is pi up to rounding.
+    """
+    tol = tol or default_tolerances()
+    b = _check_angles(angles)
+    return not _on_irreducibility_boundary(b, tol) and sum(reduce_angles(b)) > math.pi
 
 
 def _near_int(x: float, tol: float) -> bool:

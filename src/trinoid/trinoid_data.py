@@ -134,8 +134,7 @@ class TrinoidData:
 def build_trinoid_data(angles, tol: Tolerances | None = None) -> TrinoidData:
     hopf = build_hopf(angles, tol)
     q = umbilics(hopf, tol)
-    gauss = build_gauss_map(q, tol)
-    return TrinoidData(angles=tuple(float(x) for x in angles), hopf=hopf, q=q, gauss=gauss)
+    return TrinoidData(angles=tuple(float(x) for x in angles), hopf=hopf, q=q, gauss=GaussMap(q))
 
 
 def build_hopf(angles, tol: Tolerances | None = None) -> HopfDifferential:
@@ -161,13 +160,6 @@ def umbilics(hopf: HopfDifferential, tol: Tolerances | None = None) -> UmbilicPa
         raise DegenerateHanbetu(f"umbilic points coincide: {r1} vs {r2}")
     q1, q2 = sorted((r1, r2), key=lambda z: (z.real, z.imag))
     return UmbilicPair(q1=q1, q2=q2)
-
-
-def build_gauss_map(q: UmbilicPair, tol: Tolerances | None = None) -> GaussMap:
-    tol = tol or default_tolerances()
-    if abs(q.q1 - q.q2) <= tol.umbilic:
-        raise DegenerateHanbetu("Gauss map needs distinct umbilic points")
-    return GaussMap(q=q)
 
 
 def hypergeometric_params(angles, signs=(1, 1, -1)) -> HypergeometricParams:

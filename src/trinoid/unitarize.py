@@ -206,12 +206,8 @@ def family_representation(
             [-cmath.exp(1j * b[i]), -cmath.exp(-1j * b[i])]
         )
         j = others[1]
-        if j == 0:
-            rhos[0] = inv2(rhos[1] @ rhos[2])
-        elif j == 1:
-            rhos[1] = inv2(rhos[0]) @ inv2(rhos[2])
-        else:
-            rhos[2] = inv2(rhos[0] @ rhos[1])
+        # diagonal generators commute, so the closing relation forces this
+        rhos[j] = inv2(rhos[k] @ rhos[i])
         want = {-cmath.exp(1j * b[j]), -cmath.exp(-1j * b[j])}
         got = rhos[j][0, 0]
         if min(abs(got - w) for w in want) > 1e-8:

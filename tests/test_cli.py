@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import trinoid.cli
+from trinoid import errors
 from trinoid.cli import main
 from trinoid.config import Tolerances, default_tolerances
 from trinoid.trinoid_data import hypergeometric_params
@@ -89,6 +90,8 @@ def test_monodromy_report(tmp_path):
     rep = run_json(tmp_path, "mono", ["monodromy", "--angles", "2/3,2/3,2/3"])
     assert rep["command"] == "monodromy"
     assert rep["scalar_matrix_equivalent"] is True
+    assert rep["det_drift"] <= default_tolerances().det
+    assert rep["det_drift_passed"] is True
     assert rep["unitarizable"] is True
     assert rep["unitarizer_kind"] == "SinglePoint"
     assert rep["unitarizer_dimension"] == 0
@@ -131,6 +134,9 @@ def test_monodromy_near_boundary_triple_unitarizable(tmp_path):
     # the unique invariant form of the loop transports unitarizes them
     rep = run_json(tmp_path, "near", ["monodromy", "--angles", "1.712131,0.249075,0.930997"])
     assert rep["unitarizable"] is True
+    # the det drift (3.8e-9) is past its gate: the report says so, exit 0
+    assert rep["det_drift"] > default_tolerances().det
+    assert rep["det_drift_passed"] is False
     assert "unitarizable_detail" not in rep
     assert rep["unitarizer_kind"] == "SinglePoint"
     assert rep["unitarizer_source"] == "ode"
@@ -271,6 +277,42 @@ def test_input_error_exit_codes():
     # unknown flags are an argparse error, also code 2
     assert main(["classify", "--angles", "1,1,1", "--bogus"]) == 2
     assert main([]) == 2
+
+
+# every TrinoidError type the package defines, with the exit code of main
+ERROR_EXIT_CODES = {
+    "TrinoidError": 2,
+    "ExcludedAngleIsPi": 2,
+    "DegenerateHanbetu": 2,
+    "ZeroCoefficient": 2,
+    "BadEdge": 2,
+    "BigonRequiresAcute": 2,
+    "EmptyIntersection": 2,
+    "NumericalFailure": 3,
+    "NonSL2Input": 3,
+    "SingularPathPoint": 3,
+    "StepUnderflow": 3,
+    "NotUnitarizable": 3,
+    "NotPositiveDefinite": 3,
+    "NullStructureViolation": 3,
+    "BallEscape": 3,
+}
+
+
+def test_every_error_type_has_its_exit_code(monkeypatch, capsys):
+    # a new error type must come with its exit code in the table above
+    defined = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.TrinoidError)
+    }
+    assert defined == set(ERROR_EXIT_CODES)
+    for name, code in ERROR_EXIT_CODES.items():
+        def fail(*args, **kwargs):
+            raise getattr(errors, name)(f"{name} raised")
+
+        monkeypatch.setattr(trinoid.cli, "build_trinoid_data", fail)
+        assert main(["monodromy", "--angles", "2/3,2/3,2/3"]) == code, name
+        assert capsys.readouterr().err == f"error: {name} raised\n"
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "0", "abc"])

@@ -14,6 +14,7 @@ from trinoid.moduli import (
     fh_attach_hemisphere,
     hanbetu_holds,
     irreducible_exists,
+    irreducible_reduced_sum,
     reduce_angles,
     type_signature,
     type_signature_raw,
@@ -85,9 +86,11 @@ def test_irreducible_examples():
 @pytest.mark.parametrize("t", [(0.5, 0.6, 0.9), (0.3, 0.4, 0.9), (2.7, 2.8, 2.9)])
 def test_irreducibility_boundary_is_empty(t):
     # -t1 + t2 + t3 is the odd integer 1 or 3, so the cosine expression is
-    # 1 up to rounding, whose sign used to decide the class both ways
+    # 1 and the reduced sum pi up to rounding, whose sign used to decide
+    # both criteria, and the class, both ways
     b = tuple(x * PI for x in t)
     assert not irreducible_exists(b)
+    assert not irreducible_reduced_sum(b)
     assert classify(b, "h3").status is Status.EMPTY
     assert classify(b, "s2").status is Status.EMPTY
 
@@ -105,6 +108,7 @@ def test_irreducible_agrees_with_reduction():
         if abs(val - 1.0) < 1e-9 or abs(s - PI) < 1e-9:
             continue
         assert irreducible_exists(b) == (s > PI)
+        assert irreducible_reduced_sum(b) == (s > PI)
         checked += 1
     assert checked > 9000
 

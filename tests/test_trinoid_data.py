@@ -9,7 +9,7 @@ from trinoid.algebra import is_inf
 from trinoid.errors import DegenerateHanbetu, ExcludedAngleIsPi
 from trinoid.moduli import Status, classify, conical_data, hanbetu_holds
 from trinoid.trinoid_data import (
-    build_gauss_map,
+    GaussMap,
     build_hopf,
     build_trinoid_data,
     hypergeometric_params,
@@ -115,7 +115,7 @@ def test_hanbetu_agrees_with_discriminant():
 def test_gauss_map_symmetric_closed_form():
     q = build_hopf((PI / 2, PI / 2, PI / 2))
     u = umbilics(q)
-    g = build_gauss_map(u)
+    g = GaussMap(u)
     # (q1-q2)^2 = -3 and q1+q2 = 1: G(z) = z - 3/(2(2z-1))
     for z in (0.3 + 0.2j, -1.0 + 1.0j, 4.0):
         expect = z - 3 / (2 * (2 * z - 1))
@@ -128,7 +128,7 @@ def test_gauss_map_branched_exactly_at_umbilics():
     rng = np.random.default_rng(33)
     for b in admissible_triples(rng, 100):
         u = umbilics(build_hopf(b))
-        g = build_gauss_map(u)
+        g = GaussMap(u)
         assert abs(g.deriv(u.q1)) < 1e-10
         assert abs(g.deriv(u.q2)) < 1e-10
         # unbranched at the punctures
@@ -138,7 +138,7 @@ def test_gauss_map_branched_exactly_at_umbilics():
 
 def test_gauss_map_derivs_match_finite_differences():
     u = umbilics(build_hopf((2 * PI, PI / 2, PI / 2)))
-    g = build_gauss_map(u)
+    g = GaussMap(u)
     h = 1e-5
     for z in (0.4 + 0.2j, -1.1 + 0.8j, 2.3 - 0.5j):
         fd1 = (g(z + h) - g(z - h)) / (2 * h)
