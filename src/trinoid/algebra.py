@@ -149,11 +149,6 @@ def project_h3(f: np.ndarray, tol: Tolerances | None = None) -> H3Point:
     return H3Point(minkowski=mink, ball=ball)
 
 
-def ball_distance(p: H3Point, q: H3Point) -> float:
-    """Euclidean distance of the two ball images (used for agreement tests)."""
-    return float(np.linalg.norm(p.ball - q.ball))
-
-
 def eigenvalues_2x2(m: np.ndarray):
     """Both eigenvalues, ordered by (Re, Im) lexicographically descending.
 

@@ -3,9 +3,12 @@
 Paths are chains of straight segments and circular arcs.  Transport of the
 rank-one matrix system, of the associated scalar equation, and of the
 hypergeometric equation all go through the Dormand-Prince engine of
-_kernel; this module plans loops that keep clear of every singular point,
-runs the kernel, and packages loop transports into a monodromy
-representation with the defining relation rho1 rho2 rho3 = 1.
+_kernel; this module plans loops from the one base point BASE_POINT that
+keep clear of the equations' singular points (the punctures and the
+Gauss-map pole, see TrinoidData.finite_singular_points), runs the kernel,
+and packages loop transports into a monodromy representation with the
+defining relation rho1 rho2 rho3 = 1.  The sample grid of the mesh is
+rooted at the same BASE_POINT, so its frames and the loops share a base.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ MODE_SCALAR = 1
 MODE_HYPERGEOMETRIC = 2
 MODE_LOG_CHART = 4
 
-_DEFAULT_BASE = 0.5 + 0.5j
+# The base point of the monodromy loops and of the sample grid's tree.
+# Real angles put the Gauss-map pole on the real axis, so it is at least
+# 0.5 away, far past the clearance of any plan.
+BASE_POINT = 0.5 + 0.5j
 # Largest |explicit base point|.  The tolerance is per unit arclength, so
 # loop error grows with the legs from the base: at |base| = 1e3 the
 # determinant drift of 2/3,2/3,2/3 already exceeds Tolerances.det.
@@ -66,15 +72,6 @@ class Path:
         if p[0] == "seg":
             return p[2]
         return p[1] + p[2] * cmath.exp(1j * p[4])
-
-    def reversed(self) -> "Path":
-        rev = []
-        for p in self.pieces[::-1]:
-            if p[0] == "seg":
-                rev.append(("seg", p[2], p[1]))
-            else:
-                rev.append(("arc", p[1], p[2], p[4], p[3]))
-        return Path(tuple(rev))
 
 
 def segment(a: complex, b: complex) -> Path:
@@ -159,27 +156,6 @@ def _min_pairwise(points) -> float:
     return best if best < math.inf else 1.0
 
 
-def choose_base_point(singular_points, clearance: float) -> complex:
-    """Default base point, or a grid fallback when it sits too close.
-
-    The fallback maximizes the minimum distance to the singular set over a
-    coarse grid, breaking ties toward the default.
-    """
-    floor = max(0.1, 1.2 * clearance)
-    if min(abs(_DEFAULT_BASE - s) for s in singular_points) >= floor:
-        return _DEFAULT_BASE
-    best = None
-    best_key = None
-    for xi in range(-20, 31):
-        for yi in range(-20, 21):
-            z = complex(0.1 * xi, 0.1 * yi)
-            dmin = min(abs(z - s) for s in singular_points)
-            key = (dmin, -abs(z - _DEFAULT_BASE))
-            if best_key is None or key > best_key:
-                best, best_key = z, key
-    return best
-
-
 def _build_loop(base, center, other_puncture, singular_points, radius_factor, clearance):
     """Route base -> circle entry, a full turn, and back, respecting clearance.
 
@@ -215,11 +191,12 @@ def _build_loop(base, center, other_puncture, singular_points, radius_factor, cl
 def make_path_plan(data, base_point: complex | None = None) -> PathPlan:
     """Plan the two monodromy loops for trinoid data or an explicit point set.
 
-    data may be a TrinoidData (its punctures, umbilics and Gauss-map pole
-    are all kept clear of) or a bare sequence of finite singular points
-    that must include 0 and 1.  The loop radii start at
-    LOOP_RADIUS_FACTOR times the distance between the punctures.
-    Raises ValueError for an explicit base point farther than 100 from
+    data may be a TrinoidData (its punctures and Gauss-map pole are kept
+    clear of) or a bare sequence of finite singular points that must
+    include 0 and 1.  The base is BASE_POINT unless one is given; either
+    way it must keep the clearance, or SingularPathPoint is raised.  The
+    loop radii start at LOOP_RADIUS_FACTOR times the distance between the
+    punctures.  Raises ValueError for a base point farther than 100 from
     the origin.
     """
     if isinstance(data, TrinoidData):
@@ -227,17 +204,14 @@ def make_path_plan(data, base_point: complex | None = None) -> PathPlan:
     else:
         singular = tuple(complex(s) for s in data)
     clearance = CLEARANCE_FACTOR * _min_pairwise(singular)
-    if base_point is None:
-        base = choose_base_point(singular, clearance)
-    else:
-        base = complex(base_point)
-        if not abs(base) <= _MAX_BASE_MODULUS:
-            raise ValueError(
-                f"base point {base} lies {abs(base):.3g} from the origin; loop error "
-                f"grows with loop length, so at most {_MAX_BASE_MODULUS:g} is accepted"
-            )
-        if min(abs(base - s) for s in singular) < clearance:
-            raise SingularPathPoint(f"base point {base} violates clearance {clearance:.3g}")
+    base = BASE_POINT if base_point is None else complex(base_point)
+    if not abs(base) <= _MAX_BASE_MODULUS:
+        raise ValueError(
+            f"base point {base} lies {abs(base):.3g} from the origin; loop error "
+            f"grows with loop length, so at most {_MAX_BASE_MODULUS:g} is accepted"
+        )
+    if min(abs(base - s) for s in singular) < clearance:
+        raise SingularPathPoint(f"base point {base} violates clearance {clearance:.3g}")
     loop0 = _build_loop(base, 0.0 + 0.0j, 1.0 + 0.0j, singular, LOOP_RADIUS_FACTOR, clearance)
     loop1 = _build_loop(base, 1.0 + 0.0j, 0.0 + 0.0j, singular, LOOP_RADIUS_FACTOR, clearance)
     return PathPlan(base_point=base, loops=(loop0, loop1), singular_points=singular, clearance=clearance)
@@ -282,29 +256,16 @@ def integrate_matrix_ode(
     return run_kernel(path, MODE_MATRIX, data.kernel_params(), f0, tol.ode)
 
 
-def integrate_scalar_ode(
-    data: TrinoidData,
-    path: Path,
-    init: np.ndarray | None = None,
-    tol: Tolerances | None = None,
-) -> np.ndarray:
+def integrate_scalar_ode(data: TrinoidData, path: Path, tol: Tolerances | None = None) -> np.ndarray:
     """Transfer matrix of the scalar equation along a path.
 
     Columns of the result are the transported (value, derivative) states of
-    the two solutions whose initial states are the columns of init (the
-    identity by default, i.e. (1,0) and (0,1) at the path start).
+    the two solutions that start at (1, 0) and (0, 1).
     """
     tol = tol or default_tolerances()
-    u0 = np.eye(2, dtype=complex) if init is None else np.asarray(init, dtype=complex)
-    validate_path(
-        path,
-        data.finite_singular_points(),
-        CLEARANCE_FACTOR * _min_pairwise(data.finite_singular_points()),
-    )
-    out = run_kernel(path, MODE_SCALAR, data.kernel_params(), u0, tol.ode)
-    if init is None:
-        return out
-    return out @ inv2(np.asarray(init, dtype=complex))
+    singular = data.finite_singular_points()
+    validate_path(path, singular, CLEARANCE_FACTOR * _min_pairwise(singular))
+    return run_kernel(path, MODE_SCALAR, data.kernel_params(), np.eye(2, dtype=complex), tol.ode)
 
 
 class Source(enum.Enum):
@@ -332,6 +293,22 @@ class MonodromyRep:
     err_estimate: float
     det_drift: float
     eigenvalue_defect: float
+
+
+def _loop_generators(plan: PathPlan, mode, params, tol: Tolerances, stats: dict, unimodular=False):
+    """Transports around the plan's two loops, then rho3 = (rho1 rho2)^-1.
+
+    Each loop is validated against the plan's singular set; with
+    unimodular, each transport is divided by a square root of its
+    determinant.
+    """
+    rhos = []
+    for loop in plan.loops:
+        validate_path(loop, plan.singular_points, plan.clearance)
+        rho = run_kernel(loop, mode, params, np.eye(2, dtype=complex), tol.ode, stats)
+        rhos.append(rho / np.sqrt(det2(rho)) if unimodular else rho)
+    rho1, rho2 = rhos
+    return rho1, rho2, inv2(rho1 @ rho2)
 
 
 def _eigenvalue_defect(rho, b_angle: float) -> float:
@@ -367,13 +344,7 @@ def monodromy(
     else:
         raise ValueError("use hypergeometric_monodromy for the hypergeometric source")
     stats: dict = {}
-    params = data.kernel_params()
-    rhos = []
-    for loop in plan.loops:
-        validate_path(loop, plan.singular_points, plan.clearance)
-        rhos.append(run_kernel(loop, mode, params, np.eye(2, dtype=complex), tol.ode, stats))
-    rho1, rho2 = rhos
-    rho3 = inv2(rho1 @ rho2)
+    rho1, rho2, rho3 = _loop_generators(plan, mode, data.kernel_params(), tol, stats)
     defect = max(
         _eigenvalue_defect(rho, b) for rho, b in zip((rho1, rho2, rho3), data.angles)
     )
@@ -410,13 +381,7 @@ def hypergeometric_monodromy(
         plan = make_path_plan([0.0, 1.0])
     kparams = np.array([params.a, params.b, params.c, 0.0, 0.0, 0.0, 0.0])
     stats: dict = {}
-    rhos = []
-    for loop in plan.loops:
-        validate_path(loop, plan.singular_points, plan.clearance)
-        raw = run_kernel(loop, MODE_HYPERGEOMETRIC, kparams, np.eye(2, dtype=complex), tol.ode, stats)
-        rhos.append(raw / np.sqrt(det2(raw)))
-    rho1, rho2 = rhos
-    rho3 = inv2(rho1 @ rho2)
+    rho1, rho2, rho3 = _loop_generators(plan, MODE_HYPERGEOMETRIC, kparams, tol, stats, unimodular=True)
     return MonodromyRep(
         rho1=rho1,
         rho2=rho2,
@@ -483,17 +448,20 @@ def apparent_point_check(
     data: TrinoidData,
     tol: Tolerances | None = None,
 ) -> dict:
-    """Verify that the non-puncture singular points carry no monodromy.
+    """Verify that the umbilics and the Gauss-map pole carry no monodromy.
 
     The umbilics and the Gauss-map pole are removable for the matrix
     system, and the pole is an apparent singular point of the scalar
     equation, so small loops around them must transport to the identity
-    (up to sign for the scalar equation).  Returns the defects and an
-    overall flag; callers report rather than raise on failure.
+    (up to sign for the scalar equation).  Each loop's radius is a quarter
+    of the distance to the nearest other of the five points (punctures,
+    umbilics, pole), so the umbilics, which the loop planner ignores, are
+    listed here.  Returns the defects and an overall flag; callers
+    report rather than raise on failure.
     """
     tol = tol or default_tolerances()
     params = data.kernel_params()
-    singular = data.finite_singular_points()
+    singular = (0.0 + 0.0j, 1.0 + 0.0j, data.q.q1, data.q.q2, data.q.pole)
     out: dict = {}
     checks = (("q1", data.q.q1), ("q2", data.q.q2), ("pole", data.q.pole))
     for name, center in checks:

@@ -4,7 +4,8 @@ The surface is produced in four stages.  A SampleGrid covers the thrice
 punctured sphere with one polar annulus per puncture plus a triangulated
 core.  Its layout is index arithmetic: annulus vertex (end, ring, sector)
 is number (end * rings + ring) * sectors + sector, and its spanning tree,
-rooted at a base point, is an array of (parent, child) vertex rows.
+rooted at fuchsian.BASE_POINT, the base of the monodromy loops, is an
+array of (parent, child) vertex rows.
 transport_frame solves the frame equation dF = A F along the tree: every
 edge is an initial value problem from the identity, so the z-chart rows
 of the core, and the rows inside each annulus, are solved as one batch
@@ -50,10 +51,9 @@ from ._kernel import chebyshev_transfers
 from .algebra import det2, det_defect, inv2, project_h3, solve_quadratic
 from .config import CLEARANCE_FACTOR, TRANSPORT_TOL_FACTOR, Tolerances, default_tolerances
 from .errors import BallEscape, EmptyIntersection, NonSL2Input, NullStructureViolation, StepUnderflow
-from .fuchsian import MODE_LOG_CHART, MODE_MATRIX, concat, path_clearance, segment, validate_path
+from .fuchsian import BASE_POINT, MODE_LOG_CHART, MODE_MATRIX, concat, path_clearance, segment, validate_path
 from .trinoid_data import TrinoidData
 
-_BASE_POINT = 0.5 + 0.5j
 _INNER_RADIUS = 1e-3
 
 # Central finite-difference weights on eleven points (order ten).  The
@@ -266,8 +266,9 @@ def sample_grid(
     1e-3, which roughly equidistributes mesh edge lengths in the blowing
     up end metric.  The core is a triangular lattice bounded by the outer
     annulus circles, triangulated together with the outermost rings so the
-    two parts share vertices.  The spanning tree enters each annulus once
-    through its outer ring and covers the core breadth-first.
+    two parts share vertices.  The spanning tree is rooted at BASE_POINT,
+    the base of the monodromy loops, enters each annulus once through its
+    outer ring and covers the core breadth-first.
     """
     # imported here: scipy.spatial is the largest import of the program, and
     # only meshing needs it
@@ -313,11 +314,11 @@ def sample_grid(
                 continue
             if abs(z - 1.0) < charts[1].r_out + margin:
                 continue
-            if abs(z - _BASE_POINT) < 0.35 * h:
+            if abs(z - BASE_POINT) < 0.35 * h:
                 continue
             lattice.append(z)
 
-    all_verts = np.concatenate([verts, [_BASE_POINT], np.array(lattice, dtype=complex)])
+    all_verts = np.concatenate([verts, [BASE_POINT], np.array(lattice, dtype=complex)])
 
     # triangulate the core over the outer rings, the base point and the lattice
     ann = np.arange(n_ann).reshape(3, nr, ns)
@@ -346,7 +347,7 @@ def sample_grid(
     via = {}
     for end in ann:
         anchor = int(end[0, 0])
-        waypoint = _anchor_waypoint(_BASE_POINT, all_verts[anchor])
+        waypoint = _anchor_waypoint(BASE_POINT, all_verts[anchor])
         if waypoint is not None:
             via[anchor] = waypoint
         arcs = np.c_[end[0, :-1], end[0, 1:]]

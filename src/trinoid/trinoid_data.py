@@ -127,8 +127,14 @@ class TrinoidData:
         return np.array([c1, c2, c3, p.real, p.imag, s.real, s.imag])
 
     def finite_singular_points(self) -> tuple[complex, ...]:
-        """Punctures, umbilics and the Gauss-map pole (infinity excluded)."""
-        return (0.0 + 0.0j, 1.0 + 0.0j, self.q.q1, self.q.q2, self.q.pole)
+        """The punctures and the Gauss-map pole (infinity excluded).
+
+        These are the only finite singular points of the transport
+        equations.  The umbilics are regular points of both the matrix and
+        the scalar system: the umbilic factors of Q and G' cancel in their
+        coefficients, so loops need not keep clear of them.
+        """
+        return (0.0 + 0.0j, 1.0 + 0.0j, self.q.pole)
 
 
 def build_trinoid_data(angles, tol: Tolerances | None = None) -> TrinoidData:

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trinoid.algebra import (
-    ball_distance,
     det2,
     det2_compensated,
     eigenvalues_2x2,
@@ -100,7 +99,7 @@ def test_project_h3_su2_invariance():
         )
         p = project_h3(f)
         q = project_h3(f @ u)
-        assert ball_distance(p, q) < 1e-10
+        assert np.linalg.norm(p.ball - q.ball) < 1e-10
 
 
 def test_project_h3_rejects_non_sl2():

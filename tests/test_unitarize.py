@@ -10,7 +10,14 @@ from numpy.testing import assert_allclose
 
 from trinoid.algebra import fro, inv2, project_h3, su2_defect
 from trinoid.errors import NotPositiveDefinite, NotUnitarizable
-from trinoid.fuchsian import MonodromyRep, Source, monodromy, projective_equivalence
+from trinoid.fuchsian import (
+    BASE_POINT,
+    MonodromyRep,
+    Source,
+    make_path_plan,
+    monodromy,
+    projective_equivalence,
+)
 from trinoid.moduli import Status, classify
 from trinoid.trinoid_data import build_trinoid_data
 from trinoid.unitarize import (
@@ -362,11 +369,16 @@ def test_monodromy_properties_over_sweep_range(triple):
     # (measured on 40 random triples: trace defect at most 3.2e-9, SU(2)
     # defect at most 3.9e-11).  Triples within 1e-3 of the irreducibility
     # boundary c1^2 + c2^2 + c3^2 + 2 c1 c2 c3 = 1, c_j = cos B_j, are
-    # skipped: there the classification turns on rounding.
+    # skipped: there the classification turns on rounding.  Real angles put
+    # the Gauss-map pole on the real axis, so the loops keep the one base
+    # point that the sample grid is rooted at.
+    angles = tuple(PI * b for b in triple)
+    data = build_trinoid_data(angles)
+    assert abs(data.q.pole.imag) <= 1e-12
+    assert make_path_plan(data).base_point == BASE_POINT
     c1, c2, c3 = (math.cos(PI * b) for b in triple)
     assume(abs(c1 * c1 + c2 * c2 + c3 * c3 + 2.0 * c1 * c2 * c3 - 1.0) >= 1e-3)
-    angles = tuple(PI * b for b in triple)
-    rep = monodromy(build_trinoid_data(angles))
+    rep = monodromy(data)
     rhos = (rep.rho1, rep.rho2, rep.rho3)
     for rho, b in zip(rhos, angles):
         assert abs(np.trace(rho) + 2.0 * math.cos(b)) < 1e-6
