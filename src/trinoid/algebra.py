@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, default_tolerances
+from .config import Tolerances
 from .errors import NonSL2Input, NotPositiveDefinite
 
 
@@ -127,7 +127,7 @@ class H3Point:
     ball: np.ndarray
 
 
-def project_h3(f: np.ndarray, tol: Tolerances | None = None) -> H3Point:
+def project_h3(f: np.ndarray, tol: Tolerances = Tolerances()) -> H3Point:
     """Project an SL(2,C) element, or each of a stack (..., 2, 2), to H^3 via
     the Hermitian square F F*; the coordinates then stack the same way.
 
@@ -136,7 +136,6 @@ def project_h3(f: np.ndarray, tol: Tolerances | None = None) -> H3Point:
     through cancellation, so an absolute test would reject accurately
     computed frames far down a trinoid end.
     """
-    tol = tol or default_tolerances()
     f = np.asarray(f, dtype=complex)
     defect = det_defect(f)
     if np.any(defect > tol.det):

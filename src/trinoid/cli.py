@@ -2,12 +2,16 @@
 
 Every command prints one JSON document with sorted keys and floats fixed
 at seventeen significant digits, so identical configurations produce byte
-identical output.  Each command reads the argparse namespace, with the
-angle, base point and deformation strings replaced by their parsed values
-and the tolerances added (``_config_from``); ``COMMANDS`` maps the
-subcommand name to it.  An error's type carries its exit code: 2 for
-invalid input (``TrinoidError`` and ``ValueError``), 3 for a
-``NumericalFailure``, 4 for empty moduli in a mesh request; 0 is success.
+identical output.  This module is the one place where settings enter
+the program: ``_config_from`` parses the options and reads the environment
+variable TRINOID_TOL_SCALE once, through ``config.default_tolerances``,
+into the tolerances that every library call is then passed.  Each command
+reads the argparse namespace, with the angle, base point and deformation
+strings replaced by their parsed values and the tolerances added;
+``COMMANDS`` maps the subcommand name to it.  An error's type carries its
+exit code: 2 for invalid input (``TrinoidError`` and ``ValueError``), 3
+for a ``NumericalFailure``, 4 for empty moduli in a mesh request; 0 is
+success.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import eigenvalues_2x2
-from .config import default_tolerances
+from .config import Tolerances, default_tolerances
 from .errors import NotUnitarizable, TrinoidError, ZeroCoefficient
 from .fuchsian import MonodromyRep, Source, make_path_plan, monodromy, projective_equivalence
 from .moduli import (
@@ -133,8 +137,6 @@ def cmd_classify(ns: argparse.Namespace) -> dict:
         "schema_version": SCHEMA_VERSION,
         "command": "classify",
         "angles": _angles_json(b),
-        "target": ns.target,
-        "seed": ns.seed,
         "beta": list(cone.beta),
         "c": list(cone.c),
         "hanbetu": hanbetu_holds(cone, tol),
@@ -167,7 +169,6 @@ def cmd_monodromy(ns: argparse.Namespace) -> dict:
         "schema_version": SCHEMA_VERSION,
         "command": "monodromy",
         "angles": _angles_json(b),
-        "seed": ns.seed,
         "base_point": complex(plan.base_point),
         "det_drift": rep.det_drift,
         "det_drift_passed": bool(rep.det_drift <= tol.det),
@@ -232,8 +233,8 @@ class Surface:
     mesh: SurfaceMesh
 
 
-def build_surface(angles, rings=8, sectors=48, deform=None, tol=None) -> Surface:
-    """Run every stage from the angles to the mesh and return them all.
+def build_surface(angles, rings: int, sectors: int, deform=None, tol: Tolerances = Tolerances()) -> Surface:
+    """Run every stage from the angles to a rings x sectors mesh and return them all.
 
     The stages are classification, Hopf/Gauss data, monodromy, unitarizer
     space, conjugator (the point of the space that deform picks, zeros by
@@ -242,7 +243,6 @@ def build_surface(angles, rings=8, sectors=48, deform=None, tol=None) -> Surface
     a tracer that swaps them sees each stage.  Raises _EmptyModuli when the
     h3 classification leaves no surface to build.
     """
-    tol = tol or default_tolerances()
     verdict = classify(angles, target="h3", tol=tol)
     if verdict.status in _EMPTYISH:
         raise _EmptyModuli(f"no surface to mesh: classification is {verdict.status.value}")
@@ -382,7 +382,7 @@ _OPTIONS = {
     "--target": dict(choices=("h3", "s2"), default="h3"),
     "--tol-ode": dict(type=float, default=None, help="integration tolerance, overriding Tolerances.ode"),
     "--base-point": dict(default=None, help="re,im override for loop planning"),
-    "--seed": dict(type=int, default=None),
+    "--seed": dict(type=int, default=None, help="seed that picks the well-definedness check vertices"),
 }
 
 
@@ -403,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_OPTIONS[flag])
         return p
 
-    command("classify", "moduli classification report", "--target", "--seed")
-    command("monodromy", "loop transport report", "--tol-ode", "--base-point", "--seed")
+    command("classify", "moduli classification report")
+    command("monodromy", "loop transport report", "--tol-ode", "--base-point")
 
     p_mesh = command("mesh", "generate and export a surface mesh", "--tol-ode", "--seed")
     p_mesh.add_argument("--rings", type=int, default=8)
@@ -423,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from(ns: argparse.Namespace) -> argparse.Namespace:
     """Replace the raw --angles, --base-point and --deform strings on ns by
-    their parsed values, add the tolerances as ns.tol, and return ns."""
+    their parsed values, add the tolerances (TRINOID_TOL_SCALE applied, then
+    --tol-ode) as ns.tol, and return ns."""
     opts = vars(ns)
     ns.angles = _parse_angles(ns.angles, ns.units)
     if opts.get("base_point") is not None:

@@ -3,10 +3,14 @@
 Every threshold used by the package lives in one frozen record so a global
 loosening or tightening (say, on a noisy CI box) is a one-line change.  The
 record has 14 fields, and each is read by some check or step of the
-pipeline (tests/test_unread_tolerances.py guards this).  The environment
-variable TRINOID_TOL_SCALE, a finite positive float, multiplies all 14,
-the integration tolerance ode included; the three fixed module constants
-below, which no caller varies, are left alone by it.
+pipeline (tests/test_unread_tolerances.py guards this).  Library functions
+take the record as their tol argument, the unscaled Tolerances() by
+default, and read no environment.  The environment variable
+TRINOID_TOL_SCALE, a finite positive float, multiplies all 14, the
+integration tolerance ode included; default_tolerances applies it, and
+only the command line calls it (tests/test_settings_enter_once.py guards
+this).  The three fixed module constants below, which no caller varies,
+are left alone by it.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._kernel import integrate_path
 from .algebra import det2, eigenvalues_2x2, inv2
-from .config import CLEARANCE_FACTOR, LOOP_RADIUS_FACTOR, Tolerances, default_tolerances
+from .config import CLEARANCE_FACTOR, LOOP_RADIUS_FACTOR, Tolerances
 from .errors import EigenvalueMismatch, NonSL2Input, SingularPathPoint, StepUnderflow
 from .trinoid_data import HypergeometricParams, TrinoidData
 
@@ -234,35 +234,27 @@ def run_kernel(path: Path, mode: int, params: np.ndarray, u0: np.ndarray, rtol: 
 
 
 def integrate_matrix_ode(
-    data: TrinoidData,
-    path: Path,
-    f0: np.ndarray,
-    tol: Tolerances | None = None,
-    clearance: float | None = None,
+    data: TrinoidData, path: Path, f0: np.ndarray, tol: Tolerances = Tolerances()
 ) -> np.ndarray:
     """Transport a frame of the rank-one system along a path in the z chart.
 
-    The path must keep clearance away from every finite singular point;
-    the default is the loop-planning margin.
+    The path must keep the loop-planning clearance away from every finite
+    singular point.
     """
-    tol = tol or default_tolerances()
     f0 = np.asarray(f0, dtype=complex)
     if abs(det2(f0) - 1.0) > 100.0 * tol.det:
         raise NonSL2Input(f"initial frame determinant {det2(f0)} is too far from 1")
     singular = data.finite_singular_points()
-    if clearance is None:
-        clearance = CLEARANCE_FACTOR * _min_pairwise(singular)
-    validate_path(path, singular, clearance)
+    validate_path(path, singular, CLEARANCE_FACTOR * _min_pairwise(singular))
     return run_kernel(path, MODE_MATRIX, data.kernel_params(), f0, tol.ode)
 
 
-def integrate_scalar_ode(data: TrinoidData, path: Path, tol: Tolerances | None = None) -> np.ndarray:
+def integrate_scalar_ode(data: TrinoidData, path: Path, tol: Tolerances = Tolerances()) -> np.ndarray:
     """Transfer matrix of the scalar equation along a path.
 
     Columns of the result are the transported (value, derivative) states of
     the two solutions that start at (1, 0) and (0, 1).
     """
-    tol = tol or default_tolerances()
     singular = data.finite_singular_points()
     validate_path(path, singular, CLEARANCE_FACTOR * _min_pairwise(singular))
     return run_kernel(path, MODE_SCALAR, data.kernel_params(), np.eye(2, dtype=complex), tol.ode)
@@ -324,7 +316,7 @@ def monodromy(
     data: TrinoidData,
     plan: PathPlan | None = None,
     source: Source = Source.MATRIX_ODE,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> MonodromyRep:
     """Monodromy representation from the two planned loops.
 
@@ -334,7 +326,6 @@ def monodromy(
     of any eigenvalue check beyond the warning tolerance raises a
     warning, not an error.
     """
-    tol = tol or default_tolerances()
     if plan is None:
         plan = make_path_plan(data)
     if source is Source.MATRIX_ODE:
@@ -367,7 +358,7 @@ def monodromy(
 def hypergeometric_monodromy(
     params: HypergeometricParams,
     plan: PathPlan | None = None,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> MonodromyRep:
     """Loop transports of the hypergeometric equation around 0 and 1.
 
@@ -376,7 +367,6 @@ def hypergeometric_monodromy(
     result lands in SL(2, C).  All downstream comparisons are projective,
     so the sign ambiguity of the root is harmless.
     """
-    tol = tol or default_tolerances()
     if plan is None:
         plan = make_path_plan([0.0, 1.0])
     kparams = np.array([params.a, params.b, params.c, 0.0, 0.0, 0.0, 0.0])
@@ -393,14 +383,13 @@ def hypergeometric_monodromy(
     )
 
 
-def projective_intertwiner(m1: MonodromyRep, m2: MonodromyRep, tol: Tolerances | None = None):
+def projective_intertwiner(m1: MonodromyRep, m2: MonodromyRep, tol: Tolerances = Tolerances()):
     """Invertible P with P rho_j P^{-1} = eps_j rho'_j, or None.
 
     Solved as a linear null-space problem in the four entries of P for each
     of the four sign patterns; candidate intertwiners are validated by the
     actual conjugation residual.
     """
-    tol = tol or default_tolerances()
     eye = np.eye(2)
     rng = np.random.default_rng(170)
     for e1 in (1.0, -1.0):
@@ -439,15 +428,12 @@ def projective_intertwiner(m1: MonodromyRep, m2: MonodromyRep, tol: Tolerances |
     return None
 
 
-def projective_equivalence(m1: MonodromyRep, m2: MonodromyRep, tol: Tolerances | None = None) -> bool:
+def projective_equivalence(m1: MonodromyRep, m2: MonodromyRep, tol: Tolerances = Tolerances()) -> bool:
     """Whether two representations agree up to conjugation and signs."""
     return projective_intertwiner(m1, m2, tol) is not None
 
 
-def apparent_point_check(
-    data: TrinoidData,
-    tol: Tolerances | None = None,
-) -> dict:
+def apparent_point_check(data: TrinoidData, tol: Tolerances = Tolerances()) -> dict:
     """Verify that the umbilics and the Gauss-map pole carry no monodromy.
 
     The umbilics and the Gauss-map pole are removable for the matrix
@@ -459,7 +445,6 @@ def apparent_point_check(
     listed here.  Returns the defects and an overall flag; callers
     report rather than raise on failure.
     """
-    tol = tol or default_tolerances()
     params = data.kernel_params()
     singular = (0.0 + 0.0j, 1.0 + 0.0j, data.q.q1, data.q.q2, data.q.pole)
     out: dict = {}

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .config import Tolerances, default_tolerances
+from .config import Tolerances
 from .errors import BadEdge, BigonRequiresAcute, ZeroCoefficient
 
 
@@ -90,14 +90,13 @@ def _c_of(c) -> tuple[float, float, float]:
     return tuple(float(x) for x in c)
 
 
-def hanbetu_holds(c, tol: Tolerances | None = None) -> bool:
+def hanbetu_holds(c, tol: Tolerances = Tolerances()) -> bool:
     """Whether the two umbilic points of the Hopf differential are distinct.
 
     Tests (c1^2+c2^2+c3^2)/2 != c1*c2 + c2*c3 + c3*c1 against an absolute
     tolerance on the difference; this is the discriminant condition for the
     quadratic whose roots are the umbilic points.
     """
-    tol = tol or default_tolerances()
     c1, c2, c3 = _c_of(c)
     diff = 0.5 * (c1 * c1 + c2 * c2 + c3 * c3) - (c1 * c2 + c2 * c3 + c3 * c1)
     return abs(diff) > tol.hanbetu
@@ -134,13 +133,12 @@ def _on_irreducibility_boundary(b, tol: Tolerances) -> bool:
     )
 
 
-def irreducible_exists(angles, tol: Tolerances | None = None) -> bool:
+def irreducible_exists(angles, tol: Tolerances = Tolerances()) -> bool:
     """Strict spherical-triangle-type inequality on the cosines.
 
     A triple on the irreducibility boundary (see _on_irreducibility_boundary)
     counts as not irreducible; away from it the inequality decides.
     """
-    tol = tol or default_tolerances()
     b = _check_angles(angles)
     if _on_irreducibility_boundary(b, tol):
         return False
@@ -148,13 +146,12 @@ def irreducible_exists(angles, tol: Tolerances | None = None) -> bool:
     return c1 * c1 + c2 * c2 + c3 * c3 + 2.0 * c1 * c2 * c3 < 1.0
 
 
-def irreducible_reduced_sum(angles, tol: Tolerances | None = None) -> bool:
+def irreducible_reduced_sum(angles, tol: Tolerances = Tolerances()) -> bool:
     """The reduced-sum criterion: the reduced angles sum to more than pi.
 
     Equivalent to irreducible_exists, and like it false on the boundary,
     where the reduced sum is pi up to rounding.
     """
-    tol = tol or default_tolerances()
     b = _check_angles(angles)
     return not _on_irreducibility_boundary(b, tol) and sum(reduce_angles(b)) > math.pi
 
@@ -163,7 +160,7 @@ def _near_int(x: float, tol: float) -> bool:
     return abs(x - round(x)) <= tol
 
 
-def classify(angles, target="h3", tol: Tolerances | None = None) -> ModuliClass:
+def classify(angles, target="h3", tol: Tolerances = Tolerances()) -> ModuliClass:
     """Classify the moduli space attached to a half-angle triple.
 
     For the H^3 target, an angle equal to pi is excluded outright and a
@@ -175,7 +172,6 @@ def classify(angles, target="h3", tol: Tolerances | None = None) -> ModuliClass:
     sum and strict triangle inequality give the three-parameter family
     (dimension 3); everything else is empty.
     """
-    tol = tol or default_tolerances()
     b = _check_angles(angles)
     target = _coerce_target(target)
     flags: list[str] = []

@@ -49,8 +49,10 @@ import numpy as np
 
 from ._kernel import chebyshev_transfers
 from .algebra import det2, det_defect, inv2, project_h3, solve_quadratic
-from .config import CLEARANCE_FACTOR, TRANSPORT_TOL_FACTOR, Tolerances, default_tolerances
-from .errors import BallEscape, EmptyIntersection, NonSL2Input, NullStructureViolation, StepUnderflow
+from .config import CLEARANCE_FACTOR, TRANSPORT_TOL_FACTOR, Tolerances
+from .errors import (
+    BallEscape, EmptyIntersection, NonSL2Input, NullStructureViolation, SingularPathPoint, StepUnderflow,
+)
 from .fuchsian import BASE_POINT, MODE_LOG_CHART, MODE_MATRIX, concat, path_clearance, segment, validate_path
 from .trinoid_data import TrinoidData
 
@@ -83,7 +85,6 @@ class EndChart:
     puncture: complex
     inverted: bool
     r_out: float
-    r_in: float
     kernel_params: np.ndarray
 
     def chart_gauss(self, x: complex) -> complex:
@@ -171,9 +172,8 @@ def end_charts(data: TrinoidData) -> tuple[EndChart, EndChart, EndChart]:
     charts = []
     for e in range(3):
         r_out = min(0.45, 0.75 * pole_dist[e])
-        r_in = _INNER_RADIUS
-        if r_out < 8.0 * r_in:
-            raise ValueError(
+        if r_out < 8.0 * _INNER_RADIUS:
+            raise SingularPathPoint(
                 f"end {e + 1}: the Gauss-map pole sits at distance {pole_dist[e]:.3g} "
                 "from the puncture, leaving no room for an annulus"
             )
@@ -184,7 +184,6 @@ def end_charts(data: TrinoidData) -> tuple[EndChart, EndChart, EndChart]:
                 puncture=complex(p0),
                 inverted=(e == 2),
                 r_out=r_out,
-                r_in=r_in,
                 kernel_params=np.append(data.kernel_params(), [p0, 0.0, float(e == 2)]),
             )
         )
@@ -255,11 +254,7 @@ def _anchor_waypoint(za, zb):
     return route.pieces[0][2] if len(route.pieces) == 2 else None
 
 
-def sample_grid(
-    data: TrinoidData,
-    rings: int = 8,
-    sectors: int = 48,
-) -> SampleGrid:
+def sample_grid(data: TrinoidData, rings: int, sectors: int) -> SampleGrid:
     """Polar annuli around the three punctures plus a triangulated core.
 
     Ring radii decrease geometrically from the clipped outer radius to
@@ -288,7 +283,7 @@ def sample_grid(
     verts = np.zeros(n_ann, dtype=complex)
     dtheta = 2.0 * math.pi / ns
     for ch in charts:
-        ratio = math.log(ch.r_in / ch.r_out) / (nr - 1)
+        ratio = math.log(_INNER_RADIUS / ch.r_out) / (nr - 1)
         for k in range(nr):
             logr = math.log(ch.r_out) + ratio * k
             for i in range(ns):
@@ -441,7 +436,7 @@ class FrameTransport:
 def transport_frame(
     data: TrinoidData,
     grid: SampleGrid,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> FrameTransport:
     """Integrate the frame equation along the spanning tree from the base.
 
@@ -458,7 +453,6 @@ def transport_frame(
     name the edge that stalls.  Checks det F = 1 at every vertex
     afterwards.
     """
-    tol = tol or default_tolerances()
     rtol = tol.ode * TRANSPORT_TOL_FACTOR
     params0 = data.kernel_params()
     nv = grid.n_vertices
@@ -558,7 +552,7 @@ class WeierstrassData:
 
 def recover_weierstrass(
     frames: FrameTransport,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> WeierstrassData:
     """Extract (g, omega) from the transported frame and check its shape.
 
@@ -586,7 +580,6 @@ def recover_weierstrass(
     transported values enter, so agreement of omega dg with the defining
     quadratic differential tests the transport along every stencil.
     """
-    tol = tol or default_tolerances()
     grid = frames.grid
     nr, ns = grid.rings, grid.sectors
     nv = grid.n_vertices
@@ -673,7 +666,7 @@ def build_mesh(
     transport: FrameTransport,
     weier: WeierstrassData,
     conjugator: np.ndarray,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> SurfaceMesh:
     """Project the unitarized frame to the Poincare ball over the grid.
 
@@ -685,7 +678,6 @@ def build_mesh(
     projection ignores.  That is exactly the well-definedness mechanism
     well_definedness_defect probes.
     """
-    tol = tol or default_tolerances()
     grid, data = transport.grid, transport.data
     right = inv2(np.asarray(conjugator, dtype=complex))
     nv = grid.n_vertices
@@ -713,7 +705,7 @@ def well_definedness_defect(
     transport: FrameTransport,
     conjugator: np.ndarray,
     vertex: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> float:
     """Ball distance between the two branches of the mesh point at a vertex.
 
@@ -723,7 +715,6 @@ def well_definedness_defect(
     generically does, so this one number is the positive and the negative
     control in one.
     """
-    tol = tol or default_tolerances()
     right = inv2(np.asarray(conjugator, dtype=complex))
     p = project_h3(transport.frames[vertex] @ right, tol).ball
     q = project_h3(transport.branch_frame(vertex) @ right, tol).ball

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import INF, is_inf, solve_quadratic
-from .config import Tolerances, default_tolerances
+from .config import Tolerances
 from .errors import DegenerateHanbetu, ExcludedAngleIsPi, ZeroCoefficient
 from .moduli import conical_data, hanbetu_holds
 
@@ -137,15 +137,14 @@ class TrinoidData:
         return (0.0 + 0.0j, 1.0 + 0.0j, self.q.pole)
 
 
-def build_trinoid_data(angles, tol: Tolerances | None = None) -> TrinoidData:
+def build_trinoid_data(angles, tol: Tolerances = Tolerances()) -> TrinoidData:
     hopf = build_hopf(angles, tol)
     q = umbilics(hopf, tol)
     return TrinoidData(angles=tuple(float(x) for x in angles), hopf=hopf, q=q, gauss=GaussMap(q))
 
 
-def build_hopf(angles, tol: Tolerances | None = None) -> HopfDifferential:
+def build_hopf(angles, tol: Tolerances = Tolerances()) -> HopfDifferential:
     """Hopf differential of the trinoid with the given half-angles."""
-    tol = tol or default_tolerances()
     cd = conical_data(angles)
     for j, b in enumerate(float(x) for x in angles):
         if abs(b - math.pi) <= tol.angle_is_pi:
@@ -155,9 +154,8 @@ def build_hopf(angles, tol: Tolerances | None = None) -> HopfDifferential:
     return HopfDifferential(c=cd.c)
 
 
-def umbilics(hopf: HopfDifferential, tol: Tolerances | None = None) -> UmbilicPair:
+def umbilics(hopf: HopfDifferential, tol: Tolerances = Tolerances()) -> UmbilicPair:
     """Roots of the numerator quadratic, smaller (Re, Im) first."""
-    tol = tol or default_tolerances()
     c1, c2, c3 = hopf.c
     if c3 == 0.0:
         raise ZeroCoefficient("leading Hopf coefficient c3 vanishes")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import fro, hermitian_sqrt, inv2
-from .config import Tolerances, default_tolerances
+from .config import Tolerances
 from .errors import NonSL2Input, NotUnitarizable
 from .fuchsian import MonodromyRep, Source
 from .moduli import Status, classify
@@ -173,9 +173,7 @@ def conjugator_from_form(h: np.ndarray) -> np.ndarray:
     return root / cmath.sqrt(d)
 
 
-def family_representation(
-    angles, tol: Tolerances | None = None
-) -> MonodromyRep:
+def family_representation(angles, tol: Tolerances = Tolerances()) -> MonodromyRep:
     """The canonical diagonal representation of a reducible angle triple.
 
     Trinoids whose moduli class is reducible carry abelian monodromy that is
@@ -186,7 +184,6 @@ def family_representation(
     of the reducible classification is exactly what makes the forced
     generator's eigenvalues come out as -e^{+-iB} again.
     """
-    tol = tol or default_tolerances()
     b = tuple(float(x) for x in angles)
     cls = classify(b, target="h3", tol=tol)
 
@@ -302,9 +299,7 @@ def _ball_chart(p: np.ndarray) -> np.ndarray:
     return hermitian_sqrt(x)
 
 
-def unitarizer_space(
-    rep: MonodromyRep, angles, tol: Tolerances | None = None
-) -> UnitarizerSpace:
+def unitarizer_space(rep: MonodromyRep, angles, tol: Tolerances = Tolerances()) -> UnitarizerSpace:
     """Describe every conjugator a with a rho_j a^(-1) in SU(2).
 
     The kind is the h3 moduli class of the angle triple: all of hyperbolic
@@ -316,7 +311,6 @@ def unitarizer_space(
     generators that share no eigenbasis, or a form that fails the
     form_residual or posdef_margin gate.
     """
-    tol = tol or default_tolerances()
     _check_sl2(rep, tol)
     rhos = (rep.rho1, rep.rho2)
     kind = _KIND_OF_STATUS.get(

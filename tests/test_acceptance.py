@@ -253,7 +253,7 @@ def test_criterion_09_surgery_closure():
 def test_criterion_10_deterministic_reports(tmp_path):
     with criterion(10, "repeated reports are byte-identical"):
         for cmd, extra in (
-            (["classify", "--angles", "2/3,2/3,2/3"], ["--seed", "11"]),
+            (["classify", "--angles", "2/3,2/3,2/3"], []),
             (["monodromy", "--angles", "2/3,2/3,2/3"], ["--base-point", "0.5,0.5"]),
         ):
             paths = [tmp_path / f"{cmd[0]}_{i}.json" for i in (0, 1)]

@@ -80,8 +80,7 @@ def test_classify_determinism(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     for path in (a, b):
-        rc = main(["classify", "--angles", "2/3,2/3,2/3", "--seed", "7",
-                   "--json", str(path)])
+        rc = main(["classify", "--angles", "2/3,2/3,2/3", "--json", str(path)])
         assert rc == 0
     assert a.read_bytes() == b.read_bytes()
 
@@ -240,6 +239,20 @@ def test_mesh_ball_escape_is_numerical(tmp_path, capsys, angles):
     assert "escaped the unit ball" in err and "ring 2 of 2" in err
 
 
+@pytest.mark.parametrize("angles", ["0.6,1.5,1.7", "0.3,1.407124728,1.7"])
+def test_mesh_pole_on_puncture_is_numerical(tmp_path, capsys, angles):
+    # valid unitarizable irreducible triples (monodromy exits 0 with a
+    # SinglePoint unitarizer) whose Gauss-map pole sits on the puncture at
+    # 0, leaving end 1 no annulus: a numerical limit (exit 3), not the
+    # input error (exit 2) it used to be reported as
+    rc = main(["mesh", "--angles", angles, "--rings", "4", "--sectors", "12",
+               "--out", str(tmp_path / "m.obj")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "end 1: the Gauss-map pole sits at distance" in err
+    assert main(["monodromy", "--angles", angles, "--json", str(tmp_path / "m.json")]) == 0
+
+
 def test_fh_reports(tmp_path):
     rep = run_json(
         tmp_path, "hemi",
@@ -276,6 +289,11 @@ def test_input_error_exit_codes():
     assert main(["classify", "--angles", "1/0,1,1"]) == 2
     # unknown flags are an argparse error, also code 2
     assert main(["classify", "--angles", "1,1,1", "--bogus"]) == 2
+    # so are the flags that only echoed into the report: classify reports
+    # both targets, and neither classify nor monodromy draws a random number
+    assert main(["classify", "--angles", "2/3,2/3,2/3", "--seed", "7"]) == 2
+    assert main(["classify", "--angles", "2/3,2/3,2/3", "--target", "s2"]) == 2
+    assert main(["monodromy", "--angles", "2/3,2/3,2/3", "--seed", "1"]) == 2
     assert main([]) == 2
 
 

@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import trinoid.fuchsian
-from trinoid.config import TRANSPORT_TOL_FACTOR, default_tolerances
+from trinoid.config import TRANSPORT_TOL_FACTOR, Tolerances
 from trinoid.errors import SingularPathPoint, StepUnderflow
 from trinoid.fuchsian import (
     MODE_HYPERGEOMETRIC,
@@ -186,8 +186,8 @@ def test_loop_homotopy_invariance(monkeypatch):
 def test_step_halving_convergence():
     data = build_trinoid_data(SYM23)
     plan = make_path_plan(data)
-    rep = monodromy(data, plan=plan, tol=replace(default_tolerances(), ode=1e-8))
-    rep_half = monodromy(data, plan=plan, tol=replace(default_tolerances(), ode=5e-9))
+    rep = monodromy(data, plan=plan, tol=replace(Tolerances(), ode=1e-8))
+    rep_half = monodromy(data, plan=plan, tol=replace(Tolerances(), ode=5e-9))
     diff = max(
         np.max(np.abs(a - b))
         for a, b in ((rep.rho1, rep_half.rho1), (rep.rho2, rep_half.rho2))
@@ -201,7 +201,7 @@ def test_kernel_step_counts_pinned():
     # the step-size control moves them.  The counts were measured before
     # the kernel was rewritten as plain Python; the matrix-loop count is the
     # one the perfbench counter cross-check implies (358,332 - 357,800).
-    tol = default_tolerances()
+    tol = Tolerances()
     data = build_trinoid_data(SYM23)
     eye = np.eye(2, dtype=complex)
 
@@ -349,13 +349,14 @@ def test_apparent_points_carry_no_monodromy():
 
 
 def test_step_underflow_through_singularity():
-    # a path straight through z = 0 defeats the step controller; clearance 0
-    # disables the geometric pre-check so the integrator itself must bail
+    # a path straight through z = 0 defeats the step controller; run_kernel
+    # makes no geometric pre-check, so the integrator itself must bail
     data = build_trinoid_data(SYM23)
     with pytest.raises(StepUnderflow):
-        integrate_matrix_ode(
-            data,
+        run_kernel(
             segment(0.5 + 0.5j, -0.5 - 0.5j),
+            MODE_MATRIX,
+            data.kernel_params(),
             np.eye(2, dtype=complex),
-            clearance=0.0,
+            Tolerances().ode,
         )

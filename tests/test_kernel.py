@@ -8,7 +8,7 @@ import pytest
 
 from trinoid._kernel import chebyshev_transfer, chebyshev_transfers
 from trinoid.algebra import det2_compensated, fro
-from trinoid.config import TRANSPORT_TOL_FACTOR, default_tolerances
+from trinoid.config import TRANSPORT_TOL_FACTOR, Tolerances
 from trinoid.errors import StepUnderflow
 from trinoid.fuchsian import MODE_LOG_CHART, MODE_MATRIX, Path, run_kernel, segment
 from trinoid.surface import end_charts, sample_grid
@@ -20,7 +20,7 @@ TRIPLES = pytest.mark.parametrize("angles", [SYM23, BIG], ids=["sym23", "big"])
 
 
 def _transport_rtol():
-    return default_tolerances().ode * TRANSPORT_TOL_FACTOR
+    return Tolerances().ode * TRANSPORT_TOL_FACTOR
 
 
 def _spoke(data):

@@ -12,7 +12,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from trinoid.algebra import fro, inv2, project_h3
 from trinoid.cli import build_surface
-from trinoid.config import CLEARANCE_FACTOR, default_tolerances
+from trinoid.config import CLEARANCE_FACTOR, Tolerances
 from trinoid.errors import BallEscape, EmptyIntersection, NullStructureViolation, StepUnderflow
 from trinoid.fuchsian import MODE_MATRIX, circle, concat, monodromy, path_clearance, run_kernel, segment
 from trinoid.surface import (
@@ -41,12 +41,12 @@ def _bundle(s):
 
 @pytest.fixture(scope="module")
 def sym():
-    return _bundle(build_surface(SYM23))
+    return _bundle(build_surface(SYM23, rings=8, sectors=48))
 
 
 @pytest.fixture(scope="module")
 def big():
-    return _bundle(build_surface(BIG, deform=(0.31, -0.42, 0.18)))
+    return _bundle(build_surface(BIG, rings=8, sectors=48, deform=(0.31, -0.42, 0.18)))
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def test_transport_det_conserved(sym, big):
     # frames reach Frobenius norm 1e6 on the innermost ring)
     for bundle in (sym, big):
         transport = bundle[2]
-        assert transport.stats["max_det_defect"] < default_tolerances().det
+        assert transport.stats["max_det_defect"] < Tolerances().det
 
 
 def test_transport_frames_bounded_small_angles(sym):
@@ -107,7 +107,7 @@ def test_transport_stall_reports_edge():
     data = build_trinoid_data(SYM23)
     grid = sample_grid(data, rings=2, sectors=8)
     with pytest.raises(StepUnderflow, match="transport stalled on"):
-        transport_frame(data, grid, tol=dataclasses.replace(default_tolerances(), ode=1e-28))
+        transport_frame(data, grid, tol=dataclasses.replace(Tolerances(), ode=1e-28))
 
 
 @pytest.mark.parametrize("angles, pieces", [(SYM23, 220), (BIG, 224)], ids=["sym23", "big"])
@@ -311,7 +311,7 @@ def test_null_structure_violation_raised(sym):
     # tightening the structural tolerance below the honest finite
     # difference noise floor must trip the shape check
     _, _, transport, _, _, _ = sym
-    tight = dataclasses.replace(default_tolerances(), null_structure=1e-18)
+    tight = dataclasses.replace(Tolerances(), null_structure=1e-18)
     with pytest.raises(NullStructureViolation):
         recover_weierstrass(transport, tol=tight)
 
