@@ -53,11 +53,19 @@ monitored with algebra.det2_compensated; the running maximum deviation
 from 1 comes back to the caller, since a trace-free generator conserves
 det exactly and any drift is pure integration error.
 
-U passes between stages as the sequence of its four entries, row-major.
-The path rows and the parameters arrive as numpy arrays and are read as
-numpy scalars: whether a division in a coefficient function runs numpy's
-or CPython's complex algorithm depends on the operand types, and the
-results differ in the last bits.
+Each _COEFF entry reads the parameters once and returns C as a function
+of z, the one copy of its formula, called on a point by integrate_path and
+on an array of nodes by collocation.  integrate_path reads each path row
+once, into a point function of the row's parameter, and unrolls the seven
+stages over the four entries of U, row-major; stage 7 sits at t + h with
+stage 6 and reuses its C (first same as last), so a step evaluates C six
+times.  Rows and parameters are read as numpy scalars and stay so: whether
+a complex division runs numpy's or CPython's algorithm depends on the
+operand types, and the results differ in the last bits.  Stage arithmetic
+on Python complex numbers changed the last bits of all 260 loop transports
+of 65 triples (two loops, modes 0 and 1); Python types throughout also
+changed a step count and moved a monodromy at angles (2.772669, 0.134819,
+0.940303) pi by 4e-9 relative.
 
 Return status: 0 success, 1 step size underflow (a near-singular path).
 
@@ -101,167 +109,188 @@ from .algebra import det2_compensated
 from .errors import StepUnderflow
 
 
-# Each coefficient function returns the entries (c11, c12, c21, c22) of C(z).
+# Each _COEFF entry binds the parameters to z -> (c11, c12, c21, c22) of C(z).
 
 
-def _coeff_matrix(params, z):
+def _coeff_matrix(params):
     c3 = params[2]
     p = complex(params[3], params[4])
     s = complex(params[5], params[6])
-    den = 2.0 * z - p
-    w = z - 1.0
-    kap = c3 * den * den / (8.0 * z * z * w * w)
-    g = z + s / (2.0 * den)
-    return kap * g, -kap * g * g, kap + 0.0j, -kap * g
+
+    def coeff(z):
+        den = 2.0 * z - p
+        w = z - 1.0
+        kap = c3 * den * den / (8.0 * z * z * w * w)
+        g = z + s / (2.0 * den)
+        return kap * g, -kap * g * g, kap + 0.0j, -kap * g
+
+    return coeff
 
 
-def _coeff_scalar(params, z):
+def _coeff_scalar(params):
     # X'' + r X' + Q X = 0 with r = -(log(Q/G'))', where the umbilic factors
     # of Q and G' cancel: Q/G' = c3 (2z - p)^2 / (8 z^2 (z - 1)^2)
-    c1, c2, c3 = params[0], params[1], params[2]
+    c1, c3 = params[0], params[2]
+    c0 = params[1] - c3 - c1
     p = complex(params[3], params[4])
-    w = z - 1.0
-    r = 2.0 / z + 2.0 / w - 4.0 / (2.0 * z - p)
-    s_val = ((c3 * z + (c2 - c3 - c1)) * z + c1) / (2.0 * z * z * w * w)
-    return 0.0j, 1.0 + 0.0j, -s_val, -r
+
+    def coeff(z):
+        w = z - 1.0
+        r = 2.0 / z + 2.0 / w - 4.0 / (2.0 * z - p)
+        s_val = ((c3 * z + c0) * z + c1) / (2.0 * z * z * w * w)
+        return 0.0j, 1.0 + 0.0j, -s_val, -r
+
+    return coeff
 
 
-def _coeff_hypergeometric(params, z):
+def _coeff_hypergeometric(params):
     a, b, cc = params[0], params[1], params[2]
-    den = z * (1.0 - z)
-    r = (cc - (a + b + 1.0) * z) / den
-    s_val = -a * b / den
-    return 0.0j, 1.0 + 0.0j, -s_val, -r
+
+    def coeff(z):
+        den = z * (1.0 - z)
+        r = (cc - (a + b + 1.0) * z) / den
+        s_val = -a * b / den
+        return 0.0j, 1.0 + 0.0j, -s_val, -r
+
+    return coeff
 
 
-def _coeff_log_chart(params, z):
+def _coeff_log_chart(params):
     # z is zeta, the chart point is x = p0 + exp(zeta)
     c3 = params[2]
     p = complex(params[3], params[4])
     s = complex(params[5], params[6])
     p0 = complex(params[7], params[8])
-    x = p0 + np.exp(z)
-    if params[9]:
-        d = (s * x - 2.0 * p) * x + 4.0
-        w = x - 1.0
-        qf = c3 * d * d / (32.0 * w * w)
-        gp = ((4.0 * (p * p - s) * x - 16.0 * p) * x + 16.0) / (d * d)
-    else:
-        den = 2.0 * x - p
-        # the other finite puncture, written so that p0 = 1 leaves x exact
-        w = x - (1.0 - p0)
-        qf = c3 * den * den / (8.0 * w * w)
-        gp = 1.0 - s / (den * den)
-    return 0.0j, qf, -gp, -1.0 + 0.0j
+    inverted = params[9]
+
+    def coeff(z):
+        x = p0 + np.exp(z)
+        if inverted:
+            d = (s * x - 2.0 * p) * x + 4.0
+            w = x - 1.0
+            qf = c3 * d * d / (32.0 * w * w)
+            gp = ((4.0 * (p * p - s) * x - 16.0 * p) * x + 16.0) / (d * d)
+        else:
+            den = 2.0 * x - p
+            # the other finite puncture, written so that p0 = 1 leaves x exact
+            w = x - (1.0 - p0)
+            qf = c3 * den * den / (8.0 * w * w)
+            gp = 1.0 - s / (den * den)
+        return 0.0j, qf, -gp, -1.0 + 0.0j
+
+    return coeff
 
 
 _COEFF = {0: _coeff_matrix, 1: _coeff_scalar, 2: _coeff_hypergeometric, 4: _coeff_log_chart}
 
 
-def _deriv(coeff, params, z, zdot, u):
-    c11, c12, c21, c22 = coeff(params, z)
-    return (
-        (c11 * u[0] + c12 * u[2]) * zdot,
-        (c11 * u[1] + c12 * u[3]) * zdot,
-        (c21 * u[0] + c22 * u[2]) * zdot,
-        (c21 * u[1] + c22 * u[3]) * zdot,
-    )
+def _piece(row):
+    """Arclength speed of a path row and its point t -> (z, dz/dt), fields read once."""
+    kind, x1, y1, x2, y2, x3 = row
+    if kind == 0.0:
+        a = complex(x1, y1)
+        d = complex(x2, y2) - a
+        return abs(d), lambda t: (a + t * d, d)
+    c, rad, th0, dth = complex(x1, y1), x2, y2, x3 - y2
+    irdth = 1j * rad * dth
 
+    def point(t):
+        ang = th0 + t * dth
+        e = complex(np.cos(ang), np.sin(ang))
+        return c + rad * e, irdth * e
 
-def _point(row, t):
-    # position and velocity of the piece at parameter t in [0, 1]
-    if row[0] == 0.0:
-        a = complex(row[1], row[2])
-        d = complex(row[3], row[4]) - a
-        return a + t * d, d
-    c = complex(row[1], row[2])
-    rad = row[3]
-    dth = row[5] - row[4]
-    ang = row[4] + t * dth
-    e = complex(np.cos(ang), np.sin(ang))
-    return c + rad * e, 1j * rad * dth * e
+    return rad * abs(dth), point
 
 
 def integrate_path(rows, mode, params, u0, rtol):
     """Transport u0 along the path; see the module docstring for layout."""
-    coeff = _COEFF[mode]
+    coeff = _COEFF[mode](params)
     watch_det = mode == 0
-    u = tuple(u0)
+    # U = [[ua, ub], [uc, ud]]; stage j's derivative C U dz/dt is [[aj, bj], [cj, dj]]
+    ua, ub, uc, ud = u0
+    unorm = max(1.0, abs(ua), abs(ub), abs(uc), abs(ud))
     err_accum = 0.0
     drift = 0.0
     nsteps = 0
     for row in rows:
-        if row[0] == 0.0:
-            speed = abs(complex(row[3], row[4]) - complex(row[1], row[2]))
-        else:
-            speed = row[3] * abs(row[5] - row[4])
+        speed, point = _piece(row)
         if speed == 0.0:
             continue
         t = 0.0
         h = 1e-3
-        z, zdot = _point(row, t)
-        k1 = _deriv(coeff, params, z, zdot, u)
+        z, zdot = point(t)
+        c11, c12, c21, c22 = coeff(z)
+        a1, b1 = (c11 * ua + c12 * uc) * zdot, (c11 * ub + c12 * ud) * zdot
+        c1, d1 = (c21 * ua + c22 * uc) * zdot, (c21 * ub + c22 * ud) * zdot
         while t < 1.0:
             hs = min(h, 1.0 - t)
             # Dormand-Prince 5(4) stages
-            ut = [ui + hs * 0.2 * a1 for ui, a1 in zip(u, k1)]
-            z, zdot = _point(row, t + 0.2 * hs)
-            k2 = _deriv(coeff, params, z, zdot, ut)
-            ut = [ui + hs * (0.075 * a1 + 0.225 * a2) for ui, a1, a2 in zip(u, k1, k2)]
-            z, zdot = _point(row, t + 0.3 * hs)
-            k3 = _deriv(coeff, params, z, zdot, ut)
-            ut = [
-                ui + hs * ((44.0 / 45.0) * a1 - (56.0 / 15.0) * a2 + (32.0 / 9.0) * a3)
-                for ui, a1, a2, a3 in zip(u, k1, k2, k3)
-            ]
-            z, zdot = _point(row, t + 0.8 * hs)
-            k4 = _deriv(coeff, params, z, zdot, ut)
-            ut = [
-                ui + hs * (
-                    (19372.0 / 6561.0) * a1
-                    - (25360.0 / 2187.0) * a2
-                    + (64448.0 / 6561.0) * a3
-                    - (212.0 / 729.0) * a4
-                )
-                for ui, a1, a2, a3, a4 in zip(u, k1, k2, k3, k4)
-            ]
-            z, zdot = _point(row, t + (8.0 / 9.0) * hs)
-            k5 = _deriv(coeff, params, z, zdot, ut)
-            ut = [
-                ui + hs * (
-                    (9017.0 / 3168.0) * a1
-                    - (355.0 / 33.0) * a2
-                    + (46732.0 / 5247.0) * a3
-                    + (49.0 / 176.0) * a4
-                    - (5103.0 / 18656.0) * a5
-                )
-                for ui, a1, a2, a3, a4, a5 in zip(u, k1, k2, k3, k4, k5)
-            ]
-            z, zdot = _point(row, t + hs)
-            k6 = _deriv(coeff, params, z, zdot, ut)
-            ut = [
-                ui + hs * (
-                    (35.0 / 384.0) * a1
-                    + (500.0 / 1113.0) * a3
-                    + (125.0 / 192.0) * a4
-                    - (2187.0 / 6784.0) * a5
-                    + (11.0 / 84.0) * a6
-                )
-                for ui, a1, a3, a4, a5, a6 in zip(u, k1, k3, k4, k5, k6)
-            ]
-            k7 = _deriv(coeff, params, z, zdot, ut)
-            err = max(0.0, *(
-                abs(hs * (
-                    (71.0 / 57600.0) * a1
-                    - (71.0 / 16695.0) * a3
-                    + (71.0 / 1920.0) * a4
-                    - (17253.0 / 339200.0) * a5
-                    + (22.0 / 525.0) * a6
-                    - (1.0 / 40.0) * a7
-                ))
-                for a1, a3, a4, a5, a6, a7 in zip(k1, k3, k4, k5, k6, k7)
-            ))
-            unorm = max(1.0, *map(abs, u))
+            h2 = hs * 0.2
+            va, vb, vc, vd = ua + h2 * a1, ub + h2 * b1, uc + h2 * c1, ud + h2 * d1
+            z, zdot = point(t + 0.2 * hs)
+            c11, c12, c21, c22 = coeff(z)
+            a2, b2 = (c11 * va + c12 * vc) * zdot, (c11 * vb + c12 * vd) * zdot
+            c2, d2 = (c21 * va + c22 * vc) * zdot, (c21 * vb + c22 * vd) * zdot
+            va = ua + hs * (0.075 * a1 + 0.225 * a2)
+            vb = ub + hs * (0.075 * b1 + 0.225 * b2)
+            vc = uc + hs * (0.075 * c1 + 0.225 * c2)
+            vd = ud + hs * (0.075 * d1 + 0.225 * d2)
+            z, zdot = point(t + 0.3 * hs)
+            c11, c12, c21, c22 = coeff(z)
+            a3, b3 = (c11 * va + c12 * vc) * zdot, (c11 * vb + c12 * vd) * zdot
+            c3, d3 = (c21 * va + c22 * vc) * zdot, (c21 * vb + c22 * vd) * zdot
+            va = ua + hs * ((44.0 / 45.0) * a1 - (56.0 / 15.0) * a2 + (32.0 / 9.0) * a3)
+            vb = ub + hs * ((44.0 / 45.0) * b1 - (56.0 / 15.0) * b2 + (32.0 / 9.0) * b3)
+            vc = uc + hs * ((44.0 / 45.0) * c1 - (56.0 / 15.0) * c2 + (32.0 / 9.0) * c3)
+            vd = ud + hs * ((44.0 / 45.0) * d1 - (56.0 / 15.0) * d2 + (32.0 / 9.0) * d3)
+            z, zdot = point(t + 0.8 * hs)
+            c11, c12, c21, c22 = coeff(z)
+            a4, b4 = (c11 * va + c12 * vc) * zdot, (c11 * vb + c12 * vd) * zdot
+            c4, d4 = (c21 * va + c22 * vc) * zdot, (c21 * vb + c22 * vd) * zdot
+            va = ua + hs * ((19372.0 / 6561.0) * a1 - (25360.0 / 2187.0) * a2
+                            + (64448.0 / 6561.0) * a3 - (212.0 / 729.0) * a4)
+            vb = ub + hs * ((19372.0 / 6561.0) * b1 - (25360.0 / 2187.0) * b2
+                            + (64448.0 / 6561.0) * b3 - (212.0 / 729.0) * b4)
+            vc = uc + hs * ((19372.0 / 6561.0) * c1 - (25360.0 / 2187.0) * c2
+                            + (64448.0 / 6561.0) * c3 - (212.0 / 729.0) * c4)
+            vd = ud + hs * ((19372.0 / 6561.0) * d1 - (25360.0 / 2187.0) * d2
+                            + (64448.0 / 6561.0) * d3 - (212.0 / 729.0) * d4)
+            z, zdot = point(t + (8.0 / 9.0) * hs)
+            c11, c12, c21, c22 = coeff(z)
+            a5, b5 = (c11 * va + c12 * vc) * zdot, (c11 * vb + c12 * vd) * zdot
+            c5, d5 = (c21 * va + c22 * vc) * zdot, (c21 * vb + c22 * vd) * zdot
+            va = ua + hs * ((9017.0 / 3168.0) * a1 - (355.0 / 33.0) * a2 + (46732.0 / 5247.0) * a3
+                            + (49.0 / 176.0) * a4 - (5103.0 / 18656.0) * a5)
+            vb = ub + hs * ((9017.0 / 3168.0) * b1 - (355.0 / 33.0) * b2 + (46732.0 / 5247.0) * b3
+                            + (49.0 / 176.0) * b4 - (5103.0 / 18656.0) * b5)
+            vc = uc + hs * ((9017.0 / 3168.0) * c1 - (355.0 / 33.0) * c2 + (46732.0 / 5247.0) * c3
+                            + (49.0 / 176.0) * c4 - (5103.0 / 18656.0) * c5)
+            vd = ud + hs * ((9017.0 / 3168.0) * d1 - (355.0 / 33.0) * d2 + (46732.0 / 5247.0) * d3
+                            + (49.0 / 176.0) * d4 - (5103.0 / 18656.0) * d5)
+            z, zdot = point(t + hs)
+            c11, c12, c21, c22 = coeff(z)
+            a6, b6 = (c11 * va + c12 * vc) * zdot, (c11 * vb + c12 * vd) * zdot
+            c6, d6 = (c21 * va + c22 * vc) * zdot, (c21 * vb + c22 * vd) * zdot
+            # the fifth-order solution; stage 7 shares stage 6's point and C (FSAL)
+            va = ua + hs * ((35.0 / 384.0) * a1 + (500.0 / 1113.0) * a3 + (125.0 / 192.0) * a4
+                            - (2187.0 / 6784.0) * a5 + (11.0 / 84.0) * a6)
+            vb = ub + hs * ((35.0 / 384.0) * b1 + (500.0 / 1113.0) * b3 + (125.0 / 192.0) * b4
+                            - (2187.0 / 6784.0) * b5 + (11.0 / 84.0) * b6)
+            vc = uc + hs * ((35.0 / 384.0) * c1 + (500.0 / 1113.0) * c3 + (125.0 / 192.0) * c4
+                            - (2187.0 / 6784.0) * c5 + (11.0 / 84.0) * c6)
+            vd = ud + hs * ((35.0 / 384.0) * d1 + (500.0 / 1113.0) * d3 + (125.0 / 192.0) * d4
+                            - (2187.0 / 6784.0) * d5 + (11.0 / 84.0) * d6)
+            a7, b7 = (c11 * va + c12 * vc) * zdot, (c11 * vb + c12 * vd) * zdot
+            c7, d7 = (c21 * va + c22 * vc) * zdot, (c21 * vb + c22 * vd) * zdot
+            ea = abs(hs * ((71.0 / 57600.0) * a1 - (71.0 / 16695.0) * a3 + (71.0 / 1920.0) * a4
+                           - (17253.0 / 339200.0) * a5 + (22.0 / 525.0) * a6 - (1.0 / 40.0) * a7))
+            eb = abs(hs * ((71.0 / 57600.0) * b1 - (71.0 / 16695.0) * b3 + (71.0 / 1920.0) * b4
+                           - (17253.0 / 339200.0) * b5 + (22.0 / 525.0) * b6 - (1.0 / 40.0) * b7))
+            ec = abs(hs * ((71.0 / 57600.0) * c1 - (71.0 / 16695.0) * c3 + (71.0 / 1920.0) * c4
+                           - (17253.0 / 339200.0) * c5 + (22.0 / 525.0) * c6 - (1.0 / 40.0) * c7))
+            ed = abs(hs * ((71.0 / 57600.0) * d1 - (71.0 / 16695.0) * d3 + (71.0 / 1920.0) * d4
+                           - (17253.0 / 339200.0) * d5 + (22.0 / 525.0) * d6 - (1.0 / 40.0) * d7))
+            err = max(0.0, ea, eb, ec, ed)
             allowed = rtol * speed * hs * unorm
             if err != err:
                 # a singular coefficient evaluation poisoned the stages
@@ -269,11 +298,13 @@ def integrate_path(rows, mode, params, u0, rtol):
             else:
                 if err <= allowed:
                     t += hs
-                    u, k1 = ut, k7
+                    ua, ub, uc, ud = va, vb, vc, vd
+                    a1, b1, c1, d1 = a7, b7, c7, d7
+                    unorm = max(1.0, abs(ua), abs(ub), abs(uc), abs(ud))
                     err_accum += err
                     nsteps += 1
                     if watch_det:
-                        drift = max(drift, abs(det2_compensated(np.reshape(u, (2, 2))) - 1.0))
+                        drift = max(drift, abs(det2_compensated(((ua, ub), (uc, ud))) - 1.0))
                 if err > 0.0:
                     fac = 0.9 * (allowed / err) ** 0.2
                     if fac < 0.2:
@@ -284,8 +315,8 @@ def integrate_path(rows, mode, params, u0, rtol):
                 else:
                     h = hs * 5.0
             if h < 1e-14:
-                return 1, np.array(u), err_accum, drift, nsteps
-    return 0, np.array(u), err_accum, drift, nsteps
+                return 1, np.array((ua, ub, uc, ud)), err_accum, drift, nsteps
+    return 0, np.array((ua, ub, uc, ud)), err_accum, drift, nsteps
 
 
 # Chebyshev collocation on x_j = cos(j pi / N), j = 0..N, so x_0 = 1 is the
@@ -294,6 +325,12 @@ _N = 24
 _FLOOR = 64.0 * np.finfo(float).eps
 _MAX_DEPTH = 30
 _UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
+
+
+def check_rtol(rtol):
+    """Raise StepUnderflow for a tolerance below the unit roundoff, which no step meets."""
+    if not rtol >= _UNIT_ROUNDOFF:
+        raise StepUnderflow(f"tolerance {rtol:.3g} is below the unit roundoff")
 
 
 def _chebyshev_tables(n):
@@ -349,7 +386,7 @@ def _interpolate(w, x):
     return np.eye(2) + np.einsum("sj,srjc->src", lag, w)
 
 
-def _collocate(coeff, params, a, b, rtol, buf):
+def _collocate(coeff, a, b, rtol, buf):
     """W = U - I of the pieces a -> b at their nodes, shape (k, 2, N + 1, 2)
     with the node index in the middle, and whether each tail has decayed.
 
@@ -361,7 +398,7 @@ def _collocate(coeff, params, a, b, rtol, buf):
     h = 0.5 * (b - a)
     hc = np.empty((k, 2, 2, n1), dtype=complex)
     with np.errstate(all="ignore"):
-        for i, ck in enumerate(coeff(params, (a + h)[:, None] + h[:, None] * _X)):
+        for i, ck in enumerate(coeff((a + h)[:, None] + h[:, None] * _X)):
             hc[:, i // 2, i % 2] = h[:, None] * ck
     if not np.isfinite(hc).all():
         raise StepUnderflow("the coefficients are singular on the segment")
@@ -393,9 +430,8 @@ def chebyshev_transfers(mode, params, a, b, rtol, stats=None, samples=None):
     of points on the segments, returns U at each of them instead, shape
     (len(a), n, 2, 2) (dense output).
     """
-    if not rtol >= _UNIT_ROUNDOFF:
-        raise StepUnderflow(f"tolerance {rtol:.3g} is below the unit roundoff")
-    coeff = _COEFF[mode]
+    check_rtol(rtol)
+    coeff = _COEFF[mode](params)
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     b = np.atleast_1d(np.asarray(b, dtype=complex))
     nseg = len(a)
@@ -409,7 +445,7 @@ def chebyshev_transfers(mode, params, a, b, rtol, stats=None, samples=None):
         ok = np.empty(len(seg), dtype=bool)
         for lo in range(0, len(seg), _CHUNK):
             hi = lo + _CHUNK
-            w, ok[lo:hi] = _collocate(coeff, params, pa[lo:hi], pb[lo:hi], rtol, buf)
+            w, ok[lo:hi] = _collocate(coeff, pa[lo:hi], pb[lo:hi], rtol, buf)
             mine = lo + np.flatnonzero(ok[lo:hi])
             done.append((seg[mine], ta[mine], tb[mine], w[mine - lo, :, :keep]))
         if ok.all():

@@ -80,16 +80,17 @@ def _two_prod(a: float, b: float):
     return p, e
 
 
-def det2_compensated(m: np.ndarray) -> complex:
-    """Determinant with compensated products.
+def det2_compensated(m) -> complex:
+    """Determinant with compensated products, of a 2x2 matrix or of its two
+    rows given as pairs of entries.
 
     The naive determinant of a matrix with entries of size s carries a
     rounding error of order eps*s^2, which drowns the actual drift signal
     once transported frames grow large.  Splitting each real product into
     head and tail and summing with math.fsum removes that floor.
     """
-    a, b = complex(m[0, 0]), complex(m[0, 1])
-    c, d = complex(m[1, 0]), complex(m[1, 1])
+    (a, b), (c, d) = m
+    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     re_terms = []
     im_terms = []
     for u, v, sign in ((a, d, 1.0), (b, c, -1.0)):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import integrate_path
+from ._kernel import check_rtol, integrate_path
 from .algebra import det2, eigenvalues_2x2, inv2
 from .config import CLEARANCE_FACTOR, LOOP_RADIUS_FACTOR, Tolerances
 from .errors import EigenvalueMismatch, NonSL2Input, SingularPathPoint, StepUnderflow
@@ -219,6 +219,7 @@ def make_path_plan(data, base_point: complex | None = None) -> PathPlan:
 
 def run_kernel(path: Path, mode: int, params: np.ndarray, u0: np.ndarray, rtol: float, stats: dict | None = None) -> np.ndarray:
     """Low-level transport along a validated path; fills stats if given."""
+    check_rtol(rtol)
     rows = np.ascontiguousarray(path.rows())
     u0_flat = np.ascontiguousarray(u0, dtype=np.complex128).reshape(4)
     status, u, err, drift, nsteps = integrate_path(rows, mode, params, u0_flat, rtol)

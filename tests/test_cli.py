@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import trinoid.cli
+import trinoid.fuchsian
 from trinoid import errors
 from trinoid.cli import main
 from trinoid.config import Tolerances, default_tolerances
@@ -151,15 +152,31 @@ def test_monodromy_base_point_override(tmp_path):
 
 
 def test_monodromy_ode_tolerance_flag(tmp_path):
-    # --tol-ode replaces Tolerances.ode: an unreachable value stalls the
-    # step controller (numerical failure, exit 3), a looser one changes
-    # the accumulated error estimate
+    # --tol-ode replaces Tolerances.ode: a value below the unit roundoff is
+    # a numerical failure (exit 3), a looser one changes the accumulated
+    # error estimate
     assert main(["monodromy", "--angles", "2/3,2/3,2/3", "--tol-ode", "1e-28"]) == 3
     default = run_json(tmp_path, "default", ["monodromy", "--angles", "2/3,2/3,2/3"])
     loose = run_json(
         tmp_path, "loose", ["monodromy", "--angles", "2/3,2/3,2/3", "--tol-ode", "1e-8"]
     )
     assert loose["err_estimate"] != default["err_estimate"]
+
+
+@pytest.mark.parametrize("option, scale", [(["--tol-ode", "1e-17"], None), ([], "1e-7")])
+def test_monodromy_sub_roundoff_tolerance_named(monkeypatch, capsys, option, scale):
+    # an ODE tolerance below the unit roundoff, from --tol-ode or from
+    # TRINOID_TOL_SCALE, is a numerical failure named as such before any
+    # transport runs, not a step size underflow blamed on the path
+    if scale is not None:
+        monkeypatch.setenv("TRINOID_TOL_SCALE", scale)
+
+    def no_transport(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(trinoid.fuchsian, "integrate_path", no_transport)
+    assert main(["monodromy", "--angles", "2/3,2/3,2/3", *option]) == 3
+    assert capsys.readouterr().err == "error: tolerance 1e-17 is below the unit roundoff\n"
 
 
 def test_monodromy_determinism(tmp_path):

@@ -1,6 +1,7 @@
 """Path plumbing, transport oracles, and loop monodromy."""
 
 import cmath
+import hashlib
 import math
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from trinoid.fuchsian import (
     circle,
     concat,
     hypergeometric_monodromy,
+    integrate_path,
     integrate_matrix_ode,
     integrate_scalar_ode,
     make_path_plan,
@@ -199,8 +201,10 @@ def test_kernel_step_counts_pinned():
     # The adaptive kernel is deterministic, so its accepted-step counts pin
     # its arithmetic: any change to a stage expression, the error norm or
     # the step-size control moves them.  The counts were measured before
-    # the kernel was rewritten as plain Python; the matrix-loop count is the
-    # one the perfbench counter cross-check implies (358,332 - 357,800).
+    # the kernel was rewritten as plain Python, and they survived its second
+    # rewrite with unrolled stages, which reuses stage 6's coefficients for
+    # stage 7; the matrix-loop count is the one the perfbench counter
+    # cross-check implies (358,332 - 357,800).
     tol = Tolerances()
     data = build_trinoid_data(SYM23)
     eye = np.eye(2, dtype=complex)
@@ -223,6 +227,47 @@ def test_kernel_step_counts_pinned():
     spoke = segment(math.log(ch.r_out), math.log(1e-3))
     rtol = tol.ode * TRANSPORT_TOL_FACTOR
     assert steps([spoke], MODE_LOG_CHART, ch.kernel_params, rtol) == 2095
+
+
+def test_kernel_output_bits_pinned():
+    # Pins the bits the adaptive kernel returns, where the test above pins
+    # only its step counts: the sha256 of each transport's U bytes, error
+    # estimate, det drift and step count.  A rewrite that keeps the same
+    # floating-point operations on the same numpy scalar types keeps them;
+    # they also pin this environment's numpy build, whose complex division
+    # and elementary functions a different build may round differently.
+    tol = Tolerances()
+    eye = np.eye(2, dtype=complex).reshape(4)
+
+    def digest(paths, mode, params, rtol):
+        h = hashlib.sha256()
+        for path in paths:
+            _, u, err, drift, nsteps = integrate_path(path.rows(), mode, params, eye, rtol)
+            h.update(u.tobytes() + f"{float.hex(err)} {float.hex(drift)} {nsteps};".encode())
+        return h.hexdigest()
+
+    sym23 = build_trinoid_data(SYM23)
+    big = build_trinoid_data(C2)
+    hp = hypergeometric_params(SYM23)
+    ch = end_charts(sym23)[0]
+    spoke = segment(math.log(ch.r_out), math.log(1e-3))
+    got = {
+        "sym23 matrix": digest(make_path_plan(sym23).loops, MODE_MATRIX, sym23.kernel_params(), tol.ode),
+        "sym23 scalar": digest(make_path_plan(sym23).loops, MODE_SCALAR, sym23.kernel_params(), tol.ode),
+        "big matrix": digest(make_path_plan(big).loops, MODE_MATRIX, big.kernel_params(), tol.ode),
+        "sym23 hypergeometric": digest(
+            make_path_plan([0.0, 1.0]).loops, MODE_HYPERGEOMETRIC,
+            np.array([hp.a, hp.b, hp.c, 0.0, 0.0, 0.0, 0.0]), tol.ode,
+        ),
+        "sym23 spoke": digest([spoke], MODE_LOG_CHART, ch.kernel_params, tol.ode * TRANSPORT_TOL_FACTOR),
+    }
+    assert got == {
+        "sym23 matrix": "8d163e5d93730f036e7c1d2e3847b2be4cc1440b954a01ae90c76054a0281985",
+        "sym23 scalar": "c6d526871379bf588a9f7bc44558ecda0ec4e6695fb39bf45f454e2064e50356",
+        "big matrix": "c91aed0f9a1bbd39377f8491814751d5a365d0d7a4f9f55d2073c45131382c32",
+        "sym23 hypergeometric": "d4847a2b1d7ade9ed4a844ee8c684a2e58f2221059ff5f8c1cfcc1bedb1d7c02",
+        "sym23 spoke": "77e40f89de619fa6b60867235a09a03006939ef468d2bb763468f8915244c3bd",
+    }
 
 
 def test_scalar_and_matrix_agree_projectively():

@@ -173,7 +173,7 @@ def test_hypergeometric_params_invariants_all_signs():
 
 def _scalar_ode_coeffs(data, z):
     """(r, s) of X'' + r X' + s X = 0 as the kernel's mode 1 evaluates them."""
-    _, _, c21, c22 = _coeff_scalar(data.kernel_params(), z)
+    _, _, c21, c22 = _coeff_scalar(data.kernel_params())(z)
     return -c22, -c21
 
 
