@@ -327,10 +327,10 @@ _MAX_DEPTH = 30
 _UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
 
 
-def check_rtol(rtol):
-    """Raise StepUnderflow for a tolerance below the unit roundoff, which no step meets."""
+def check_rtol(rtol, what="tolerance"):
+    """Raise StepUnderflow naming what when rtol is below the unit roundoff, which no step meets."""
     if not rtol >= _UNIT_ROUNDOFF:
-        raise StepUnderflow(f"tolerance {rtol:.3g} is below the unit roundoff")
+        raise StepUnderflow(f"{what} {rtol:.3g} is below the unit roundoff")
 
 
 def _chebyshev_tables(n):

@@ -6,8 +6,8 @@ identical output.  This module is the one place where settings enter
 the program: ``_config_from`` parses the options and reads the environment
 variable TRINOID_TOL_SCALE once, through ``config.default_tolerances``,
 into the tolerances that every library call is then passed.  Each command
-reads the argparse namespace, with the angle, base point and deformation
-strings replaced by their parsed values and the tolerances added;
+reads the argparse namespace, with the angle and deformation strings
+replaced by their parsed values and the tolerances added;
 ``COMMANDS`` maps the subcommand name to it.  An error's type carries its
 exit code: 2 for invalid input (``TrinoidError`` and ``ValueError``), 3
 for a ``NumericalFailure``, 4 for empty moduli in a mesh request; 0 is
@@ -17,7 +17,6 @@ success.
 from __future__ import annotations
 
 import argparse
-import cmath
 import dataclasses
 import json
 import math
@@ -162,14 +161,13 @@ def cmd_monodromy(ns: argparse.Namespace) -> dict:
     """
     b, tol = ns.angles, ns.tol
     data = build_trinoid_data(b, tol)
-    plan = make_path_plan(data, base_point=ns.base_point)
+    plan = make_path_plan(data)
     rep = monodromy(data, plan=plan, tol=tol)
     scalar = monodromy(data, plan=plan, source=Source.SCALAR_ODE, tol=tol)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "monodromy",
         "angles": _angles_json(b),
-        "base_point": complex(plan.base_point),
         "det_drift": rep.det_drift,
         "det_drift_passed": bool(rep.det_drift <= tol.det),
         "err_estimate": rep.err_estimate,
@@ -356,17 +354,22 @@ def cmd_fh(ns: argparse.Namespace) -> dict:
 
 
 def _parse_angles(text: str, units: str) -> tuple[float, float, float]:
-    parts = text.split(",")
+    """Parse three angles in units of pi or radians; each must be finite in radians."""
+    parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise ValueError(f"expected three comma-separated angles, got {text!r}")
+    scale = math.pi if units == "pi" else 1.0
     vals = []
     for p in parts:
         try:
-            vals.append(float(Fraction(p.strip())))
+            v = float(Fraction(p)) * scale
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse angle {p.strip()!r}") from exc
-    if units == "pi":
-        vals = [v * math.pi for v in vals]
+            raise ValueError(f"cannot parse angle {p!r}") from exc
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
+            raise ValueError(f"angle {p!r} is not a finite number of radians")
+        vals.append(v)
     return tuple(vals)
 
 
@@ -381,7 +384,6 @@ def _parse_pair(text: str, what: str) -> tuple:
 _OPTIONS = {
     "--target": dict(choices=("h3", "s2"), default="h3"),
     "--tol-ode": dict(type=float, default=None, help="integration tolerance, overriding Tolerances.ode"),
-    "--base-point": dict(default=None, help="re,im override for loop planning"),
     "--seed": dict(type=int, default=None, help="seed that picks the well-definedness check vertices"),
 }
 
@@ -404,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("classify", "moduli classification report")
-    command("monodromy", "loop transport report", "--tol-ode", "--base-point")
+    command("monodromy", "loop transport report", "--tol-ode")
 
     p_mesh = command("mesh", "generate and export a surface mesh", "--tol-ode", "--seed")
     p_mesh.add_argument("--rings", type=int, default=8)
@@ -422,17 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(ns: argparse.Namespace) -> argparse.Namespace:
-    """Replace the raw --angles, --base-point and --deform strings on ns by
-    their parsed values, add the tolerances (TRINOID_TOL_SCALE applied, then
-    --tol-ode) as ns.tol, and return ns."""
+    """Replace the raw --angles and --deform strings on ns by their parsed
+    values, add the tolerances (TRINOID_TOL_SCALE applied, then --tol-ode)
+    as ns.tol, and return ns."""
     opts = vars(ns)
     ns.angles = _parse_angles(ns.angles, ns.units)
-    if opts.get("base_point") is not None:
-        re_s, im_s = _parse_pair(ns.base_point, "--base-point")
-        base_point = complex(float(re_s), float(im_s))
-        if not cmath.isfinite(base_point):
-            raise ValueError(f"--base-point must be finite, got {ns.base_point!r}")
-        ns.base_point = base_point
     if opts.get("deform") is not None:
         deform = tuple(float(p) for p in ns.deform.split(","))
         if not all(map(math.isfinite, deform)):

@@ -32,14 +32,10 @@ MODE_SCALAR = 1
 MODE_HYPERGEOMETRIC = 2
 MODE_LOG_CHART = 4
 
-# The base point of the monodromy loops and of the sample grid's tree.
-# Real angles put the Gauss-map pole on the real axis, so it is at least
-# 0.5 away, far past the clearance of any plan.
+# The base point of the monodromy loops and of the sample grid's tree.  It
+# is 0.707 from 0 and 1 and, for real angles, at least 0.5 from the Gauss-map
+# pole, far past any plan's clearance (at most 0.05), so no plan checks it.
 BASE_POINT = 0.5 + 0.5j
-# Largest |explicit base point|.  The tolerance is per unit arclength, so
-# loop error grows with the legs from the base: at |base| = 1e3 the
-# determinant drift of 2/3,2/3,2/3 already exceeds Tolerances.det.
-_MAX_BASE_MODULUS = 100.0
 
 
 @dataclass(frozen=True)
@@ -137,9 +133,8 @@ def validate_path(path: Path, singular_points, clearance: float):
 
 @dataclass(frozen=True)
 class PathPlan:
-    """Base point plus one positively oriented loop around each of 0 and 1."""
+    """One positively oriented loop around each of 0 and 1, based at BASE_POINT."""
 
-    base_point: complex
     loops: tuple[Path, Path]
     singular_points: tuple
     clearance: float
@@ -156,65 +151,52 @@ def _min_pairwise(points) -> float:
     return best if best < math.inf else 1.0
 
 
-def _build_loop(base, center, other_puncture, singular_points, radius_factor, clearance):
-    """Route base -> circle entry, a full turn, and back, respecting clearance.
+def _build_loop(center, singular_points, clearance):
+    """Route BASE_POINT -> circle entry, a full turn, and back, respecting clearance.
 
-    The radius starts at radius_factor times the distance to the other
-    puncture; the loop may legitimately enclose apparent singular points,
-    so only the other puncture constrains the radius while the clearance
-    margin is enforced against every singular point.  If the default
-    approach ray or radius violates clearance the builder shrinks the
-    radius and rotates the entry point until a clean route appears.
+    The entry point lies on the ray from the center through BASE_POINT.
+    The radius starts at LOOP_RADIUS_FACTOR times the distance between the
+    punctures, which is 1; the loop may legitimately enclose apparent
+    singular points, so only the other puncture constrains the radius while
+    the clearance margin is enforced against every singular point.  If the
+    loop violates clearance the builder shrinks the radius until a clean
+    route appears.
     """
-    r0 = radius_factor * abs(center - other_puncture)
-    phi0 = cmath.phase(base - center)
+    phi = cmath.phase(BASE_POINT - center)
+    others = [s for s in singular_points if s != center]
     for shrink in range(10):
-        r = r0 * 0.75**shrink
-        for rot in range(12):
-            phi = phi0 + rot * (math.pi / 6.0)
-            entry = center + r * cmath.exp(1j * phi)
-            path = Path(
-                (
-                    ("seg", base, entry),
-                    ("arc", center, r, phi, phi + 2 * math.pi),
-                    ("seg", entry, base),
-                )
+        r = LOOP_RADIUS_FACTOR * 0.75**shrink
+        entry = center + r * cmath.exp(1j * phi)
+        path = Path(
+            (
+                ("seg", BASE_POINT, entry),
+                ("arc", center, r, phi, phi + 2 * math.pi),
+                ("seg", entry, BASE_POINT),
             )
-            others = [s for s in singular_points if s != center]
-            if path_clearance(path, others) >= clearance and r >= clearance:
-                return path
+        )
+        if path_clearance(path, others) >= clearance and r >= clearance:
+            return path
     raise SingularPathPoint(
         f"no loop around {center} stays {clearance:.3g} away from {singular_points}"
     )
 
 
-def make_path_plan(data, base_point: complex | None = None) -> PathPlan:
+def make_path_plan(data) -> PathPlan:
     """Plan the two monodromy loops for trinoid data or an explicit point set.
 
     data may be a TrinoidData (its punctures and Gauss-map pole are kept
     clear of) or a bare sequence of finite singular points that must
-    include 0 and 1.  The base is BASE_POINT unless one is given; either
-    way it must keep the clearance, or SingularPathPoint is raised.  The
-    loop radii start at LOOP_RADIUS_FACTOR times the distance between the
-    punctures.  Raises ValueError for a base point farther than 100 from
-    the origin.
+    include 0 and 1.  Both loops start and end at BASE_POINT; a point set
+    that crowds the base leaves no loop clear and raises SingularPathPoint.
     """
     if isinstance(data, TrinoidData):
         singular = data.finite_singular_points()
     else:
         singular = tuple(complex(s) for s in data)
     clearance = CLEARANCE_FACTOR * _min_pairwise(singular)
-    base = BASE_POINT if base_point is None else complex(base_point)
-    if not abs(base) <= _MAX_BASE_MODULUS:
-        raise ValueError(
-            f"base point {base} lies {abs(base):.3g} from the origin; loop error "
-            f"grows with loop length, so at most {_MAX_BASE_MODULUS:g} is accepted"
-        )
-    if min(abs(base - s) for s in singular) < clearance:
-        raise SingularPathPoint(f"base point {base} violates clearance {clearance:.3g}")
-    loop0 = _build_loop(base, 0.0 + 0.0j, 1.0 + 0.0j, singular, LOOP_RADIUS_FACTOR, clearance)
-    loop1 = _build_loop(base, 1.0 + 0.0j, 0.0 + 0.0j, singular, LOOP_RADIUS_FACTOR, clearance)
-    return PathPlan(base_point=base, loops=(loop0, loop1), singular_points=singular, clearance=clearance)
+    loop0 = _build_loop(0.0 + 0.0j, singular, clearance)
+    loop1 = _build_loop(1.0 + 0.0j, singular, clearance)
+    return PathPlan(loops=(loop0, loop1), singular_points=singular, clearance=clearance)
 
 
 def run_kernel(path: Path, mode: int, params: np.ndarray, u0: np.ndarray, rtol: float, stats: dict | None = None) -> np.ndarray:
@@ -225,7 +207,8 @@ def run_kernel(path: Path, mode: int, params: np.ndarray, u0: np.ndarray, rtol: 
     status, u, err, drift, nsteps = integrate_path(rows, mode, params, u0_flat, rtol)
     if status == 1:
         raise StepUnderflow(
-            "step size underflow during transport; the path passes too close to a singular point"
+            f"step size underflow during transport at tolerance {rtol:.3g}: the tolerance is too "
+            "close to the unit roundoff, or the path passes too close to a singular point"
         )
     if stats is not None:
         stats["err_estimate"] = stats.get("err_estimate", 0.0) + err

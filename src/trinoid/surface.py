@@ -47,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from ._kernel import chebyshev_transfers
+from ._kernel import chebyshev_transfers, check_rtol
 from .algebra import det2, det_defect, inv2, project_h3, solve_quadratic
 from .config import CLEARANCE_FACTOR, TRANSPORT_TOL_FACTOR, Tolerances
 from .errors import (
@@ -448,12 +448,15 @@ def transport_frame(
     anchor as the product of its two legs) and one EndChart.transfer batch
     per end for the rows between its annulus vertices (ring arcs and
     spokes) and its seam; the frames are then composed in row order.
-    stats["n_pieces"] counts the accepted collocation pieces.  If the
-    solver fails, the failed batch is solved again an edge at a time to
-    name the edge that stalls.  Checks det F = 1 at every vertex
-    afterwards.
+    stats["n_pieces"] counts the accepted collocation pieces.  A transport
+    tolerance below the unit roundoff raises StepUnderflow before the first
+    batch, naming Tolerances.ode and the tightening.  If the solver fails,
+    the failed batch is solved again an edge at a time to name the edge
+    that stalls.  Checks det F = 1 at every vertex afterwards.
     """
     rtol = tol.ode * TRANSPORT_TOL_FACTOR
+    check_rtol(rtol, f"transport tolerance (Tolerances.ode {tol.ode:.3g} x TRANSPORT_TOL_FACTOR "
+                     f"{TRANSPORT_TOL_FACTOR:g})")
     params0 = data.kernel_params()
     nv = grid.n_vertices
     n_ann = len(grid.zeta)

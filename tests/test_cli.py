@@ -142,15 +142,6 @@ def test_monodromy_near_boundary_triple_unitarizable(tmp_path):
     assert rep["unitarizer_source"] == "ode"
 
 
-def test_monodromy_base_point_override(tmp_path):
-    rep = run_json(
-        tmp_path, "base",
-        ["monodromy", "--angles", "2/3,2/3,2/3", "--base-point", "0.4,0.6"],
-    )
-    npt.assert_allclose([rep["base_point"]["re"], rep["base_point"]["im"]], [0.4, 0.6])
-    assert rep["unitarizer_kind"] == "SinglePoint"
-
-
 def test_monodromy_ode_tolerance_flag(tmp_path):
     # --tol-ode replaces Tolerances.ode: a value below the unit roundoff is
     # a numerical failure (exit 3), a looser one changes the accumulated
@@ -177,6 +168,51 @@ def test_monodromy_sub_roundoff_tolerance_named(monkeypatch, capsys, option, sca
     monkeypatch.setattr(trinoid.fuchsian, "integrate_path", no_transport)
     assert main(["monodromy", "--angles", "2/3,2/3,2/3", *option]) == 3
     assert capsys.readouterr().err == "error: tolerance 1e-17 is below the unit roundoff\n"
+
+
+def test_mesh_sub_roundoff_transport_tolerance_named(tmp_path, capsys):
+    # the mesh transport runs at Tolerances.ode tightened by
+    # TRANSPORT_TOL_FACTOR (1e-3), so --tol-ode 1e-14 puts it below the unit
+    # roundoff: a numerical failure that names the tolerance and the
+    # tightening before the first batch, not a stall blamed on a grid edge
+    rc = main(["mesh", "--angles", "2/3,2/3,2/3", "--rings", "2", "--sectors", "6",
+               "--tol-ode", "1e-14", "--out", str(tmp_path / "x.obj")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "Tolerances.ode 1e-14" in err and "TRANSPORT_TOL_FACTOR 0.001" in err
+    assert "1e-17 is below the unit roundoff" in err and "edge" not in err
+
+
+def test_monodromy_stall_near_roundoff_names_tolerance(capsys):
+    # a tolerance just above the unit roundoff can still stall the DOPRI
+    # step controller on the planner's loops, which keep their clearance,
+    # so the error names the tolerance and both possible causes
+    assert main(["monodromy", "--angles", "3,3,3", "--tol-ode", "5e-16"]) == 3
+    err = capsys.readouterr().err
+    assert "step size underflow during transport at tolerance 5e-16" in err
+    assert "unit roundoff" in err and "singular point" in err
+
+
+@pytest.mark.parametrize("angle", ["1e400", "1e308"])
+@pytest.mark.parametrize(
+    "cmd", [["classify"], ["monodromy"], ["mesh"], ["fh", "hemisphere", "--edge", "1,2"]],
+    ids=["classify", "monodromy", "mesh", "fh"],
+)
+def test_overflowing_angle_rejected(tmp_path, monkeypatch, capsys, cmd, angle):
+    # 1e400 overflows a float and 1e308 overflows once multiplied by pi;
+    # they used to end in a traceback, in a misleading exit code or, for fh,
+    # in a report with infinite angles.  Both now exit 2 before any
+    # computation, naming the angle
+    def no_computation(*args, **kwargs):
+        raise AssertionError("the pipeline started")
+
+    for name in ("classify", "conical_data", "build_trinoid_data"):
+        monkeypatch.setattr(trinoid.cli, name, no_computation)
+    args = [*cmd, "--angles", f"{angle},1,1"]
+    if cmd[0] == "mesh":
+        args += ["--out", str(tmp_path / "x.obj")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: angle '{angle}' is not a finite number of radians\n"
 
 
 def test_monodromy_determinism(tmp_path):
@@ -239,8 +275,8 @@ def test_mesh_exit_codes(tmp_path):
     # the spherical target has no mesh
     assert main(["mesh", "--angles", "2/3,2/3,2/3", "--target", "s2",
                  "--out", str(tmp_path / "y.obj")]) == 2
-    # the mesh transports from its own base point and plans no loops there,
-    # so a base point is not accepted rather than ignored
+    # the loops and the grid share one fixed base point, which no command
+    # takes as an option
     assert main(["mesh", "--angles", "2/3,2/3,2/3", "--base-point", "2,2",
                  "--out", str(tmp_path / "z.obj")]) == 2
 
@@ -311,6 +347,8 @@ def test_input_error_exit_codes():
     assert main(["classify", "--angles", "2/3,2/3,2/3", "--seed", "7"]) == 2
     assert main(["classify", "--angles", "2/3,2/3,2/3", "--target", "s2"]) == 2
     assert main(["monodromy", "--angles", "2/3,2/3,2/3", "--seed", "1"]) == 2
+    # the loops are based at fuchsian.BASE_POINT, which no option moves
+    assert main(["monodromy", "--angles", "2/3,2/3,2/3", "--base-point", "0.5,0.5"]) == 2
     assert main([]) == 2
 
 
@@ -383,16 +421,11 @@ def test_tol_ode_rejects_invalid(tmp_path, monkeypatch, cmd, value):
     [
         (["mesh", "--angles", "3,3,3", "--deform", "nan,0,0"], "--deform values must be finite"),
         (["mesh", "--angles", "3,3,3", "--deform", "0,-inf,0"], "--deform values must be finite"),
-        (["monodromy", "--angles", "2/3,2/3,2/3", "--base-point", "nan,0.5"],
-         "--base-point must be finite"),
-        (["monodromy", "--angles", "2/3,2/3,2/3", "--base-point", "inf,0"],
-         "--base-point must be finite"),
     ],
 )
 def test_non_finite_inputs_rejected(tmp_path, monkeypatch, capsys, args, message):
-    # a non-finite deformation used to mesh 42 nan vertices with exit 0, and
-    # a non-finite base point to exit 2 with a message from deep inside the
-    # loop planning or an SVD; both now exit 2 before any transport runs
+    # a non-finite deformation used to mesh 42 nan vertices with exit 0; it
+    # now exits 2 before any transport runs
     def no_transport(*args, **kwargs):
         raise AssertionError("the pipeline started")
 
@@ -401,23 +434,6 @@ def test_non_finite_inputs_rejected(tmp_path, monkeypatch, capsys, args, message
         args = args + ["--rings", "2", "--sectors", "6", "--out", str(tmp_path / "x.obj")]
     assert main(args) == 2
     assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("base, rc", [
-    ("1e300,0", 2), ("1e10,0", 2), ("1e4,0", 2), ("100,0", 0),
-])
-def test_monodromy_huge_base_point(tmp_path, capsys, base, rc):
-    # the loop error grows with the loop length (the tolerance is per unit
-    # arclength), so a base point farther than 100 from the origin is an
-    # input error, rejected before the clearance check could overflow or
-    # the step controller stall
-    args = ["monodromy", "--angles", "2/3,2/3,2/3", "--base-point", base,
-            "--json", str(tmp_path / "m.json")]
-    assert main(args) == rc
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if rc == 2:
-        assert "base point" in err and "at most 100" in err
 
 
 MESH_4X12 = {

@@ -13,6 +13,7 @@ import trinoid.fuchsian
 from trinoid.config import TRANSPORT_TOL_FACTOR, Tolerances
 from trinoid.errors import SingularPathPoint, StepUnderflow
 from trinoid.fuchsian import (
+    BASE_POINT,
     MODE_HYPERGEOMETRIC,
     MODE_LOG_CHART,
     MODE_MATRIX,
@@ -87,26 +88,14 @@ def test_validate_path_raises():
 def test_make_path_plan_geometry():
     data = build_trinoid_data(SYM23)
     plan = make_path_plan(data)
-    assert plan.base_point == 0.5 + 0.5j
     for loop in plan.loops:
-        assert loop.start == plan.base_point
-        assert loop.end == plan.base_point
+        assert loop.start == BASE_POINT
+        assert loop.end == BASE_POINT
         assert path_clearance(loop, plan.singular_points) >= plan.clearance - 1e-12
         arcs = [p for p in loop.pieces if p[0] == "arc"]
         assert len(arcs) == 1
         # positively oriented full turn
         npt.assert_allclose(arcs[0][4] - arcs[0][3], 2 * math.pi)
-
-
-def test_base_point_override_and_rejection():
-    data = build_trinoid_data(SYM23)
-    plan = make_path_plan(data, base_point=0.6 + 0.4j)
-    assert plan.base_point == 0.6 + 0.4j
-    # the umbilics are regular points of the equations: a base beside one is fine
-    near_umbilic = data.q.q2 + 1e-3
-    assert make_path_plan(data, base_point=near_umbilic).base_point == near_umbilic
-    with pytest.raises(SingularPathPoint):
-        make_path_plan(data, base_point=1e-8 + 0.0j)
 
 
 def test_zero_length_and_reversal_transport():

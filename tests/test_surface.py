@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 from scipy.optimize import minimize, minimize_scalar
 
+import trinoid.surface
 from trinoid.algebra import fro, inv2, project_h3
 from trinoid.cli import build_surface
 from trinoid.config import CLEARANCE_FACTOR, Tolerances
@@ -101,13 +102,34 @@ def test_transport_flat_on_closed_loops():
     assert dist > 0.1
 
 
-def test_transport_stall_reports_edge():
-    # an unreachable local tolerance forces the step controller to bail;
-    # the transport layer must name the offending edge
+def test_transport_stall_reports_edge(monkeypatch):
+    # a stall on one z-chart edge fails its whole batch; the transport layer
+    # must solve the batch again an edge at a time and name that edge
     data = build_trinoid_data(SYM23)
     grid = sample_grid(data, rings=2, sectors=8)
-    with pytest.raises(StepUnderflow, match="transport stalled on"):
+    n_ann = len(grid.zeta)
+    p, c = next(e for e in grid.edges.tolist() if max(e) >= n_ann)
+    solve = trinoid.surface.chebyshev_transfers
+
+    def stall_on_edge(mode, params, a, b, rtol, stats=None):
+        if np.any(a == grid.vertices[p]):
+            raise StepUnderflow("planted stall")
+        return solve(mode, params, a, b, rtol, stats)
+
+    monkeypatch.setattr(trinoid.surface, "chebyshev_transfers", stall_on_edge)
+    with pytest.raises(StepUnderflow, match=f"transport stalled on edge {p}->{c}: planted stall"):
+        transport_frame(data, grid)
+
+
+def test_transport_sub_roundoff_tolerance_named():
+    # a transport tolerance below the unit roundoff is refused before the
+    # first batch, naming Tolerances.ode and its tightening, not an edge
+    data = build_trinoid_data(SYM23)
+    grid = sample_grid(data, rings=2, sectors=8)
+    match = r"transport tolerance \(Tolerances.ode 1e-28 x TRANSPORT_TOL_FACTOR 0.001\) 1e-31"
+    with pytest.raises(StepUnderflow, match=match) as info:
         transport_frame(data, grid, tol=dataclasses.replace(Tolerances(), ode=1e-28))
+    assert "edge" not in str(info.value)
 
 
 @pytest.mark.parametrize("angles, pieces", [(SYM23, 220), (BIG, 224)], ids=["sym23", "big"])
