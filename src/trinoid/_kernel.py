@@ -68,6 +68,8 @@ changed a step count and moved a monodromy at angles (2.772669, 0.134819,
 0.940303) pi by 4e-9 relative.
 
 Return status: 0 success, 1 step size underflow (a near-singular path).
+Stages that overflow to NaN pass the error norm, so a U with status 0 may
+not be finite; fuchsian.run_kernel refuses it.
 
 Chebyshev collocation (Trefethen, Spectral Methods in MATLAB, 2000).  A
 piece of the segment is solved on the N + 1 Chebyshev points of the
@@ -290,30 +292,27 @@ def integrate_path(rows, mode, params, u0, rtol):
                            - (17253.0 / 339200.0) * c5 + (22.0 / 525.0) * c6 - (1.0 / 40.0) * c7))
             ed = abs(hs * ((71.0 / 57600.0) * d1 - (71.0 / 16695.0) * d3 + (71.0 / 1920.0) * d4
                            - (17253.0 / 339200.0) * d5 + (22.0 / 525.0) * d6 - (1.0 / 40.0) * d7))
+            # never NaN: max keeps 0.0 over a NaN that follows it
             err = max(0.0, ea, eb, ec, ed)
             allowed = rtol * speed * hs * unorm
-            if err != err:
-                # a singular coefficient evaluation poisoned the stages
-                h = 0.2 * hs
+            if err <= allowed:
+                t += hs
+                ua, ub, uc, ud = va, vb, vc, vd
+                a1, b1, c1, d1 = a7, b7, c7, d7
+                unorm = max(1.0, abs(ua), abs(ub), abs(uc), abs(ud))
+                err_accum += err
+                nsteps += 1
+                if watch_det:
+                    drift = max(drift, abs(det2_compensated(((ua, ub), (uc, ud))) - 1.0))
+            if err > 0.0:
+                fac = 0.9 * (allowed / err) ** 0.2
+                if fac < 0.2:
+                    fac = 0.2
+                elif fac > 5.0:
+                    fac = 5.0
+                h = hs * fac
             else:
-                if err <= allowed:
-                    t += hs
-                    ua, ub, uc, ud = va, vb, vc, vd
-                    a1, b1, c1, d1 = a7, b7, c7, d7
-                    unorm = max(1.0, abs(ua), abs(ub), abs(uc), abs(ud))
-                    err_accum += err
-                    nsteps += 1
-                    if watch_det:
-                        drift = max(drift, abs(det2_compensated(((ua, ub), (uc, ud))) - 1.0))
-                if err > 0.0:
-                    fac = 0.9 * (allowed / err) ** 0.2
-                    if fac < 0.2:
-                        fac = 0.2
-                    elif fac > 5.0:
-                        fac = 5.0
-                    h = hs * fac
-                else:
-                    h = hs * 5.0
+                h = hs * 5.0
             if h < 1e-14:
                 return 1, np.array((ua, ub, uc, ud)), err_accum, drift, nsteps
     return 0, np.array((ua, ub, uc, ud)), err_accum, drift, nsteps

@@ -64,6 +64,12 @@ class NotUnitarizable(NumericalFailure):
     """
 
 
+class ResonantReducible(NotUnitarizable):
+    """A reducible class's loop transports fail its base check; the
+    message names the integer end or ends, where the rank-one system can
+    carry a logarithm that the class's diagonal representation lacks."""
+
+
 class NotPositiveDefinite(NumericalFailure):
     """A Hermitian matrix required to be positive definite is not."""
 

@@ -1,7 +1,8 @@
 """Analytic continuation and loop monodromy on the thrice-punctured sphere.
 
-Paths are chains of straight segments and circular arcs.  Transport of the
-rank-one matrix system, of the associated scalar equation, and of the
+A path is the kernel's row array: shape (n, 6), one row per segment or
+arc, in the layout of _kernel's docstring.  Transport of the rank-one
+matrix system, of the associated scalar equation, and of the
 hypergeometric equation all go through the Dormand-Prince engine of
 _kernel; this module plans loops from the one base point BASE_POINT that
 keep clear of the equations' singular points (the punctures and the
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,65 +40,29 @@ MODE_LOG_CHART = 4
 BASE_POINT = 0.5 + 0.5j
 
 
-@dataclass(frozen=True)
-class Path:
-    """Piecewise path; each piece is ("seg", a, b) or ("arc", center, radius, th0, th1)."""
-
-    pieces: tuple
-
-    def rows(self) -> np.ndarray:
-        out = np.zeros((len(self.pieces), 6))
-        for i, p in enumerate(self.pieces):
-            if p[0] == "seg":
-                _, a, b = p
-                out[i] = (0.0, a.real, a.imag, b.real, b.imag, 0.0)
-            else:
-                _, c, r, th0, th1 = p
-                out[i] = (1.0, c.real, c.imag, r, th0, th1)
-        return out
-
-    @property
-    def start(self) -> complex:
-        p = self.pieces[0]
-        if p[0] == "seg":
-            return p[1]
-        return p[1] + p[2] * cmath.exp(1j * p[3])
-
-    @property
-    def end(self) -> complex:
-        p = self.pieces[-1]
-        if p[0] == "seg":
-            return p[2]
-        return p[1] + p[2] * cmath.exp(1j * p[4])
+def segment(a: complex, b: complex) -> np.ndarray:
+    a, b = complex(a), complex(b)
+    return np.array([(0.0, a.real, a.imag, b.real, b.imag, 0.0)])
 
 
-def segment(a: complex, b: complex) -> Path:
-    return Path((("seg", complex(a), complex(b)),))
+def circle(center: complex, radius: float, start_angle: float = 0.0) -> np.ndarray:
+    c = complex(center)
+    return np.array([(1.0, c.real, c.imag, float(radius), start_angle, start_angle + 2 * math.pi)])
 
 
-def concat(*paths: Path) -> Path:
-    pieces = []
-    for p in paths:
-        pieces.extend(p.pieces)
-    return Path(tuple(pieces))
-
-
-def circle(center: complex, radius: float, start_angle: float = 0.0) -> Path:
-    return Path((("arc", complex(center), float(radius), start_angle, start_angle + 2 * math.pi),))
-
-
-def _piece_distance(piece, x: complex) -> float:
-    """Minimum distance from a point to one path piece, computed analytically."""
-    if piece[0] == "seg":
-        _, a, b = piece
-        d = b - a
+def _piece_distance(row, x: complex) -> float:
+    """Minimum distance from a point to one path row (a list of floats), computed analytically."""
+    kind, x1, y1, x2, y2, x3 = row
+    if kind == 0.0:
+        a = complex(x1, y1)
+        d = complex(x2, y2) - a
         L2 = abs(d) ** 2
         if L2 == 0.0:
             return abs(x - a)
         t = ((x - a) * d.conjugate()).real / L2
         t = min(1.0, max(0.0, t))
         return abs(x - (a + t * d))
-    _, c, r, th0, th1 = piece
+    c, r, th0, th1 = complex(x1, y1), x2, y2, x3
     v = x - c
     if abs(v) == 0.0:
         return r
@@ -112,43 +78,23 @@ def _piece_distance(piece, x: complex) -> float:
     return min(abs(x - e0), abs(x - e1))
 
 
-def path_clearance(path: Path, points) -> float:
+def path_clearance(path: np.ndarray, points) -> float:
     """Smallest distance from any path point to any of the given points."""
     best = math.inf
-    for piece in path.pieces:
+    for row in path.tolist():
         for x in points:
-            d = _piece_distance(piece, complex(x))
+            d = _piece_distance(row, complex(x))
             if d < best:
                 best = d
     return best
 
 
-def validate_path(path: Path, singular_points, clearance: float):
+def validate_path(path: np.ndarray, singular_points, clearance: float):
     c = path_clearance(path, singular_points)
     if c < clearance:
         raise SingularPathPoint(
             f"path comes within {c:.3g} of a singular point, clearance is {clearance:.3g}"
         )
-
-
-@dataclass(frozen=True)
-class PathPlan:
-    """One positively oriented loop around each of 0 and 1, based at BASE_POINT."""
-
-    loops: tuple[Path, Path]
-    singular_points: tuple
-    clearance: float
-
-
-def _min_pairwise(points) -> float:
-    best = math.inf
-    pts = list(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = abs(pts[i] - pts[j])
-            if d < best:
-                best = d
-    return best if best < math.inf else 1.0
 
 
 def _build_loop(center, singular_points, clearance):
@@ -160,19 +106,16 @@ def _build_loop(center, singular_points, clearance):
     singular points, so only the other puncture constrains the radius while
     the clearance margin is enforced against every singular point.  If the
     loop violates clearance the builder shrinks the radius until a clean
-    route appears.
+    route appears; the legs run along the ray, so r >= clearance clears
+    the center too.
     """
     phi = cmath.phase(BASE_POINT - center)
     others = [s for s in singular_points if s != center]
     for shrink in range(10):
         r = LOOP_RADIUS_FACTOR * 0.75**shrink
         entry = center + r * cmath.exp(1j * phi)
-        path = Path(
-            (
-                ("seg", BASE_POINT, entry),
-                ("arc", center, r, phi, phi + 2 * math.pi),
-                ("seg", entry, BASE_POINT),
-            )
+        path = np.concatenate(
+            (segment(BASE_POINT, entry), circle(center, r, phi), segment(entry, BASE_POINT))
         )
         if path_clearance(path, others) >= clearance and r >= clearance:
             return path
@@ -181,35 +124,40 @@ def _build_loop(center, singular_points, clearance):
     )
 
 
-def make_path_plan(data) -> PathPlan:
-    """Plan the two monodromy loops for trinoid data or an explicit point set.
+def make_path_plan(data) -> tuple[np.ndarray, np.ndarray]:
+    """The two monodromy loops, a positive turn around each of 0 and 1.
 
     data may be a TrinoidData (its punctures and Gauss-map pole are kept
     clear of) or a bare sequence of finite singular points that must
-    include 0 and 1.  Both loops start and end at BASE_POINT; a point set
-    that crowds the base leaves no loop clear and raises SingularPathPoint.
+    include 0 and 1.  Both loops start and end at BASE_POINT and keep
+    CLEARANCE_FACTOR times the least distance between two of the points
+    from all of them; a point set that crowds the base leaves no loop clear
+    and raises SingularPathPoint.
     """
     if isinstance(data, TrinoidData):
         singular = data.finite_singular_points()
     else:
         singular = tuple(complex(s) for s in data)
-    clearance = CLEARANCE_FACTOR * _min_pairwise(singular)
-    loop0 = _build_loop(0.0 + 0.0j, singular, clearance)
-    loop1 = _build_loop(1.0 + 0.0j, singular, clearance)
-    return PathPlan(loops=(loop0, loop1), singular_points=singular, clearance=clearance)
+    clearance = CLEARANCE_FACTOR * min(abs(p - q) for p, q in itertools.combinations(singular, 2))
+    return _build_loop(0.0 + 0.0j, singular, clearance), _build_loop(1.0 + 0.0j, singular, clearance)
 
 
-def run_kernel(path: Path, mode: int, params: np.ndarray, u0: np.ndarray, rtol: float, stats: dict | None = None) -> np.ndarray:
-    """Low-level transport along a validated path; fills stats if given."""
+def run_kernel(path: np.ndarray, mode: int, params: np.ndarray, u0: np.ndarray, rtol: float, stats: dict | None = None) -> np.ndarray:
+    """Low-level transport along a path, which it does not check; fills stats if given.
+
+    A step size underflow or a transport that is not finite (overflowed
+    stages, which the error norm does not see) raises StepUnderflow.
+    """
     check_rtol(rtol)
-    rows = np.ascontiguousarray(path.rows())
     u0_flat = np.ascontiguousarray(u0, dtype=np.complex128).reshape(4)
-    status, u, err, drift, nsteps = integrate_path(rows, mode, params, u0_flat, rtol)
+    status, u, err, drift, nsteps = integrate_path(path, mode, params, u0_flat, rtol)
     if status == 1:
         raise StepUnderflow(
             f"step size underflow during transport at tolerance {rtol:.3g}: the tolerance is too "
             "close to the unit roundoff, or the path passes too close to a singular point"
         )
+    if not np.isfinite(u).all():
+        raise StepUnderflow(f"the transport is not finite at tolerance {rtol:.3g}: its stages overflowed")
     if stats is not None:
         stats["err_estimate"] = stats.get("err_estimate", 0.0) + err
         stats["det_drift"] = max(stats.get("det_drift", 0.0), drift)
@@ -218,7 +166,7 @@ def run_kernel(path: Path, mode: int, params: np.ndarray, u0: np.ndarray, rtol: 
 
 
 def integrate_matrix_ode(
-    data: TrinoidData, path: Path, f0: np.ndarray, tol: Tolerances = Tolerances()
+    data: TrinoidData, path: np.ndarray, f0: np.ndarray, tol: Tolerances = Tolerances()
 ) -> np.ndarray:
     """Transport a frame of the rank-one system along a path in the z chart.
 
@@ -229,19 +177,9 @@ def integrate_matrix_ode(
     if abs(det2(f0) - 1.0) > 100.0 * tol.det:
         raise NonSL2Input(f"initial frame determinant {det2(f0)} is too far from 1")
     singular = data.finite_singular_points()
-    validate_path(path, singular, CLEARANCE_FACTOR * _min_pairwise(singular))
+    clearance = CLEARANCE_FACTOR * min(abs(p - q) for p, q in itertools.combinations(singular, 2))
+    validate_path(path, singular, clearance)
     return run_kernel(path, MODE_MATRIX, data.kernel_params(), f0, tol.ode)
-
-
-def integrate_scalar_ode(data: TrinoidData, path: Path, tol: Tolerances = Tolerances()) -> np.ndarray:
-    """Transfer matrix of the scalar equation along a path.
-
-    Columns of the result are the transported (value, derivative) states of
-    the two solutions that start at (1, 0) and (0, 1).
-    """
-    singular = data.finite_singular_points()
-    validate_path(path, singular, CLEARANCE_FACTOR * _min_pairwise(singular))
-    return run_kernel(path, MODE_SCALAR, data.kernel_params(), np.eye(2, dtype=complex), tol.ode)
 
 
 class Source(enum.Enum):
@@ -271,16 +209,13 @@ class MonodromyRep:
     eigenvalue_defect: float
 
 
-def _loop_generators(plan: PathPlan, mode, params, tol: Tolerances, stats: dict, unimodular=False):
-    """Transports around the plan's two loops, then rho3 = (rho1 rho2)^-1.
-
-    Each loop is validated against the plan's singular set; with
-    unimodular, each transport is divided by a square root of its
-    determinant.
+def _loop_generators(loops, mode, params, tol: Tolerances, stats: dict, unimodular=False):
+    """Transports around the two loops of make_path_plan, which checked
+    them, then rho3 = (rho1 rho2)^-1; with unimodular, each transport is
+    divided by a square root of its determinant.
     """
     rhos = []
-    for loop in plan.loops:
-        validate_path(loop, plan.singular_points, plan.clearance)
+    for loop in loops:
         rho = run_kernel(loop, mode, params, np.eye(2, dtype=complex), tol.ode, stats)
         rhos.append(rho / np.sqrt(det2(rho)) if unimodular else rho)
     rho1, rho2 = rhos
@@ -298,7 +233,7 @@ def _eigenvalue_defect(rho, b_angle: float) -> float:
 
 def monodromy(
     data: TrinoidData,
-    plan: PathPlan | None = None,
+    plan: tuple[np.ndarray, np.ndarray] | None = None,
     source: Source = Source.MATRIX_ODE,
     tol: Tolerances = Tolerances(),
 ) -> MonodromyRep:
@@ -341,7 +276,7 @@ def monodromy(
 
 def hypergeometric_monodromy(
     params: HypergeometricParams,
-    plan: PathPlan | None = None,
+    plan: tuple[np.ndarray, np.ndarray] | None = None,
     tol: Tolerances = Tolerances(),
 ) -> MonodromyRep:
     """Loop transports of the hypergeometric equation around 0 and 1.

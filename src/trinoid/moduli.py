@@ -68,6 +68,10 @@ def _check_angles(angles) -> tuple[float, float, float]:
         raise ValueError("expected three half-angles")
     if any(x <= 0.0 for x in b):
         raise ValueError(f"half-angles must be positive, got {b}")
+    for j, x in enumerate(b, 1):
+        if x / math.pi >= 2.0**52:  # every such B/pi reads as an integer, cos B as noise
+            raise ValueError(f"half-angle {j} is {x!r} radians; B/pi must be below 2**52, "
+                             "past which a double has no fractional bits")
     return b
 
 

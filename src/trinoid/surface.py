@@ -53,7 +53,7 @@ from .config import CLEARANCE_FACTOR, TRANSPORT_TOL_FACTOR, Tolerances
 from .errors import (
     BallEscape, EmptyIntersection, NonSL2Input, NullStructureViolation, SingularPathPoint, StepUnderflow,
 )
-from .fuchsian import BASE_POINT, MODE_LOG_CHART, MODE_MATRIX, concat, path_clearance, segment, validate_path
+from .fuchsian import BASE_POINT, MODE_LOG_CHART, MODE_MATRIX, path_clearance, segment, validate_path
 from .trinoid_data import TrinoidData
 
 _INNER_RADIUS = 1e-3
@@ -248,10 +248,10 @@ def _anchor_waypoint(za, zb):
     route = segment(za, zb)
     if path_clearance(route, _PUNCTURES) < CLEARANCE_FACTOR:
         apexes = (za + (zb - za) * (0.5 + 0.5j), za + (zb - za) * (0.5 - 0.5j))
-        routes = [concat(segment(za, w), segment(w, zb)) for w in apexes]
+        routes = [np.concatenate((segment(za, w), segment(w, zb))) for w in apexes]
         route = max(routes, key=lambda path: path_clearance(path, _PUNCTURES))
     validate_path(route, _PUNCTURES, CLEARANCE_FACTOR)
-    return route.pieces[0][2] if len(route.pieces) == 2 else None
+    return complex(route[0, 3], route[0, 4]) if len(route) == 2 else None
 
 
 def sample_grid(data: TrinoidData, rings: int, sectors: int) -> SampleGrid:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import fro, hermitian_sqrt, inv2
 from .config import Tolerances
-from .errors import NonSL2Input, NotUnitarizable
+from .errors import NonSL2Input, NotUnitarizable, ResonantReducible
 from .fuchsian import MonodromyRep, Source
 from .moduli import Status, classify
 
@@ -309,22 +309,26 @@ def unitarizer_space(rep: MonodromyRep, angles, tol: Tolerances = Tolerances()) 
     contradicts its class or has no positive definite invariant form: a
     ReducibleC2 generator farther than tol.apparent from +-I, ReducibleC1
     generators that share no eigenbasis, or a form that fails the
-    form_residual or posdef_margin gate.
+    form_residual or posdef_margin gate.  For the two reducible classes it
+    is the subclass ResonantReducible, which names the integer ends.
     """
     _check_sl2(rep, tol)
     rhos = (rep.rho1, rep.rho2)
-    kind = _KIND_OF_STATUS.get(
-        classify(angles, target="h3", tol=tol).status, SpaceKind.SINGLE_POINT
-    )
-    if kind is SpaceKind.ALL_OF_H3:
-        defect = max(_scalar_defect(r) for r in rhos)
-        if defect >= tol.apparent:
-            raise NotUnitarizable(
-                f"a generator is {defect:.3e} from +-I in a ReducibleC2 class"
-            )
-        base = np.eye(2, dtype=complex)
-    elif kind is SpaceKind.GEODESIC_LINE:
-        base = _line_base(rhos, tol)
-    else:
-        base = _point_base(rhos, tol)
+    verdict = classify(angles, target="h3", tol=tol)
+    kind = _KIND_OF_STATUS.get(verdict.status, SpaceKind.SINGLE_POINT)
+    if kind is SpaceKind.SINGLE_POINT:
+        return UnitarizerSpace(kind=kind, base_conjugator=_point_base(rhos, tol))
+    try:
+        if kind is SpaceKind.ALL_OF_H3:
+            defect = max(_scalar_defect(r) for r in rhos)
+            if defect >= tol.apparent:
+                raise NotUnitarizable(f"a generator is {defect:.3e} from +-I")
+            base = np.eye(2, dtype=complex)
+        else:
+            base = _line_base(rhos, tol)
+    except NotUnitarizable as exc:
+        # the integer angles: all three of ReducibleC2, labeling[0] of ReducibleC1
+        ends = "ends 1, 2 and 3" if kind is SpaceKind.ALL_OF_H3 else f"end {verdict.labeling[0]}"
+        raise ResonantReducible(f"{exc}: the loop transports of this {verdict.status.value} "
+                                f"triple are resonant at its integer {ends}") from exc
     return UnitarizerSpace(kind=kind, base_conjugator=base)

@@ -19,7 +19,7 @@ import trinoid.fuchsian
 from trinoid import errors
 from trinoid.cli import main
 from trinoid.config import Tolerances, default_tolerances
-from trinoid.trinoid_data import hypergeometric_params
+from trinoid.trinoid_data import build_trinoid_data, hypergeometric_params
 
 
 def run_json(tmp_path, name, args):
@@ -123,6 +123,10 @@ def test_monodromy_c1_family_fallback(tmp_path):
     # one-parameter space is reported through the diagonal family model
     rep = run_json(tmp_path, "c1m", ["monodromy", "--angles", "2,1/2,1/2"])
     assert rep["unitarizable"] is False
+    assert rep["unitarizable_detail"] == (
+        "the generators share no eigenbasis: the loop transports of this "
+        "ReducibleC1 triple are resonant at its integer end 1"
+    )
     assert rep["unitarizer_kind"] == "GeodesicLine"
     assert rep["unitarizer_dimension"] == 1
     assert rep["unitarizer_source"] == "family"
@@ -366,6 +370,7 @@ ERROR_EXIT_CODES = {
     "SingularPathPoint": 3,
     "StepUnderflow": 3,
     "NotUnitarizable": 3,
+    "ResonantReducible": 3,
     "NotPositiveDefinite": 3,
     "NullStructureViolation": 3,
     "BallEscape": 3,
@@ -434,6 +439,39 @@ def test_non_finite_inputs_rejected(tmp_path, monkeypatch, capsys, args, message
         args = args + ["--rings", "2", "--sectors", "6", "--out", str(tmp_path / "x.obj")]
     assert main(args) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("angle", ["1e17", "1e300"])
+@pytest.mark.parametrize("cmd", ["classify", "monodromy", "mesh", "fh"])
+def test_angle_without_fractional_bits_rejected(tmp_path, capsys, cmd, angle):
+    # from B/pi = 2**52 (1.41e16 rad) on, a double has no fractional bits,
+    # so the integer tests of the classification and cos B are noise:
+    # every command refuses such an angle, naming it, before it computes.
+    # classify used to exit 0 on them (Empty at 1e300), and monodromy at
+    # 1e300 exited 2 with "cannot convert float NaN to integer", from a
+    # Gauss-map pole that was NaN
+    args = [cmd, "--units", "rad", "--angles", f"{angle},1,1"]
+    if cmd == "mesh":
+        args += ["--rings", "2", "--sectors", "6", "--out", str(tmp_path / "x.obj")]
+    if cmd == "fh":
+        args += ["hemisphere", "--edge", "1,2"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: half-angle 1 is {float(angle)!r} radians; B/pi must be below 2**52")
+
+
+def test_non_finite_transport_is_numerical(tmp_path, capsys):
+    # at B1 = 1e14 rad, c1 = -5.07e26 and the Dormand-Prince stages
+    # overflow to NaN, which the error norm passes over: the loops used to
+    # return an all-NaN monodromy with det drift 0, and mesh exited 2 with
+    # "SVD did not converge", a numerical failure reported as bad input
+    with np.errstate(all="ignore"), pytest.raises(errors.StepUnderflow, match="the transport is not finite"):
+        trinoid.fuchsian.monodromy(build_trinoid_data((1e14, 1.0, 1.0)))
+    with np.errstate(all="ignore"):
+        rc = main(["mesh", "--units", "rad", "--angles", "1e14,1,1", "--rings", "2", "--sectors", "6",
+                   "--out", str(tmp_path / "x.obj")])
+    assert rc == 3
+    assert "error: the transport is not finite" in capsys.readouterr().err
 
 
 MESH_4X12 = {

@@ -1,7 +1,8 @@
-"""Path plumbing, transport oracles, and loop monodromy."""
+"""Path rows, transport oracles, and loop monodromy."""
 
 import cmath
 import hashlib
+import itertools
 import math
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 import trinoid.fuchsian
-from trinoid.config import TRANSPORT_TOL_FACTOR, Tolerances
+from trinoid.config import CLEARANCE_FACTOR, TRANSPORT_TOL_FACTOR, Tolerances
 from trinoid.errors import SingularPathPoint, StepUnderflow
 from trinoid.fuchsian import (
     BASE_POINT,
@@ -18,15 +19,12 @@ from trinoid.fuchsian import (
     MODE_LOG_CHART,
     MODE_MATRIX,
     MODE_SCALAR,
-    Path,
     Source,
     apparent_point_check,
     circle,
-    concat,
     hypergeometric_monodromy,
     integrate_path,
     integrate_matrix_ode,
-    integrate_scalar_ode,
     make_path_plan,
     monodromy,
     path_clearance,
@@ -54,16 +52,18 @@ def _rand_sl2(rng):
 
 
 def test_path_endpoints_length_reversal():
+    # a path is the kernel's (n, 6) row array: a segment row holds its two
+    # ends, an arc row its center, radius and two angles
     s = segment(0.0, 1.0 + 1.0j)
-    assert s.start == 0.0
-    assert s.end == 1.0 + 1.0j
+    assert s.tolist() == [[0.0, 0.0, 0.0, 1.0, 1.0, 0.0]]
 
     c = circle(0.5j, 2.0, start_angle=0.3)
-    assert abs(c.start - c.end) < 1e-15
+    assert c.tolist() == [[1.0, 0.0, 0.5, 2.0, 0.3, 0.3 + 2 * math.pi]]
 
-    p = concat(s, segment(1.0 + 1.0j, 2.0))
-    assert p.start == 0.0
-    assert p.end == 2.0
+    p = np.concatenate((s, segment(1.0 + 1.0j, 2.0)))
+    assert p.shape == (2, 6)
+    assert complex(*p[0, 1:3]) == 0.0
+    assert complex(*p[-1, 3:5]) == 2.0
 
 
 def test_path_clearance_analytic():
@@ -74,7 +74,7 @@ def test_path_clearance_analytic():
     npt.assert_allclose(path_clearance(segment(0.0, 1.0), [0.5 + 1.0j]), 1.0)
     npt.assert_allclose(path_clearance(segment(0.0, 1.0), [-1.0]), 1.0)
     # quarter arc from angle 0 to pi/2: the point -1 sees the endpoint i
-    quarter = Path((("arc", 0.0 + 0.0j, 1.0, 0.0, math.pi / 2),))
+    quarter = np.array([(1.0, 0.0, 0.0, 1.0, 0.0, math.pi / 2)])
     npt.assert_allclose(path_clearance(quarter, [-1.0]), math.sqrt(2.0))
 
 
@@ -87,15 +87,16 @@ def test_validate_path_raises():
 
 def test_make_path_plan_geometry():
     data = build_trinoid_data(SYM23)
-    plan = make_path_plan(data)
-    for loop in plan.loops:
-        assert loop.start == BASE_POINT
-        assert loop.end == BASE_POINT
-        assert path_clearance(loop, plan.singular_points) >= plan.clearance - 1e-12
-        arcs = [p for p in loop.pieces if p[0] == "arc"]
+    singular = data.finite_singular_points()
+    clearance = CLEARANCE_FACTOR * min(abs(p - q) for p, q in itertools.combinations(singular, 2))
+    for loop in make_path_plan(data):
+        assert complex(*loop[0, 1:3]) == BASE_POINT
+        assert complex(*loop[-1, 3:5]) == BASE_POINT
+        assert path_clearance(loop, singular) >= clearance - 1e-12
+        arcs = loop[loop[:, 0] == 1.0]
         assert len(arcs) == 1
         # positively oriented full turn
-        npt.assert_allclose(arcs[0][4] - arcs[0][3], 2 * math.pi)
+        npt.assert_allclose(arcs[0, 5] - arcs[0, 4], 2 * math.pi)
 
 
 def test_zero_length_and_reversal_transport():
@@ -104,7 +105,7 @@ def test_zero_length_and_reversal_transport():
     p0 = integrate_matrix_ode(data, segment(z0, z0), np.eye(2, dtype=complex))
     npt.assert_allclose(p0, np.eye(2), atol=1e-15)
 
-    there_and_back = concat(segment(z0, 2.0 + 1.0j), segment(2.0 + 1.0j, z0))
+    there_and_back = np.concatenate((segment(z0, 2.0 + 1.0j), segment(2.0 + 1.0j, z0)))
     p = integrate_matrix_ode(data, there_and_back, np.eye(2, dtype=complex))
     npt.assert_allclose(p, np.eye(2), atol=1e-9)
 
@@ -123,7 +124,7 @@ def test_scalar_wronskian_abel():
     # Abel's identity: det T = exp(-integral of r) for X'' + r X' + s X = 0
     data = build_trinoid_data(SYM23)
     a, b = 0.5 + 0.5j, 2.0 + 1.0j
-    t = integrate_scalar_ode(data, segment(a, b))
+    t = run_kernel(segment(a, b), MODE_SCALAR, data.kernel_params(), np.eye(2), Tolerances().ode)
     det_t = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
     p = data.q.total
     ts = np.linspace(0.0, 1.0, 4001)
@@ -137,14 +138,17 @@ def test_transfer_concatenation_order():
     data = build_trinoid_data(SYM23)
     p1 = segment(0.5 + 0.5j, 2.0 + 1.0j)
     p2 = segment(2.0 + 1.0j, 0.4 + 1.4j)
-    t1 = integrate_scalar_ode(data, p1)
-    t2 = integrate_scalar_ode(data, p2)
-    t12 = integrate_scalar_ode(data, concat(p1, p2))
+    p12 = np.concatenate((p1, p2))
+
+    def scalar(path):
+        return run_kernel(path, MODE_SCALAR, data.kernel_params(), np.eye(2), Tolerances().ode)
+
+    t1, t2, t12 = scalar(p1), scalar(p2), scalar(p12)
     npt.assert_allclose(t12, t2 @ t1, atol=1e-8)
 
     m1 = integrate_matrix_ode(data, p1, np.eye(2, dtype=complex))
     m2 = integrate_matrix_ode(data, p2, np.eye(2, dtype=complex))
-    m12 = integrate_matrix_ode(data, concat(p1, p2), np.eye(2, dtype=complex))
+    m12 = integrate_matrix_ode(data, p12, np.eye(2, dtype=complex))
     npt.assert_allclose(m12, m2 @ m1, atol=1e-8)
 
 
@@ -204,12 +208,12 @@ def test_kernel_step_counts_pinned():
             run_kernel(path, mode, params, eye, rtol, stats)
         return stats["n_steps"]
 
-    loops = make_path_plan(data).loops
+    loops = make_path_plan(data)
     assert steps(loops, MODE_MATRIX, data.kernel_params(), tol.ode) == 532
     assert steps(loops, MODE_SCALAR, data.kernel_params(), tol.ode) == 3098
     hp = hypergeometric_params(SYM23)
     hyper = np.array([hp.a, hp.b, hp.c, 0.0, 0.0, 0.0, 0.0])
-    hyper_loops = make_path_plan([0.0, 1.0]).loops
+    hyper_loops = make_path_plan([0.0, 1.0])
     assert steps(hyper_loops, MODE_HYPERGEOMETRIC, hyper, tol.ode) == 1815
     # one spoke of end 1 in its log chart, from the outer radius down to 1e-3
     ch = end_charts(data)[0]
@@ -231,7 +235,7 @@ def test_kernel_output_bits_pinned():
     def digest(paths, mode, params, rtol):
         h = hashlib.sha256()
         for path in paths:
-            _, u, err, drift, nsteps = integrate_path(path.rows(), mode, params, eye, rtol)
+            _, u, err, drift, nsteps = integrate_path(path, mode, params, eye, rtol)
             h.update(u.tobytes() + f"{float.hex(err)} {float.hex(drift)} {nsteps};".encode())
         return h.hexdigest()
 
@@ -241,11 +245,11 @@ def test_kernel_output_bits_pinned():
     ch = end_charts(sym23)[0]
     spoke = segment(math.log(ch.r_out), math.log(1e-3))
     got = {
-        "sym23 matrix": digest(make_path_plan(sym23).loops, MODE_MATRIX, sym23.kernel_params(), tol.ode),
-        "sym23 scalar": digest(make_path_plan(sym23).loops, MODE_SCALAR, sym23.kernel_params(), tol.ode),
-        "big matrix": digest(make_path_plan(big).loops, MODE_MATRIX, big.kernel_params(), tol.ode),
+        "sym23 matrix": digest(make_path_plan(sym23), MODE_MATRIX, sym23.kernel_params(), tol.ode),
+        "sym23 scalar": digest(make_path_plan(sym23), MODE_SCALAR, sym23.kernel_params(), tol.ode),
+        "big matrix": digest(make_path_plan(big), MODE_MATRIX, big.kernel_params(), tol.ode),
         "sym23 hypergeometric": digest(
-            make_path_plan([0.0, 1.0]).loops, MODE_HYPERGEOMETRIC,
+            make_path_plan([0.0, 1.0]), MODE_HYPERGEOMETRIC,
             np.array([hp.a, hp.b, hp.c, 0.0, 0.0, 0.0, 0.0]), tol.ode,
         ),
         "sym23 spoke": digest([spoke], MODE_LOG_CHART, ch.kernel_params, tol.ode * TRANSPORT_TOL_FACTOR),

@@ -10,7 +10,7 @@ from trinoid._kernel import chebyshev_transfer, chebyshev_transfers
 from trinoid.algebra import det2_compensated, fro
 from trinoid.config import TRANSPORT_TOL_FACTOR, Tolerances
 from trinoid.errors import StepUnderflow
-from trinoid.fuchsian import MODE_LOG_CHART, MODE_MATRIX, Path, run_kernel, segment
+from trinoid.fuchsian import MODE_LOG_CHART, MODE_MATRIX, run_kernel, segment
 from trinoid.surface import end_charts, sample_grid
 from trinoid.trinoid_data import build_trinoid_data
 
@@ -57,8 +57,9 @@ def _z_ring_arc(ch, r, th0, th1):
     """The arc x = puncture + r exp(i theta), th0 -> th1, of a chart, as a
     path in the z chart: z = 1/x at the end at infinity."""
     if ch.inverted:
-        return Path((("arc", 0j, 1.0 / r, -th0, -th1),))
-    return Path((("arc", ch.puncture, r, th0, th1),))
+        return np.array([(1.0, 0.0, 0.0, 1.0 / r, -th0, -th1)])
+    c = complex(ch.puncture)
+    return np.array([(1.0, c.real, c.imag, r, th0, th1)])
 
 
 @TRIPLES

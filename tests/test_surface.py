@@ -15,7 +15,7 @@ from trinoid.algebra import fro, inv2, project_h3
 from trinoid.cli import build_surface
 from trinoid.config import CLEARANCE_FACTOR, Tolerances
 from trinoid.errors import BallEscape, EmptyIntersection, NullStructureViolation, StepUnderflow
-from trinoid.fuchsian import MODE_MATRIX, circle, concat, monodromy, path_clearance, run_kernel, segment
+from trinoid.fuchsian import MODE_MATRIX, circle, monodromy, path_clearance, run_kernel, segment
 from trinoid.surface import (
     build_mesh,
     end_charts,
@@ -264,7 +264,7 @@ def test_grazing_anchor_segment_is_routed():
     (child, via), = grid.via.items()
     a, b = grid.vertices[grid.base_index], grid.vertices[child]
     assert path_clearance(segment(a, b), (0.0, 1.0)) < CLEARANCE_FACTOR
-    legs = concat(segment(a, via), segment(via, b))
+    legs = np.concatenate((segment(a, via), segment(via, b)))
     assert path_clearance(legs, (0.0, 1.0)) >= CLEARANCE_FACTOR
     # the anchor's frame is the product of the two collocated legs: DOPRI
     # along the same route agrees (measured 3.1e-15 relative)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trinoid.algebra import fro, inv2, project_h3, su2_defect
-from trinoid.errors import NotPositiveDefinite, NotUnitarizable
+from trinoid.errors import NotPositiveDefinite, NotUnitarizable, ResonantReducible
 from trinoid.fuchsian import (
     BASE_POINT,
     MonodromyRep,
@@ -351,6 +351,26 @@ def test_rep_contradicting_its_class_not_unitarizable():
         unitarizer_space(_pipeline_rep(SYM23), C1)
 
 
+def test_resonant_reducible_names_its_integer_ends():
+    # a reducible class's representation that fails its base check raises
+    # the NotUnitarizable subclass ResonantReducible (exit 3), which keeps
+    # the reason and names the integer end of a ReducibleC1 triple, or all
+    # three ends of a ReducibleC2 one
+    with pytest.raises(ResonantReducible, match="share no eigenbasis.* integer end 1$"):
+        unitarizer_space(_pipeline_rep(C1), C1)
+    c1_end_3 = (PI / 2, PI / 2, 2 * PI)
+    with pytest.raises(ResonantReducible, match="share no eigenbasis.* integer end 3$"):
+        unitarizer_space(monodromy(build_trinoid_data(c1_end_3)), c1_end_3)
+    with pytest.raises(ResonantReducible, match=r"from \+-I: .* integer ends 1, 2 and 3$"):
+        unitarizer_space(family_representation(C1), C2)
+    assert issubclass(ResonantReducible, NotUnitarizable)
+    assert ResonantReducible.exit_code == 3
+    # an irreducible class's failure is not resonant
+    with pytest.raises(NotUnitarizable) as info:
+        unitarizer_space(_pipeline_rep(C1), SYM23)
+    assert not isinstance(info.value, ResonantReducible)
+
+
 # B/pi over the sweep's range, U(0.1, 1.95) without the band around 1
 _SWEEP_ANGLE = st.floats(0.1, 1.95).filter(lambda b: abs(b - 1.0) >= 0.05)
 
@@ -373,8 +393,8 @@ def test_monodromy_properties_over_sweep_range(triple):
     angles = tuple(PI * b for b in triple)
     data = build_trinoid_data(angles)
     assert abs(data.q.pole.imag) <= 1e-12
-    for loop in make_path_plan(data).loops:
-        assert loop.start == loop.end == BASE_POINT
+    for loop in make_path_plan(data):
+        assert complex(*loop[0, 1:3]) == complex(*loop[-1, 3:5]) == BASE_POINT
     c1, c2, c3 = (math.cos(PI * b) for b in triple)
     assume(abs(c1 * c1 + c2 * c2 + c3 * c3 + 2.0 * c1 * c2 * c3 - 1.0) >= 1e-3)
     rep = monodromy(data)
