@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import eigenvalues_2x2
 from .config import Tolerances, default_tolerances
-from .errors import NotUnitarizable, TrinoidError, ZeroCoefficient
+from .errors import NotUnitarizable, ResonantReducible, TrinoidError, ZeroCoefficient
 from .fuchsian import MonodromyRep, Source, make_path_plan, monodromy, projective_equivalence
 from .moduli import (
     ModuliClass,
@@ -190,28 +190,21 @@ def cmd_monodromy(ns: argparse.Namespace) -> dict:
             "trace_defect": abs(trace - expected),
         }
     try:
-        space = unitarizer_space(rep, b, tol)
+        space, source = unitarizer_space(rep, b, tol), "ode"
         report["unitarizable"] = True
-        report["unitarizer_kind"] = space.kind.value
-        report["unitarizer_dimension"] = space.dim
-        report["unitarizer_source"] = "ode"
-    except NotUnitarizable as exc:
+    except ResonantReducible as exc:
         # a reducible triple on the resonance boundary has Jordan loop
         # transports that no conjugation makes unitary; the moduli space
         # is still realized by the diagonal family representation, so the
         # report falls back to it for the space kind
-        report["unitarizable"] = False
-        report["unitarizable_detail"] = str(exc)
-        verdict = classify(b, target="h3", tol=tol)
-        if verdict.status in (Status.REDUCIBLE_C1, Status.REDUCIBLE_C2):
-            space = unitarizer_space(family_representation(b, tol), b, tol)
-            report["unitarizer_kind"] = space.kind.value
-            report["unitarizer_dimension"] = space.dim
-            report["unitarizer_source"] = "family"
-        else:
-            report["unitarizer_kind"] = None
-            report["unitarizer_dimension"] = None
-            report["unitarizer_source"] = None
+        report["unitarizable"], report["unitarizable_detail"] = False, str(exc)
+        space, source = unitarizer_space(family_representation(b, tol), b, tol), "family"
+    except NotUnitarizable as exc:
+        report["unitarizable"], report["unitarizable_detail"] = False, str(exc)
+        space = source = None
+    report["unitarizer_source"] = source
+    report["unitarizer_kind"] = None if space is None else space.kind.value
+    report["unitarizer_dimension"] = None if space is None else space.dim
     return report
 
 
@@ -275,7 +268,10 @@ def cmd_mesh(ns: argparse.Namespace) -> dict:
     measures the transport along the stencils whatever the frame norm
     (about 8e-10 for 3,3,3 at 4x12, whose frames reach norm 1e6, and 6e-10
     for 2/3,2/3,2/3); it does not see an error of the vertex frames
-    themselves.  No gate reads it.
+    themselves.  No gate reads it.  well_definedness holds the largest
+    ball distance between the two branches of the mesh point over every
+    annulus vertex (surface.well_definedness_defect), the vertex where it
+    occurs, and whether it is below Tolerances.well_defined.
     """
     surf = build_surface(ns.angles, ns.rings, ns.sectors, ns.deform, ns.tol)
     grid, transport, weier = surf.grid, surf.transport, surf.weier
@@ -286,25 +282,13 @@ def cmd_mesh(ns: argparse.Namespace) -> dict:
     else:
         export_obj(surf.mesh, out)
 
-    rng = np.random.default_rng(ns.seed if ns.seed is not None else 0)
-    checks = []
-    for e in range(3):
-        for k in sorted(rng.choice(grid.rings, size=min(2, grid.rings), replace=False)):
-            s = int(rng.integers(grid.sectors))
-            v = grid.annulus_index(e, int(k), s)
-            checks.append(
-                {
-                    "vertex": int(v),
-                    "defect": well_definedness_defect(transport, surf.conj, v, tol=ns.tol),
-                }
-            )
-    worst = max(c["defect"] for c in checks)
+    defect = well_definedness_defect(transport, surf.conj, tol=ns.tol)
+    worst = int(np.argmax(defect))
 
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "mesh",
         "angles": _angles_json(ns.angles),
-        "seed": ns.seed,
         "classification": _class_json(surf.verdict),
         "unitarizer_kind": surf.space.kind.value,
         "deformation": list(surf.deform),
@@ -316,9 +300,9 @@ def cmd_mesh(ns: argparse.Namespace) -> dict:
         "max_det_defect": transport.stats["max_det_defect"],
         "max_omega_dg_residual": float(surf.mesh.diagnostics["rel"][weier.numeric].max()),
         "well_definedness": {
-            "checks": checks,
-            "max_defect": worst,
-            "passed": bool(worst < ns.tol.well_defined),
+            "max_defect": float(defect[worst]),
+            "passed": bool(defect[worst] < ns.tol.well_defined),
+            "worst_vertex": worst,
         },
     }
 
@@ -384,7 +368,6 @@ def _parse_pair(text: str, what: str) -> tuple:
 _OPTIONS = {
     "--target": dict(choices=("h3", "s2"), default="h3"),
     "--tol-ode": dict(type=float, default=None, help="integration tolerance, overriding Tolerances.ode"),
-    "--seed": dict(type=int, default=None, help="seed that picks the well-definedness check vertices"),
 }
 
 
@@ -408,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("classify", "moduli classification report")
     command("monodromy", "loop transport report", "--tol-ode")
 
-    p_mesh = command("mesh", "generate and export a surface mesh", "--tol-ode", "--seed")
+    p_mesh = command("mesh", "generate and export a surface mesh", "--tol-ode")
     p_mesh.add_argument("--rings", type=int, default=8)
     p_mesh.add_argument("--sectors", type=int, default=48)
     p_mesh.add_argument("--deform", default=None, help="t1 or t1,t2,t3 family parameters")

@@ -146,15 +146,19 @@ def run_kernel(path: np.ndarray, mode: int, params: np.ndarray, u0: np.ndarray, 
     """Low-level transport along a path, which it does not check; fills stats if given.
 
     A step size underflow or a transport that is not finite (overflowed
-    stages, which the error norm does not see) raises StepUnderflow.
+    stages, which the error norm does not see) raises StepUnderflow; the
+    underflow's message names the largest of the first three parameters
+    (the Hopf coefficients c1, c2, c3, or the hypergeometric a, b, c).
     """
     check_rtol(rtol)
     u0_flat = np.ascontiguousarray(u0, dtype=np.complex128).reshape(4)
     status, u, err, drift, nsteps = integrate_path(path, mode, params, u0_flat, rtol)
     if status == 1:
+        big = float(np.abs(params[:3]).max())
         raise StepUnderflow(
             f"step size underflow during transport at tolerance {rtol:.3g}: the tolerance is too "
-            "close to the unit roundoff, or the path passes too close to a singular point"
+            "close to the unit roundoff, the path passes too close to a singular point, or the "
+            f"coefficients are too large to resolve (largest |params[0:3]| {big:.3g})"
         )
     if not np.isfinite(u).all():
         raise StepUnderflow(f"the transport is not finite at tolerance {rtol:.3g}: its stages overflowed")

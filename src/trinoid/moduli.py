@@ -66,7 +66,7 @@ def _check_angles(angles) -> tuple[float, float, float]:
     b = tuple(float(x) for x in angles)
     if len(b) != 3:
         raise ValueError("expected three half-angles")
-    if any(x <= 0.0 for x in b):
+    if not all(x > 0.0 for x in b):  # NaN included
         raise ValueError(f"half-angles must be positive, got {b}")
     for j, x in enumerate(b, 1):
         if x / math.pi >= 2.0**52:  # every such B/pi reads as an integer, cos B as noise

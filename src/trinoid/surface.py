@@ -10,8 +10,9 @@ transport_frame solves the frame equation dF = A F along the tree: every
 edge is an initial value problem from the identity, so the z-chart rows
 of the core, and the rows inside each annulus, are solved as one batch
 each, and the frames are composed in row order afterwards.  It keeps the
-frame at every vertex and the transfer of every tree edge, so continuing
-a frame once more around a puncture is a product of stored transfers.
+frame at every vertex and each end's monodromy, the right factor that
+continuing a frame once more around that puncture multiplies it by, which
+well_definedness_defect applies at every annulus vertex.
 recover_weierstrass differentiates the transported frame numerically in
 the local frame of an eleven-point stencil around each annulus vertex,
 sampled from one transfer, and extracts the induced (g, omega) data there,
@@ -392,45 +393,23 @@ def sample_grid(data: TrinoidData, rings: int, sectors: int) -> SampleGrid:
 
 @dataclass
 class FrameTransport:
-    """Transported frame at every grid vertex plus the tree's edge transfers.
+    """Transported frame at every grid vertex plus each end's monodromy.
 
     frames[v] is the solution of dF = A F with F = identity at the base
     point, continued along the spanning tree; it is one branch choice over
-    the tree.  transfers[v] is the frame transfer of the tree edge into v
-    (frames[v] = transfers[v] @ frames[parent]; unused at the base), and
-    seams[e] the outer-ring arc of end e from the last sector across the
-    cut back to sector 0.  Ring arcs are 2 pi periodic in the sector index
-    by construction, which is what makes branch-consistent continuation
-    around a ring a pure matrix product.
+    the tree.  monodromy[e] is M_e = F(a)^-1 S F(l), with a and l the first
+    and last outer-ring vertices of end e and S the transfer of the arc
+    from l across the cut back to a.  Ring arcs are 2 pi periodic in the
+    sector index, so continuing any frame of end e once more around its
+    puncture gives frames[v] @ M_e: the monodromy acts on the right.
     """
 
     grid: SampleGrid
     data: TrinoidData
     frames: np.ndarray
-    transfers: np.ndarray
-    seams: np.ndarray
+    monodromy: np.ndarray
     rtol: float
     stats: dict = field(default_factory=dict)
-
-    def branch_frame(self, v: int) -> np.ndarray:
-        """Frame at annulus vertex v continued once more around its puncture.
-
-        Walks the tree from the end's anchor once around the outer ring, to
-        one full turn past v's sector, then out along that sector's spokes
-        to v's ring.  The result differs from frames[v] by the local
-        monodromy on the left, so comparing the two probes well-definedness
-        of derived quantities.
-        """
-        grid = self.grid
-        end, ring, sec = grid.annulus_position(v)
-        ns = grid.sectors
-        f = self.frames[grid.annulus_index(end, 0, 0)]
-        for j in range(1, ns + sec + 1):
-            t = self.seams[end] if j % ns == 0 else self.transfers[grid.annulus_index(end, 0, j)]
-            f = t @ f
-        for k in range(1, ring + 1):
-            f = self.transfers[grid.annulus_index(end, k, sec)] @ f
-        return f
 
 
 def transport_frame(
@@ -447,7 +426,8 @@ def transport_frame(
     collocation transfers for the z-chart rows (a row into a grid.via
     anchor as the product of its two legs) and one EndChart.transfer batch
     per end for the rows between its annulus vertices (ring arcs and
-    spokes) and its seam; the frames are then composed in row order.
+    spokes) and its seam; the frames are then composed in row order, and
+    each end's monodromy is read off its outer ring and seam.
     stats["n_pieces"] counts the accepted collocation pieces.  A transport
     tolerance below the unit roundoff raises StepUnderflow before the first
     batch, naming Tolerances.ode and the tightening.  If the solver fails,
@@ -516,10 +496,11 @@ def transport_frame(
             f"transported frame determinant drifted to {worst:.3g} "
             f"(relative to squared frame norm), above {tol.det:.3g}"
         )
-    return FrameTransport(
-        grid=grid, data=data, frames=frames, transfers=transfers, seams=seams,
-        rtol=rtol, stats=stats,
-    )
+    monodromy = np.array([
+        inv2(frames[grid.annulus_index(e, 0, 0)]) @ seams[e] @ frames[grid.annulus_index(e, 0, -1)]
+        for e in range(3)
+    ])
+    return FrameTransport(grid=grid, data=data, frames=frames, monodromy=monodromy, rtol=rtol, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -707,21 +688,22 @@ def build_mesh(
 def well_definedness_defect(
     transport: FrameTransport,
     conjugator: np.ndarray,
-    vertex: int,
     tol: Tolerances = Tolerances(),
-) -> float:
-    """Ball distance between the two branches of the mesh point at a vertex.
+) -> np.ndarray:
+    """Ball distance between the two branches of the mesh point at every
+    annulus vertex, indexed by vertex number.
 
-    The frame is continued to the same annulus vertex once more around the
-    enclosing puncture (FrameTransport.branch_frame); with a unitarizing
-    conjugator the projected point must not move, without one it
-    generically does, so this one number is the positive and the negative
-    control in one.
+    The second branch is the frame continued once more around the enclosing
+    puncture, frames[v] @ monodromy[e]; with a unitarizing conjugator the
+    projected point must not move, without one it generically does, so
+    these numbers are the positive and the negative control in one.
     """
+    grid = transport.grid
     right = inv2(np.asarray(conjugator, dtype=complex))
-    p = project_h3(transport.frames[vertex] @ right, tol).ball
-    q = project_h3(transport.branch_frame(vertex) @ right, tol).ball
-    return float(np.linalg.norm(p - q))
+    frames = transport.frames[: len(grid.zeta)]
+    turned = frames @ np.repeat(transport.monodromy, grid.rings * grid.sectors, axis=0)
+    p, q = project_h3(frames @ right, tol).ball, project_h3(turned @ right, tol).ball
+    return np.linalg.norm(p - q, axis=1)
 
 
 # ---------------------------------------------------------------------------

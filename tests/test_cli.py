@@ -197,6 +197,16 @@ def test_monodromy_stall_near_roundoff_names_tolerance(capsys):
     assert "unit roundoff" in err and "singular point" in err
 
 
+def test_monodromy_stall_on_large_coefficients_names_them(capsys):
+    # at B1 = 3e7 rad the Hopf coefficient c1 is about -4.6e13, which
+    # defeats the DOPRI step control on loops that keep their clearance at
+    # the default tolerance; the error names the coefficient size as well
+    assert main(["monodromy", "--units", "rad", "--angles", "3e7,1,1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: step size underflow during transport at tolerance 1e-10")
+    assert "coefficients are too large" in err and "4.56e+13" in err
+
+
 @pytest.mark.parametrize("angle", ["1e400", "1e308"])
 @pytest.mark.parametrize(
     "cmd", [["classify"], ["monodromy"], ["mesh"], ["fh", "hemisphere", "--edge", "1,2"]],
@@ -241,8 +251,12 @@ def test_mesh_obj_and_diagnostics(tmp_path):
     assert rep["unitarizer_kind"] == "SinglePoint"
     assert rep["max_det_defect"] < 1e-9
     assert rep["max_omega_dg_residual"] < 1e-6
-    assert rep["well_definedness"]["passed"] is True
-    assert rep["well_definedness"]["max_defect"] < 1e-6
+    wd = rep["well_definedness"]
+    assert sorted(wd) == ["max_defect", "passed", "worst_vertex"]
+    assert wd["passed"] is True
+    assert wd["max_defect"] < 1e-6
+    assert 0 <= wd["worst_vertex"] < 3 * 4 * 12
+    assert "seed" not in rep
     lines = out.read_text(encoding="ascii").splitlines()
     nv = sum(1 for l in lines if l.startswith("v "))
     nf = sum(1 for l in lines if l.startswith("f "))
@@ -351,6 +365,9 @@ def test_input_error_exit_codes():
     assert main(["classify", "--angles", "2/3,2/3,2/3", "--seed", "7"]) == 2
     assert main(["classify", "--angles", "2/3,2/3,2/3", "--target", "s2"]) == 2
     assert main(["monodromy", "--angles", "2/3,2/3,2/3", "--seed", "1"]) == 2
+    # mesh checks well-definedness at every annulus vertex, so no seed
+    # picks its vertices
+    assert main(["mesh", "--angles", "2/3,2/3,2/3", "--seed", "1"]) == 2
     # the loops are based at fuchsian.BASE_POINT, which no option moves
     assert main(["monodromy", "--angles", "2/3,2/3,2/3", "--base-point", "0.5,0.5"]) == 2
     assert main([]) == 2

@@ -19,6 +19,7 @@ from trinoid.moduli import (
     type_signature,
     type_signature_raw,
 )
+from trinoid.trinoid_data import build_trinoid_data
 
 PI = math.pi
 
@@ -40,6 +41,17 @@ def test_conical_data_rejects_nonpositive():
         conical_data((1.0, -1.0, 1.0))
     with pytest.raises(ValueError):
         conical_data((0.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("j", range(3))
+def test_nan_angle_rejected(j):
+    # NaN fails every comparison, so a test written as x <= 0 let it
+    # through to a DegenerateHanbetu verdict
+    b = [1.0, 1.0, 1.0]
+    b[j] = math.nan
+    for f in (classify, conical_data, build_trinoid_data):
+        with pytest.raises(ValueError, match="must be positive"):
+            f(tuple(b))
 
 
 def test_hanbetu():

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -411,20 +412,16 @@ def test_mesh_refinement_nests(sym):
 def test_doubled_path_defect(sym):
     # continuing the frame once more around the enclosing puncture must
     # not move the projected point when the conjugator unitarizes the
-    # monodromy (measured max 1.2e-13 over ten vertices) and must move it
-    # visibly with the identity conjugator instead (measured 0.25 to 0.44
-    # on the first ring)
+    # monodromy (measured max 1.3e-13 over all 1,152 annulus vertices) and
+    # must move it visibly with the identity conjugator instead (measured
+    # 0.25 to 0.44 on the first ring)
     _, grid, transport, _, conj, _ = sym
-    picks = [
-        (0, 0, 0), (0, 2, 17), (0, 4, 33), (1, 0, 8), (1, 3, 40),
-        (1, 5, 3), (2, 1, 25), (2, 2, 11), (2, 6, 46), (2, 7, 20),
-    ]
-    for e, k, s in picks:
-        v = grid.annulus_index(e, k, s)
-        assert well_definedness_defect(transport, conj, v) < 1e-6
+    defect = well_definedness_defect(transport, conj)
+    assert defect.shape == (3 * grid.rings * grid.sectors,)
+    assert defect.max() < 1e-6
+    raw = well_definedness_defect(transport, np.eye(2))
     for e in range(3):
-        v = grid.annulus_index(e, 1, 5)
-        assert well_definedness_defect(transport, np.eye(2), v) > 1e-2
+        assert raw[grid.annulus_index(e, 1, 5)] > 1e-2
 
 
 def test_doubled_path_trivial_for_integer_angles(big):
@@ -438,21 +435,39 @@ def test_doubled_path_trivial_for_integer_angles(big):
         dist = min(np.abs(rho - np.eye(2)).max(), np.abs(rho + np.eye(2)).max())
         assert dist < 1e-9
     v = grid.annulus_index(0, 1, 12)
-    assert well_definedness_defect(transport, np.eye(2), v) < 1e-6
+    assert well_definedness_defect(transport, np.eye(2))[v] < 1e-6
 
 
-def test_branch_frame_carries_local_monodromy(sym, big):
-    # one more turn around end e multiplies the frame on the left by the
-    # loop transport around that puncture, whose trace is -2 cos B_e; the
-    # bound scales with the squared frame norm for the same reason the
-    # det gate does (measured relative maxima 2.4e-15 for the 2/3 pi and
-    # 6.4e-15 for the 3 pi triple; absolute 3.7e-12 and 2.1e-3)
-    for data, grid, transport, _, _, _ in (sym, big):
-        for v in range(3 * grid.rings * grid.sectors):
-            f = transport.frames[v]
-            loop = transport.branch_frame(v) @ inv2(f)
-            expected = -2.0 * math.cos(data.angles[grid.annulus_position(v)[0]])
-            assert abs(np.trace(loop) - expected) <= 1e-9 * max(1.0, fro(f) ** 2)
+def test_end_monodromy_traces(sym, big):
+    # on the default 8x48 grid too, each end's monodromy has trace
+    # -2 cos B_e (measured at most 1.2e-14 off) and the three close up
+    # (measured 1.4e-14 and 5.2e-14)
+    for data, _, transport, _, _, _ in (sym, big):
+        m = transport.monodromy
+        for e in range(3):
+            assert abs(np.trace(m[e]) + 2.0 * math.cos(data.angles[e])) <= 1e-12
+        assert fro(m[2] @ m[1] @ m[0] - np.eye(2)) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "angles", ["2/3,2/3,2/3", "3,3,3", "0.6,1.5,0.8", "1/4,1/4,3"], ids=["sym23", "big", "asym", "quarter"]
+)
+def test_grid_monodromy_matches_loops(angles):
+    # the grid's end monodromies (collocation, once around each outer ring)
+    # against the Dormand-Prince loops of fuchsian.monodromy from the same
+    # base: M_e acts on the right, so M_0, M_1 are rho1, rho2 (measured
+    # relative Frobenius 5.3e-13, 3.2e-12, 3.1e-13, 6.6e-14 at worst) and
+    # M_2 M_1 M_0 = I (measured 7.8e-15 to 9.8e-13); each trace is
+    # -2 cos B_e (measured at most 1.1e-13 off)
+    b = tuple(float(Fraction(x)) * math.pi for x in angles.split(","))
+    data = build_trinoid_data(b)
+    m = transport_frame(data, sample_grid(data, rings=4, sectors=12)).monodromy
+    rep = monodromy(data)
+    for m_e, rho in ((m[0], rep.rho1), (m[1], rep.rho2)):
+        assert fro(m_e - rho) <= 1e-10 * fro(rho)
+    assert fro(m[2] @ m[1] @ m[0] - np.eye(2)) <= 1e-10
+    for e in range(3):
+        assert abs(np.trace(m[e]) + 2.0 * math.cos(b[e])) <= 1e-12
 
 
 def test_mesh_quality_channel(sym):
