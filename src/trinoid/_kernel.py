@@ -59,17 +59,22 @@ on an array of nodes by collocation.  integrate_path reads each path row
 once, into a point function of the row's parameter, and unrolls the seven
 stages over the four entries of U, row-major; stage 7 sits at t + h with
 stage 6 and reuses its C (first same as last), so a step evaluates C six
-times.  Rows and parameters are read as numpy scalars and stay so: whether
-a complex division runs numpy's or CPython's algorithm depends on the
-operand types, and the results differ in the last bits.  Stage arithmetic
-on Python complex numbers changed the last bits of all 260 loop transports
-of 65 triples (two loops, modes 0 and 1); Python types throughout also
-changed a step count and moved a monodromy at angles (2.772669, 0.134819,
-0.940303) pi by 4e-9 relative.
+times.  The rows, the parameters and U(0) are read once, with tolist(),
+and the stages run on Python floats and complex numbers, whose arithmetic
+costs about half that of numpy scalars; arcs evaluate math.cos and
+math.sin.  Mode 4 stays on numpy scalars, which its np.exp returns.
+CPython's complex division rounds differently from numpy's in the last
+bits, so leaving numpy scalars moved the bits of the mode 0, 1 and 2
+transports but no step count: the loop generators moved by 2.2e-15
+relative at 2/3,2/3,2/3, by 2.7e-13 at 3,3,3 (the identity up to an
+integration error of a few 1e-12), and by at most 2.3e-8 relative over 200
+random triples of the monodromy sweep, at a generator of norm 1.6e4.
 
 Return status: 0 success, 1 step size underflow (a near-singular path).
-Stages that overflow to NaN pass the error norm, so a U with status 0 may
-not be finite; fuchsian.run_kernel refuses it.
+Stages that overflow to inf or NaN pass the error norm, so a U with status
+0 may not be finite, and a stage that divides by zero, or takes abs of a
+complex number too large for a float, raises ZeroDivisionError or
+OverflowError; fuchsian.run_kernel refuses all of these.
 
 Chebyshev collocation (Trefethen, Spectral Methods in MATLAB, 2000).  A
 piece of the segment is solved on the N + 1 Chebyshev points of the
@@ -104,6 +109,8 @@ up to that piece's start.  The interpolant carries the accuracy of the
 nodal values, so the samples cost no extra solve and need no extra
 tolerance.
 """
+
+import math
 
 import numpy as np
 
@@ -198,7 +205,7 @@ def _piece(row):
 
     def point(t):
         ang = th0 + t * dth
-        e = complex(np.cos(ang), np.sin(ang))
+        e = complex(math.cos(ang), math.sin(ang))
         return c + rad * e, irdth * e
 
     return rad * abs(dth), point
@@ -206,15 +213,15 @@ def _piece(row):
 
 def integrate_path(rows, mode, params, u0, rtol):
     """Transport u0 along the path; see the module docstring for layout."""
-    coeff = _COEFF[mode](params)
+    coeff = _COEFF[mode](params.tolist())
     watch_det = mode == 0
     # U = [[ua, ub], [uc, ud]]; stage j's derivative C U dz/dt is [[aj, bj], [cj, dj]]
-    ua, ub, uc, ud = u0
+    ua, ub, uc, ud = u0.tolist()
     unorm = max(1.0, abs(ua), abs(ub), abs(uc), abs(ud))
     err_accum = 0.0
     drift = 0.0
     nsteps = 0
-    for row in rows:
+    for row in rows.tolist():
         speed, point = _piece(row)
         if speed == 0.0:
             continue

@@ -18,6 +18,7 @@ import cmath
 import enum
 import itertools
 import math
+import random
 import warnings
 from dataclasses import dataclass
 
@@ -146,13 +147,18 @@ def run_kernel(path: np.ndarray, mode: int, params: np.ndarray, u0: np.ndarray, 
     """Low-level transport along a path, which it does not check; fills stats if given.
 
     A step size underflow or a transport that is not finite (overflowed
-    stages, which the error norm does not see) raises StepUnderflow; the
+    stages, which the error norm does not see, or a stage that divides by
+    zero or overflows a Python float) raises StepUnderflow; the
     underflow's message names the largest of the first three parameters
     (the Hopf coefficients c1, c2, c3, or the hypergeometric a, b, c).
     """
     check_rtol(rtol)
     u0_flat = np.ascontiguousarray(u0, dtype=np.complex128).reshape(4)
-    status, u, err, drift, nsteps = integrate_path(path, mode, params, u0_flat, rtol)
+    not_finite = f"the transport is not finite at tolerance {rtol:.3g}: its stages overflowed"
+    try:
+        status, u, err, drift, nsteps = integrate_path(path, mode, params, u0_flat, rtol)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise StepUnderflow(not_finite) from exc
     if status == 1:
         big = float(np.abs(params[:3]).max())
         raise StepUnderflow(
@@ -161,7 +167,7 @@ def run_kernel(path: np.ndarray, mode: int, params: np.ndarray, u0: np.ndarray, 
             f"coefficients are too large to resolve (largest |params[0:3]| {big:.3g})"
         )
     if not np.isfinite(u).all():
-        raise StepUnderflow(f"the transport is not finite at tolerance {rtol:.3g}: its stages overflowed")
+        raise StepUnderflow(not_finite)
     if stats is not None:
         stats["err_estimate"] = stats.get("err_estimate", 0.0) + err
         stats["det_drift"] = max(stats.get("det_drift", 0.0), drift)
@@ -314,7 +320,9 @@ def projective_intertwiner(m1: MonodromyRep, m2: MonodromyRep, tol: Tolerances =
     actual conjugation residual.
     """
     eye = np.eye(2)
-    rng = np.random.default_rng(170)
+    # Python's generator, not numpy.random, whose import alone costs a
+    # process about 6 MB and 17 ms
+    rng = random.Random(170)
     for e1 in (1.0, -1.0):
         for e2 in (1.0, -1.0):
             rows = []
@@ -330,8 +338,8 @@ def projective_intertwiner(m1: MonodromyRep, m2: MonodromyRep, tol: Tolerances =
             candidates = [basis[i] for i in range(null_dim)]
             if null_dim >= 2:
                 for _ in range(20):
-                    w = rng.standard_normal(null_dim) + 1j * rng.standard_normal(null_dim)
-                    candidates.append(w @ basis)
+                    w = [complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(null_dim)]
+                    candidates.append(np.array(w) @ basis)
             for vec in candidates:
                 p = vec.reshape(2, 2)
                 if abs(det2(p)) < 1e-8 * np.linalg.norm(p) ** 2:

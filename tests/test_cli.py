@@ -587,20 +587,27 @@ def test_monodromy_fuzz_exit_codes(tmp_path, triple):
     assert rc in (0, 2, 3, 4)
 
 
-@pytest.mark.parametrize("cmd, spatial", [
-    (["monodromy", "--angles", "2/3,2/3,2/3"], False),
-    (["mesh", "--angles", "2/3,2/3,2/3", "--rings", "2", "--sectors", "6", "--out", "m.obj"], True),
-], ids=["monodromy", "mesh"])
-def test_scipy_spatial_loaded_only_by_mesh(tmp_path, cmd, spatial):
+@pytest.mark.parametrize("cmd", [
+    ["classify", "--angles", "2/3,2/3,2/3"],
+    ["monodromy", "--angles", "2/3,2/3,2/3"],
+    # a trivial monodromy: its intertwiner search draws random combinations
+    ["monodromy", "--angles", "3,3,3"],
+    ["fh", "hemisphere", "--angles", "2/3,2/3,2/3", "--edge", "1,2"],
+    ["mesh", "--angles", "2/3,2/3,2/3", "--rings", "2", "--sectors", "6", "--out", "m.obj"],
+], ids=["classify", "monodromy", "monodromy-trivial", "fh", "mesh"])
+def test_heavy_imports_loaded_only_where_used(tmp_path, cmd):
     # scipy.spatial (the Delaunay triangulation of the sample grid) is the
-    # largest import of the program; commands that build no grid must not
-    # pay for it.  A fresh interpreter, since this one has loaded it already
+    # largest import of the program, and numpy.random costs about 6 MB; no
+    # command imports numpy.random itself, so only mesh has it, through
+    # scipy.spatial, and commands that build no grid pay for neither.  A
+    # fresh interpreter, since this one has loaded both already
     src = Path(trinoid.cli.__file__).resolve().parents[1]
     code = ("import sys; from trinoid.cli import main; rc = main(sys.argv[1:]); "
-            "print(rc, 'scipy.spatial' in sys.modules)")
+            "print(rc, 'scipy.spatial' in sys.modules, 'numpy.random' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-c", code, *cmd, "--json", "report.json"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
-    assert proc.stdout.split()[-2:] == ["0", str(spatial)], proc.stderr
+    grid = str(cmd[0] == "mesh")
+    assert proc.stdout.split()[-3:] == ["0", grid, grid], proc.stderr

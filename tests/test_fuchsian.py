@@ -197,7 +197,8 @@ def test_kernel_step_counts_pinned():
     # the kernel was rewritten as plain Python, and they survived its second
     # rewrite with unrolled stages, which reuses stage 6's coefficients for
     # stage 7; the matrix-loop count is the one the perfbench counter
-    # cross-check implies (358,332 - 357,800).
+    # cross-check implies (358,332 - 357,800).  BIG's matrix loops, the
+    # stiffest the benchmark runs, take 2,057 steps.
     tol = Tolerances()
     data = build_trinoid_data(SYM23)
     eye = np.eye(2, dtype=complex)
@@ -210,6 +211,8 @@ def test_kernel_step_counts_pinned():
 
     loops = make_path_plan(data)
     assert steps(loops, MODE_MATRIX, data.kernel_params(), tol.ode) == 532
+    big = build_trinoid_data(C2)
+    assert steps(make_path_plan(big), MODE_MATRIX, big.kernel_params(), tol.ode) == 2057
     assert steps(loops, MODE_SCALAR, data.kernel_params(), tol.ode) == 3098
     hp = hypergeometric_params(SYM23)
     hyper = np.array([hp.a, hp.b, hp.c, 0.0, 0.0, 0.0, 0.0])
@@ -226,9 +229,11 @@ def test_kernel_output_bits_pinned():
     # Pins the bits the adaptive kernel returns, where the test above pins
     # only its step counts: the sha256 of each transport's U bytes, error
     # estimate, det drift and step count.  A rewrite that keeps the same
-    # floating-point operations on the same numpy scalar types keeps them;
-    # they also pin this environment's numpy build, whose complex division
-    # and elementary functions a different build may round differently.
+    # floating-point operations on the same scalar types keeps them: Python
+    # floats and complex numbers in modes 0, 1 and 2, and numpy scalars in
+    # mode 4, whose np.exp returns them.  They also pin this environment's
+    # CPython and numpy builds, whose complex division and elementary
+    # functions a different build may round differently.
     tol = Tolerances()
     eye = np.eye(2, dtype=complex).reshape(4)
 
@@ -255,12 +260,42 @@ def test_kernel_output_bits_pinned():
         "sym23 spoke": digest([spoke], MODE_LOG_CHART, ch.kernel_params, tol.ode * TRANSPORT_TOL_FACTOR),
     }
     assert got == {
-        "sym23 matrix": "8d163e5d93730f036e7c1d2e3847b2be4cc1440b954a01ae90c76054a0281985",
-        "sym23 scalar": "c6d526871379bf588a9f7bc44558ecda0ec4e6695fb39bf45f454e2064e50356",
-        "big matrix": "c91aed0f9a1bbd39377f8491814751d5a365d0d7a4f9f55d2073c45131382c32",
-        "sym23 hypergeometric": "d4847a2b1d7ade9ed4a844ee8c684a2e58f2221059ff5f8c1cfcc1bedb1d7c02",
+        "sym23 matrix": "547a6a139267139204712e23764b20c184ef371abeae2b96131d6ddce7ed7461",
+        "sym23 scalar": "a4e4b5b88553c62ea408d93e835aea561214a208d680464d6a968cd15d8bc07f",
+        "big matrix": "890519a77d50893bee8462e2bc028755b104c9a61112c752dd3b84466913fbab",
+        "sym23 hypergeometric": "8ca11e92661ae8601621fcc34fb920968ddc95864a0f46fb726f565a9c90f140",
         "sym23 spoke": "77e40f89de619fa6b60867235a09a03006939ef468d2bb763468f8915244c3bd",
     }
+
+
+# rho1 and rho2 of the matrix monodromy, row-major, recorded with the kernel
+# on numpy scalars, before it moved to Python floats and complex numbers
+_FROZEN_GENERATORS = {
+    "sym23": (
+        (0.24551129435937233+0.20528277756208566j, -0.2794573711544629-1.3864702799155368j,
+         0.035518440353896785-0.5501002103072304j, 0.7544887056406255-0.205282777561698j),
+        (0.7900071459945841+0.7553829878700491j, -0.8239532227890853+0.42580451448477735j,
+         0.03551844035315276+0.5501002103069882j, 0.20999285400527107-0.7553829878690661j),
+    ),
+    "big": (
+        (0.9999999999984162+9.115425428363189e-13j, 3.4061260756335088e-12+1.2013385078391003e-12j,
+         -1.647896229195478e-13+8.785984093040433e-13j, 1.0000000000015252-8.744446139408169e-13j),
+        (0.9999999999979031+2.0993796978618917e-13j, -3.7654514922769167e-13+3.1104667452819257e-12j,
+         3.9653783728832437e-13+1.2657132286708617e-12j, 1.0000000000019669-1.7364842203049236e-13j),
+    ),
+}
+
+
+@pytest.mark.parametrize("name, angles", [("sym23", SYM23), ("big", C2)], ids=["sym23", "big"])
+def test_loop_generators_match_frozen_reference(name, angles):
+    # an anchor that outlives changes of the kernel's engine or scalar types,
+    # which move the output bits but must not move the generators (measured
+    # within 2.2e-15 relative on SYM23 and 2.7e-13 on BIG, whose generators
+    # are the identity up to their integration error, a few 1e-12)
+    rep = monodromy(build_trinoid_data(angles))
+    for rho, ref in zip((rep.rho1, rep.rho2), _FROZEN_GENERATORS[name]):
+        ref = np.reshape(ref, (2, 2))
+        assert np.abs(rho - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
 
 def test_scalar_and_matrix_agree_projectively():
@@ -398,3 +433,16 @@ def test_step_underflow_through_singularity():
             np.eye(2, dtype=complex),
             Tolerances().ode,
         )
+
+
+@pytest.mark.parametrize("mode", [MODE_MATRIX, MODE_SCALAR, MODE_HYPERGEOMETRIC])
+def test_transport_from_a_puncture_is_numerical(mode):
+    # the first stage evaluates the coefficients at z = 0, where Python
+    # complex division raises ZeroDivisionError rather than returning inf;
+    # run_kernel reports it as the numerical failure it is
+    params = build_trinoid_data(SYM23).kernel_params()
+    if mode == MODE_HYPERGEOMETRIC:
+        hp = hypergeometric_params(SYM23)
+        params = np.array([hp.a, hp.b, hp.c, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(StepUnderflow, match="the transport is not finite"):
+        run_kernel(segment(0.0, 0.5), mode, params, np.eye(2, dtype=complex), Tolerances().ode)
