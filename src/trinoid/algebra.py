@@ -67,42 +67,70 @@ def fro(m: np.ndarray) -> float:
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
 
-def _two_prod(a: float, b: float):
-    """Product a*b as head + exact tail, without fma."""
-    p = a * b
-    t = _SPLITTER * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLITTER * b
-    bh = t - (t - b)
-    bl = b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, e
-
-
 def det2_compensated(m) -> complex:
     """Determinant with compensated products, of a 2x2 matrix or of its two
     rows given as pairs of entries.
 
     The naive determinant of a matrix with entries of size s carries a
     rounding error of order eps*s^2, which drowns the actual drift signal
-    once transported frames grow large.  Splitting each real product into
-    head and tail and summing with math.fsum removes that floor.
+    once transported frames grow large.  Each of the eight real parts is
+    split once into a high and a low half (Veltkamp), each of the eight
+    real products becomes its rounded value p plus its exact error e
+    (Dekker's two-product, without fma), and math.fsum adds the sixteen
+    exact terms of each part, correctly rounded, so their order does not
+    matter.
     """
     (a, b), (c, d) = m
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    re_terms = []
-    im_terms = []
-    for u, v, sign in ((a, d, 1.0), (b, c, -1.0)):
-        p, e = _two_prod(u.real, v.real)
-        re_terms += [sign * p, sign * e]
-        p, e = _two_prod(u.imag, v.imag)
-        re_terms += [-sign * p, -sign * e]
-        p, e = _two_prod(u.real, v.imag)
-        im_terms += [sign * p, sign * e]
-        p, e = _two_prod(u.imag, v.real)
-        im_terms += [sign * p, sign * e]
-    return complex(math.fsum(re_terms), math.fsum(im_terms))
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    cr, ci, dr, di = c.real, c.imag, d.real, d.imag
+    t = _SPLITTER * ar
+    arh = t - (t - ar)
+    arl = ar - arh
+    t = _SPLITTER * ai
+    aih = t - (t - ai)
+    ail = ai - aih
+    t = _SPLITTER * br
+    brh = t - (t - br)
+    brl = br - brh
+    t = _SPLITTER * bi
+    bih = t - (t - bi)
+    bil = bi - bih
+    t = _SPLITTER * cr
+    crh = t - (t - cr)
+    crl = cr - crh
+    t = _SPLITTER * ci
+    cih = t - (t - ci)
+    cil = ci - cih
+    t = _SPLITTER * dr
+    drh = t - (t - dr)
+    drl = dr - drh
+    t = _SPLITTER * di
+    dih = t - (t - di)
+    dil = di - dih
+    # re(ad - bc) = ar dr - ai di - br cr + bi ci
+    p1 = ar * dr
+    p2 = ai * di
+    p3 = br * cr
+    p4 = bi * ci
+    re = math.fsum((
+        p1, ((arh * drh - p1) + arh * drl + arl * drh) + arl * drl,
+        -p2, -(((aih * dih - p2) + aih * dil + ail * dih) + ail * dil),
+        -p3, -(((brh * crh - p3) + brh * crl + brl * crh) + brl * crl),
+        p4, ((bih * cih - p4) + bih * cil + bil * cih) + bil * cil,
+    ))
+    # im(ad - bc) = ar di + ai dr - br ci - bi cr
+    p1 = ar * di
+    p2 = ai * dr
+    p3 = br * ci
+    p4 = bi * cr
+    im = math.fsum((
+        p1, ((arh * dih - p1) + arh * dil + arl * dih) + arl * dil,
+        p2, ((aih * drh - p2) + aih * drl + ail * drh) + ail * drl,
+        -p3, -(((brh * cih - p3) + brh * cil + brl * cih) + brl * cil),
+        -p4, -(((bih * crh - p4) + bih * crl + bil * crh) + bil * crl),
+    ))
+    return complex(re, im)
 
 
 def det_defect(m: np.ndarray) -> np.ndarray:

@@ -131,7 +131,7 @@ def _class_json(mc) -> dict:
 def cmd_classify(ns: argparse.Namespace) -> dict:
     """Classification report: exponents, existence gates, both targets."""
     b, tol = ns.angles, ns.tol
-    cone = conical_data(b)
+    cone = conical_data(b, tol)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "classify",
@@ -315,11 +315,11 @@ def cmd_fh(ns: argparse.Namespace) -> dict:
     if ns.op == "hemisphere":
         if edge is None:
             raise ValueError("hemisphere surgery needs --edge i,j")
-        after_angles = fh_attach_hemisphere(b, edge)
+        after_angles = fh_attach_hemisphere(b, edge, tol)
     else:
         if ns.vertex is None or ns.edge_other is None:
             raise ValueError("bigon surgery needs --vertex and --edge-other")
-        after_angles = fh_attach_bigon(b, ns.vertex, ns.edge_other)
+        after_angles = fh_attach_bigon(b, ns.vertex, ns.edge_other, tol)
     after = classify(after_angles, target=ns.target, tol=tol)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -219,16 +219,11 @@ class MonodromyRep:
     eigenvalue_defect: float
 
 
-def _loop_generators(loops, mode, params, tol: Tolerances, stats: dict, unimodular=False):
+def _loop_generators(loops, mode, params, tol: Tolerances, stats: dict):
     """Transports around the two loops of make_path_plan, which checked
-    them, then rho3 = (rho1 rho2)^-1; with unimodular, each transport is
-    divided by a square root of its determinant.
+    them, then rho3 = (rho1 rho2)^-1.
     """
-    rhos = []
-    for loop in loops:
-        rho = run_kernel(loop, mode, params, np.eye(2, dtype=complex), tol.ode, stats)
-        rhos.append(rho / np.sqrt(det2(rho)) if unimodular else rho)
-    rho1, rho2 = rhos
+    rho1, rho2 = (run_kernel(loop, mode, params, np.eye(2, dtype=complex), tol.ode, stats) for loop in loops)
     return rho1, rho2, inv2(rho1 @ rho2)
 
 
@@ -291,16 +286,18 @@ def hypergeometric_monodromy(
 ) -> MonodromyRep:
     """Loop transports of the hypergeometric equation around 0 and 1.
 
-    The raw transfer matrices have determinant exp(-2 pi i c) around 0 in
-    general; each is normalized by a square root of its determinant so the
-    result lands in SL(2, C).  All downstream comparisons are projective,
-    so the sign ambiguity of the root is harmless.
+    The kernel integrates the equation in normal form, whose coefficient
+    matrix is trace free, so each transport lies in SL(2, C) as it comes
+    (Abel's identity) and needs no normalization.  It is the companion
+    form's transport conjugated by a constant gauge at the base point and
+    multiplied by a scalar phase, exp(i pi c) around 0; all downstream
+    comparisons are projective, so the phase is harmless.
     """
     if plan is None:
         plan = make_path_plan([0.0, 1.0])
     kparams = np.array([params.a, params.b, params.c, 0.0, 0.0, 0.0, 0.0])
     stats: dict = {}
-    rho1, rho2, rho3 = _loop_generators(plan, MODE_HYPERGEOMETRIC, kparams, tol, stats, unimodular=True)
+    rho1, rho2, rho3 = _loop_generators(plan, MODE_HYPERGEOMETRIC, kparams, tol, stats)
     return MonodromyRep(
         rho1=rho1,
         rho2=rho2,

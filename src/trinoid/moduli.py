@@ -62,16 +62,26 @@ class ModuliClass:
     flags: tuple[str, ...] = ()
 
 
-def _check_angles(angles) -> tuple[float, float, float]:
+def _check_angles(angles, tol: Tolerances) -> tuple[float, float, float]:
+    """The three half-angles as floats, refused unless each is positive and
+    its B/pi is resolved to tol.integer.
+
+    The integer tests of the classification read |B/pi - round(B/pi)|
+    against tol.integer, and the rounding of the quotient is up to half the
+    spacing of doubles at B/pi, which passes tol.integer from B/pi = 2**k
+    on, with k = 24 at the default 1e-9; the bound never exceeds 2**52,
+    past which a double has no fractional bits and cos B is noise.
+    """
     b = tuple(float(x) for x in angles)
     if len(b) != 3:
         raise ValueError("expected three half-angles")
     if not all(x > 0.0 for x in b):  # NaN included
         raise ValueError(f"half-angles must be positive, got {b}")
+    k = min(52, math.frexp(tol.integer)[1] + 53)
     for j, x in enumerate(b, 1):
-        if x / math.pi >= 2.0**52:  # every such B/pi reads as an integer, cos B as noise
-            raise ValueError(f"half-angle {j} is {x!r} radians; B/pi must be below 2**52, "
-                             "past which a double has no fractional bits")
+        if x / math.pi >= math.ldexp(1.0, k):
+            raise ValueError(f"half-angle {j} is {x!r} radians; B/pi must be below 2**{k}, "
+                             f"past which it is not resolved to the integer tolerance {tol.integer:.3g}")
     return b
 
 
@@ -81,8 +91,8 @@ def _coerce_target(target) -> Target:
     return Target(str(target).lower())
 
 
-def conical_data(angles) -> ConicalData:
-    b = _check_angles(angles)
+def conical_data(angles, tol: Tolerances = Tolerances()) -> ConicalData:
+    b = _check_angles(angles, tol)
     beta = tuple(x / math.pi - 1.0 for x in b)
     c = tuple(-bj * (bj + 2.0) / 2.0 for bj in beta)
     return ConicalData(beta=beta, c=c)
@@ -106,14 +116,14 @@ def hanbetu_holds(c, tol: Tolerances = Tolerances()) -> bool:
     return abs(diff) > tol.hanbetu
 
 
-def reduce_angles(angles) -> tuple[float, float, float]:
+def reduce_angles(angles, tol: Tolerances = Tolerances()) -> tuple[float, float, float]:
     """Reduce a triple to representatives with all pairwise sums in [0, pi].
 
     Each angle is first folded to [0, pi] preserving its cosine, the folded
     triple is sorted ascending, and then the larger two are reflected
     through pi/2 when their sum exceeds pi.
     """
-    b = _check_angles(angles)
+    b = _check_angles(angles, tol)
     hat = sorted(math.acos(math.cos(x)) for x in b)
     out1 = hat[0]
     if hat[1] + hat[2] <= math.pi:
@@ -143,7 +153,7 @@ def irreducible_exists(angles, tol: Tolerances = Tolerances()) -> bool:
     A triple on the irreducibility boundary (see _on_irreducibility_boundary)
     counts as not irreducible; away from it the inequality decides.
     """
-    b = _check_angles(angles)
+    b = _check_angles(angles, tol)
     if _on_irreducibility_boundary(b, tol):
         return False
     c1, c2, c3 = (math.cos(x) for x in b)
@@ -156,8 +166,8 @@ def irreducible_reduced_sum(angles, tol: Tolerances = Tolerances()) -> bool:
     Equivalent to irreducible_exists, and like it false on the boundary,
     where the reduced sum is pi up to rounding.
     """
-    b = _check_angles(angles)
-    return not _on_irreducibility_boundary(b, tol) and sum(reduce_angles(b)) > math.pi
+    b = _check_angles(angles, tol)
+    return not _on_irreducibility_boundary(b, tol) and sum(reduce_angles(b, tol)) > math.pi
 
 
 def _near_int(x: float, tol: float) -> bool:
@@ -176,7 +186,7 @@ def classify(angles, target="h3", tol: Tolerances = Tolerances()) -> ModuliClass
     sum and strict triangle inequality give the three-parameter family
     (dimension 3); everything else is empty.
     """
-    b = _check_angles(angles)
+    b = _check_angles(angles, tol)
     target = _coerce_target(target)
     flags: list[str] = []
 
@@ -184,7 +194,7 @@ def classify(angles, target="h3", tol: Tolerances = Tolerances()) -> ModuliClass
     if target is Target.H3:
         if any(pi_hits):
             return ModuliClass(target, Status.EXCLUDED_ANGLE_IS_PI, None, flags=tuple(flags))
-        if not hanbetu_holds(conical_data(b), tol):
+        if not hanbetu_holds(conical_data(b, tol), tol):
             return ModuliClass(target, Status.DEGENERATE_HANBETU, None, flags=tuple(flags))
     elif any(pi_hits):
         flags.append("AngleIsPi")
@@ -224,9 +234,9 @@ def classify(angles, target="h3", tol: Tolerances = Tolerances()) -> ModuliClass
     return ModuliClass(target, Status.EMPTY, None, flags=tuple(flags))
 
 
-def fh_attach_hemisphere(angles, edge) -> tuple[float, float, float]:
+def fh_attach_hemisphere(angles, edge, tol: Tolerances = Tolerances()) -> tuple[float, float, float]:
     """Add pi to the two angles on an edge (hemisphere surgery)."""
-    b = list(_check_angles(angles))
+    b = list(_check_angles(angles, tol))
     i, j = edge
     if i == j or not {i, j} <= {1, 2, 3}:
         raise BadEdge(f"edge must be two distinct indices in 1..3, got {edge}")
@@ -235,9 +245,9 @@ def fh_attach_hemisphere(angles, edge) -> tuple[float, float, float]:
     return tuple(b)
 
 
-def fh_attach_bigon(angles, vertex, edge_other) -> tuple[float, float, float]:
+def fh_attach_bigon(angles, vertex, edge_other, tol: Tolerances = Tolerances()) -> tuple[float, float, float]:
     """Reflect one acute angle through pi and add pi to a neighbor (bigon surgery)."""
-    b = list(_check_angles(angles))
+    b = list(_check_angles(angles, tol))
     if vertex == edge_other or not {vertex, edge_other} <= {1, 2, 3}:
         raise BadEdge(f"need two distinct indices in 1..3, got {(vertex, edge_other)}")
     if b[vertex - 1] >= math.pi:

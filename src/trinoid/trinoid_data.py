@@ -145,7 +145,7 @@ def build_trinoid_data(angles, tol: Tolerances = Tolerances()) -> TrinoidData:
 
 def build_hopf(angles, tol: Tolerances = Tolerances()) -> HopfDifferential:
     """Hopf differential of the trinoid with the given half-angles."""
-    cd = conical_data(angles)
+    cd = conical_data(angles, tol)
     for j, b in enumerate(float(x) for x in angles):
         if abs(b - math.pi) <= tol.angle_is_pi:
             raise ExcludedAngleIsPi(f"half-angle {j + 1} equals pi; coefficient c{j + 1} vanishes")

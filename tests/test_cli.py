@@ -458,15 +458,19 @@ def test_non_finite_inputs_rejected(tmp_path, monkeypatch, capsys, args, message
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("angle", ["1e17", "1e300"])
+@pytest.mark.parametrize("angle", ["6e7", "1e16", "1e17", "1e300"])
 @pytest.mark.parametrize("cmd", ["classify", "monodromy", "mesh", "fh"])
 def test_angle_without_fractional_bits_rejected(tmp_path, capsys, cmd, angle):
-    # from B/pi = 2**52 (1.41e16 rad) on, a double has no fractional bits,
-    # so the integer tests of the classification and cos B are noise:
-    # every command refuses such an angle, naming it, before it computes.
-    # classify used to exit 0 on them (Empty at 1e300), and monodromy at
-    # 1e300 exited 2 with "cannot convert float NaN to integer", from a
-    # Gauss-map pole that was NaN
+    # the integer tests of the classification read |B/pi - round(B/pi)|
+    # against Tolerances.integer (1e-9), and from B/pi = 2**24 (5.27e7 rad)
+    # on, half the spacing of doubles at B/pi, the rounding of the quotient,
+    # is larger: every command refuses such an angle, naming it and the
+    # bound, before it computes.  Up to 2**52 the bound was the one on
+    # fractional bits, and classify exited 0 on 1e16 with ReducibleC1, as
+    # 1e16/pi rounds to the odd integer 3183098861837907; classify used to
+    # exit 0 on 1e300 (Empty) too, and monodromy at 1e300 exited 2 with
+    # "cannot convert float NaN to integer", from a Gauss-map pole that was
+    # NaN
     args = [cmd, "--units", "rad", "--angles", f"{angle},1,1"]
     if cmd == "mesh":
         args += ["--rings", "2", "--sectors", "6", "--out", str(tmp_path / "x.obj")]
@@ -474,19 +478,46 @@ def test_angle_without_fractional_bits_rejected(tmp_path, capsys, cmd, angle):
         args += ["hemisphere", "--edge", "1,2"]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: half-angle 1 is {float(angle)!r} radians; B/pi must be below 2**52")
+    assert err == (f"error: half-angle 1 is {float(angle)!r} radians; B/pi must be below 2**24, "
+                   "past which it is not resolved to the integer tolerance 1e-09\n")
 
 
-def test_non_finite_transport_is_numerical(tmp_path, capsys):
+def test_angle_bound_scales_with_the_integer_tolerance(monkeypatch, capsys):
+    # the bound is the power of two from which half the spacing of doubles
+    # passes Tolerances.integer, so TRINOID_TOL_SCALE moves it: the largest
+    # double below 2**24 pi is admitted, and at scale 10 (integer tolerance
+    # 1e-8) the bound is 2**27, which admits 6e7 rad
+    below = math.nextafter(2.0**24 * math.pi, 0.0)
+    assert main(["classify", "--units", "rad", "--angles", f"{below!r},1,1"]) == 0
+    assert main(["classify", "--units", "rad", "--angles", "6e7,1,1"]) == 2
+    monkeypatch.setenv("TRINOID_TOL_SCALE", "10")
+    capsys.readouterr()
+    assert main(["classify", "--units", "rad", "--angles", "6e7,1,1"]) == 0
+    assert main(["classify", "--units", "rad", "--angles", "5e8,1,1"]) == 2
+    assert "B/pi must be below 2**27, past which it is not resolved to the integer tolerance 1e-08" in (
+        capsys.readouterr().err
+    )
+
+
+def test_non_finite_transport_is_numerical(tmp_path, monkeypatch, capsys):
     # at B1 = 1e14 rad, c1 = -5.07e26 and the Dormand-Prince stages
     # overflow to NaN, which the error norm passes over: the loops used to
     # return an all-NaN monodromy with det drift 0, and mesh exited 2 with
-    # "SVD did not converge", a numerical failure reported as bad input
+    # "SVD did not converge", a numerical failure reported as bad input.
+    # The command line now refuses that angle (B/pi is past 2**24), so the
+    # Hopf data are built at an integer tolerance of 1, which admits it, and
+    # mesh meets a transport that is not finite through a kernel that
+    # returns NaN
+    tol = dataclasses.replace(Tolerances(), integer=1.0)
     with np.errstate(all="ignore"), pytest.raises(errors.StepUnderflow, match="the transport is not finite"):
-        trinoid.fuchsian.monodromy(build_trinoid_data((1e14, 1.0, 1.0)))
-    with np.errstate(all="ignore"):
-        rc = main(["mesh", "--units", "rad", "--angles", "1e14,1,1", "--rings", "2", "--sectors", "6",
-                   "--out", str(tmp_path / "x.obj")])
+        trinoid.fuchsian.monodromy(build_trinoid_data((1e14, 1.0, 1.0), tol))
+
+    def overflowed(path, mode, params, u0, rtol):
+        return 0, np.full(4, complex("nan+nanj")), 0.0, 0.0, 1
+
+    monkeypatch.setattr(trinoid.fuchsian, "integrate_path", overflowed)
+    rc = main(["mesh", "--angles", "2/3,2/3,2/3", "--rings", "2", "--sectors", "6",
+               "--out", str(tmp_path / "x.obj")])
     assert rc == 3
     assert "error: the transport is not finite" in capsys.readouterr().err
 
