@@ -157,7 +157,7 @@ class H3Point:
 
 
 def project_h3(f: np.ndarray, tol: Tolerances = Tolerances()) -> H3Point:
-    """Project an SL(2,C) element, or each of a stack (..., 2, 2), to H^3 via
+    """Project an SL(2,C) element, or each of a stack (..., 2, 2), to H^3 by
     the Hermitian square F F*; the coordinates then stack the same way.
 
     The determinant gate scales with the squared matrix norm (det_defect):

@@ -9,9 +9,9 @@ into the tolerances that every library call is then passed.  Each command
 reads the argparse namespace, with the angle and deformation strings
 replaced by their parsed values and the tolerances added;
 ``COMMANDS`` maps the subcommand name to it.  An error's type carries its
-exit code: 2 for invalid input (``TrinoidError`` and ``ValueError``), 3
-for a ``NumericalFailure``, 4 for empty moduli in a mesh request; 0 is
-success.
+exit code: 2 for invalid input (``TrinoidError`` and ``ValueError``, and
+an ``OSError`` from writing the mesh file or the report), 3 for a
+``NumericalFailure``, 4 for empty moduli in a mesh request; 0 is success.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import eigenvalues_2x2
 from .config import Tolerances, default_tolerances
 from .errors import NotUnitarizable, ResonantReducible, TrinoidError, ZeroCoefficient
-from .fuchsian import MonodromyRep, Source, make_path_plan, monodromy, projective_equivalence
+from .fuchsian import Source, make_path_plan, monodromy, projective_equivalence
 from .moduli import (
     ModuliClass,
     Status,
@@ -210,11 +210,11 @@ def cmd_monodromy(ns: argparse.Namespace) -> dict:
 
 @dataclasses.dataclass(frozen=True)
 class Surface:
-    """Every stage of one trinoid surface, from the angles to the mesh."""
+    """Every stage of one trinoid surface, from the angles to the mesh; the
+    monodromy representation enters the unitarizer space and is not kept."""
 
     data: TrinoidData
     verdict: ModuliClass
-    rep: MonodromyRep
     space: UnitarizerSpace
     conj: np.ndarray
     deform: tuple[float, ...]
@@ -254,7 +254,7 @@ def build_surface(angles, rings: int, sectors: int, deform=None, tol: Tolerances
     weier = recover_weierstrass(transport, tol)
     mesh = build_mesh(transport, weier, conj, tol=tol)
     return Surface(
-        data=data, verdict=verdict, rep=rep, space=space, conj=conj, deform=deform,
+        data=data, verdict=verdict, space=space, conj=conj, deform=deform,
         grid=grid, transport=transport, weier=weier, mesh=mesh,
     )
 
@@ -444,12 +444,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        report = COMMANDS[ns.cmd](_config_from(ns))
-    except (ValueError, TrinoidError) as exc:
+        _emit(COMMANDS[ns.cmd](_config_from(ns)), ns.json)
+    except (ValueError, OSError, TrinoidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
-
-    _emit(report, ns.json)
     return 0
 
 

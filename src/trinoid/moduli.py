@@ -109,10 +109,15 @@ def hanbetu_holds(c, tol: Tolerances = Tolerances()) -> bool:
 
     Tests (c1^2+c2^2+c3^2)/2 != c1*c2 + c2*c3 + c3*c1 against an absolute
     tolerance on the difference; this is the discriminant condition for the
-    quadratic whose roots are the umbilic points.
+    quadratic whose roots are the umbilic points.  The difference is
+    evaluated as (ci - cj)^2/2 + ck (ck - 2 ci - 2 cj)/2 with ci, cj the two
+    closest coefficients, whose difference is exact where they nearly
+    cancel: the expanded form reads 0 for c = (-1.28e14, -1.28e14, -5e-9),
+    whose difference is -1.28e6.
     """
-    c1, c2, c3 = _c_of(c)
-    diff = 0.5 * (c1 * c1 + c2 * c2 + c3 * c3) - (c1 * c2 + c2 * c3 + c3 * c1)
+    c = _c_of(c)
+    i, j, k = min(((0, 1, 2), (1, 2, 0), (0, 2, 1)), key=lambda t: abs(c[t[0]] - c[t[1]]))
+    diff = 0.5 * (c[i] - c[j]) ** 2 + 0.5 * c[k] * (c[k] - 2.0 * c[i] - 2.0 * c[j])
     return abs(diff) > tol.hanbetu
 
 

@@ -5,7 +5,10 @@ punctured sphere with one polar annulus per puncture plus a triangulated
 core.  Its layout is index arithmetic: annulus vertex (end, ring, sector)
 is number (end * rings + ring) * sectors + sector, and its spanning tree,
 rooted at fuchsian.BASE_POINT, the base of the monodromy loops, is an
-array of (parent, child) vertex rows.
+array of (parent, child) vertex rows.  Each end's rings are turned so that
+sector 0 of the outer ring, where the tree enters the annulus, is joined
+to the base by a straight segment clear of the punctures: every tree row
+is one straight transfer.
 transport_frame solves the frame equation dF = A F along the tree: every
 edge is an initial value problem from the identity, so the z-chart rows
 of the core, and the rows inside each annulus, are solved as one batch
@@ -32,9 +35,9 @@ exact determinant exp(-dzeta), making the assembled F transfers
 unimodular by construction, and serves tree edges, seam arcs and, through
 the collocation's dense output at eleven sample points, the recovery
 stencils alike.  The rows that leave an annulus (the core edges and the
-base-to-anchor edges) use the same collocation in the z chart.  The end
-at infinity is handled in the x = 1/z chart through conjugation by
-[[0, 1], [1, 0]].
+base-to-anchor edges) are straight segments in the z chart, solved by
+the same collocation.  The end at infinity is handled in the x = 1/z
+chart through conjugation by [[0, 1], [1, 0]].
 """
 
 from __future__ import annotations
@@ -207,14 +210,15 @@ class SampleGrid:
     excepted): per end the edge from the base to its anchor (sector 0 of
     the outer ring), the outer ring's arcs and the spokes, then the core
     edges breadth first.  A row between two annulus vertices runs in its
-    end's log chart; every other row is a z-chart segment, and via maps an
-    anchor to the waypoint of its edge where the straight segment would
-    pass too close to a puncture.
+    end's log chart; every other row is a straight z-chart segment that
+    keeps CLEARANCE_FACTOR from the punctures.  Sector i of an end sits at
+    log-chart angle 2 pi (i + turn) / sectors, where the end's turn is the
+    first one that makes its anchor's segment clear; it is 0 wherever
+    sector 0 already clears, and zeta carries it.
     """
 
     vertices: np.ndarray
     edges: np.ndarray
-    via: dict
     faces: np.ndarray
     rings: int
     sectors: int
@@ -241,18 +245,20 @@ class SampleGrid:
 _PUNCTURES = (0.0 + 0.0j, 1.0 + 0.0j)
 
 
-def _anchor_waypoint(za, zb):
-    """Waypoint of the tree edge from the base point to an end's anchor, or
-    None: the straight segment where it keeps the clearance from the
-    punctures, else a route through whichever apex of the right isosceles
-    triangles over the segment leaves both legs more room."""
-    route = segment(za, zb)
-    if path_clearance(route, _PUNCTURES) < CLEARANCE_FACTOR:
-        apexes = (za + (zb - za) * (0.5 + 0.5j), za + (zb - za) * (0.5 - 0.5j))
-        routes = [np.concatenate((segment(za, w), segment(w, zb))) for w in apexes]
-        route = max(routes, key=lambda path: path_clearance(path, _PUNCTURES))
-    validate_path(route, _PUNCTURES, CLEARANCE_FACTOR)
-    return complex(route[0, 3], route[0, 4]) if len(route) == 2 else None
+def _clear_turn(ch: EndChart, dtheta: float, ns: int) -> int:
+    """The first sector turn whose outer-ring vertex, at angle dtheta * turn
+    in the log chart of ch, is joined to BASE_POINT by a straight segment
+    that keeps the clearance from the punctures."""
+    log_r = math.log(ch.r_out)
+    for turn in range(ns):
+        anchor = ch.to_global(ch.puncture + cmath.exp(complex(log_r, dtheta * turn)))
+        if path_clearance(segment(BASE_POINT, anchor), _PUNCTURES) >= CLEARANCE_FACTOR:
+            return turn
+    raise SingularPathPoint(
+        f"end {ch.end + 1}: no straight segment from the base point to one of the {ns} "
+        f"outer-ring sectors (radius {ch.r_out:.3g}) keeps the clearance {CLEARANCE_FACTOR:g} "
+        "from the punctures"
+    )
 
 
 def sample_grid(data: TrinoidData, rings: int, sectors: int) -> SampleGrid:
@@ -264,7 +270,9 @@ def sample_grid(data: TrinoidData, rings: int, sectors: int) -> SampleGrid:
     annulus circles, triangulated together with the outermost rings so the
     two parts share vertices.  The spanning tree is rooted at BASE_POINT,
     the base of the monodromy loops, enters each annulus once through its
-    outer ring and covers the core breadth-first.
+    outer ring and covers the core breadth-first.  Raises SingularPathPoint,
+    naming the end, when no outer-ring sector of an end can be reached from
+    the base by a clear straight segment.
     """
     # imported here: scipy.spatial is the largest import of the program, and
     # only meshing needs it
@@ -285,11 +293,12 @@ def sample_grid(data: TrinoidData, rings: int, sectors: int) -> SampleGrid:
     dtheta = 2.0 * math.pi / ns
     for ch in charts:
         ratio = math.log(_INNER_RADIUS / ch.r_out) / (nr - 1)
+        turn = _clear_turn(ch, dtheta, ns)
         for k in range(nr):
             logr = math.log(ch.r_out) + ratio * k
             for i in range(ns):
                 idx = (ch.end * nr + k) * ns + i
-                zeta[idx] = zt = complex(logr, dtheta * i)
+                zeta[idx] = zt = complex(logr, dtheta * (i + turn))
                 verts[idx] = ch.to_global(ch.puncture + cmath.exp(zt))
 
     base_index = n_ann
@@ -333,21 +342,16 @@ def sample_grid(data: TrinoidData, rings: int, sectors: int) -> SampleGrid:
 
     # two triangles per annulus quad from sector i to i + 1 (across the
     # seam for the last) and from ring k to k + 1
-    turn = np.roll(ann, -1, axis=2)
-    quads = np.stack([ann[:, :-1], turn[:, :-1], turn[:, 1:], ann[:, 1:]], axis=-1)
+    nxt = np.roll(ann, -1, axis=2)
+    quads = np.stack([ann[:, :-1], nxt[:, :-1], nxt[:, 1:], ann[:, 1:]], axis=-1)
     core_faces = np.array(core_faces, dtype=np.int64).reshape(-1, 3)
     faces = np.concatenate([quads[..., [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3), core_faces])
 
     # per end: base to anchor, the outer ring's arcs, the spokes ring by ring
     edges = []
-    via = {}
     for end in ann:
-        anchor = int(end[0, 0])
-        waypoint = _anchor_waypoint(BASE_POINT, all_verts[anchor])
-        if waypoint is not None:
-            via[anchor] = waypoint
         arcs = np.c_[end[0, :-1], end[0, 1:]]
-        edges += [[(base_index, anchor)], arcs, np.c_[end[:-1].ravel(), end[1:].ravel()]]
+        edges += [[(base_index, end[0, 0])], arcs, np.c_[end[:-1].ravel(), end[1:].ravel()]]
 
     # breadth-first tree over the surviving core triangulation
     adj: dict[int, set] = {}
@@ -377,7 +381,6 @@ def sample_grid(data: TrinoidData, rings: int, sectors: int) -> SampleGrid:
     return SampleGrid(
         vertices=all_verts,
         edges=np.concatenate(edges).astype(np.int64),
-        via=via,
         faces=faces,
         rings=nr,
         sectors=ns,
@@ -423,11 +426,11 @@ def transport_frame(
     TRANSPORT_TOL_FACTOR, since mesh positions accumulate error over paths a
     few dozen edges deep.  Every edge is an initial value problem from the
     identity, so the edge transfers come from one batch of Chebyshev
-    collocation transfers for the z-chart rows (a row into a grid.via
-    anchor as the product of its two legs) and one EndChart.transfer batch
-    per end for the rows between its annulus vertices (ring arcs and
-    spokes) and its seam; the frames are then composed in row order, and
-    each end's monodromy is read off its outer ring and seam.
+    collocation transfers for the z-chart rows, each a straight segment,
+    and one EndChart.transfer batch per end for the rows between its
+    annulus vertices (ring arcs and spokes) and its seam; the frames are
+    then composed in row order, and each end's monodromy is read off its
+    outer ring and seam.
     stats["n_pieces"] counts the accepted collocation pieces.  A transport
     tolerance below the unit roundoff raises StepUnderflow before the first
     batch, naming Tolerances.ode and the tightening.  If the solver fails,
@@ -458,20 +461,10 @@ def transport_frame(
 
     in_end = (grid.edges < n_ann).all(axis=1)
     core = grid.edges[~in_end]
-    # a routed row runs to its waypoint, and a second leg from there on
-    routed = np.isin(core[:, 1], list(grid.via))
-    anchors = core[routed, 1]
-    waypoints = np.array([grid.via[c] for c in anchors.tolist()], dtype=complex)
-    zb = grid.vertices[core[:, 1]]
-    zb[routed] = waypoints
-    t = _run(
+    transfers[core[:, 1]] = _run(
         partial(chebyshev_transfers, MODE_MATRIX, params0),
-        np.r_[core, core[routed]],
-        np.r_[grid.vertices[core[:, 0]], waypoints],
-        np.r_[zb, grid.vertices[anchors]],
+        core, grid.vertices[core[:, 0]], grid.vertices[core[:, 1]],
     )
-    transfers[core[:, 1]] = t[: len(core)]
-    transfers[anchors] = t[len(core):] @ transfers[anchors]
     end_of = grid.edges[:, 0] // (grid.rings * grid.sectors)
     for ch in grid.charts:
         # one extra arc per end closes the outer ring across the seam

@@ -100,14 +100,13 @@ class GaussMap:
 class HypergeometricParams:
     """Exponent parameters of the associated hypergeometric equation.
 
-    The defining relations fix (a, b, c) only up to signs of B_j/pi; the
-    resolution actually used is recorded in signs.
+    The defining relations fix (a, b, c) only up to signs of B_j/pi, which
+    hypergeometric_params resolves.
     """
 
     a: float
     b: float
     c: float
-    signs: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -180,4 +179,4 @@ def hypergeometric_params(angles, signs=(1, 1, -1)) -> HypergeometricParams:
     c = 1.0 - s1 * t[0]
     a = 0.5 * (1.0 - s1 * t[0] + s2 * t[1] - s3 * t[2])
     b = 0.5 * (1.0 - s1 * t[0] - s2 * t[1] - s3 * t[2])
-    return HypergeometricParams(a=a, b=b, c=c, signs=tuple(signs))
+    return HypergeometricParams(a=a, b=b, c=c)

@@ -499,6 +499,35 @@ def test_angle_bound_scales_with_the_integer_tolerance(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("option", ["--out", "--json"])
+def test_unwritable_output_path_is_input_error(tmp_path, capsys, option):
+    # a mesh file or report in a directory that does not exist is an input
+    # error named on stderr, not a traceback after the whole build
+    missing = tmp_path / "no" / "such"
+    paths = {"--out": str(tmp_path / "m.ply"), option: str(missing / "x")}
+    args = ["mesh", "--angles", "2/3,2/3,2/3", "--rings", "2", "--sectors", "6", "--format", "ply"]
+    assert main(args + [x for item in paths.items() for x in item]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing / "x") in err
+    assert main(["classify", "--angles", "2/3,2/3,2/3", "--json", str(missing / "c.json")]) == 2
+
+
+def test_large_close_coefficients_keep_distinct_umbilics(tmp_path, capsys):
+    # c1 = c2 = -1.28e14 and c3 = -5e-9: the umbilic discriminant is
+    # c3 (c3 - 4 c1) / 2 = -1.28e6, which the expanded form cancelled to 0,
+    # so classify reported DegenerateHanbetu and monodromy and mesh exited
+    # 2 and 4 on a triple whose umbilics are distinct
+    angles = "16000000.3,16000000.3,1.000000005"
+    rep = run_json(tmp_path, "close", ["classify", "--angles", angles])
+    assert rep["hanbetu"] is True
+    assert rep["h3"]["status"] != "DegenerateHanbetu"
+    assert main(["monodromy", "--angles", angles]) not in (2, 4)
+    assert main(["mesh", "--angles", angles, "--rings", "2", "--sectors", "6",
+                 "--out", str(tmp_path / "close.obj")]) not in (2, 4)
+    err = capsys.readouterr().err
+    assert "umbilic" not in err and "DegenerateHanbetu" not in err
+
+
 def test_non_finite_transport_is_numerical(tmp_path, monkeypatch, capsys):
     # at B1 = 1e14 rad, c1 = -5.07e26 and the Dormand-Prince stages
     # overflow to NaN, which the error norm passes over: the loops used to
@@ -561,8 +590,8 @@ def test_mesh_fails_fast_below_unit_roundoff(tmp_path, monkeypatch, triple):
 ])
 def test_mesh_former_failures_exit_zero(tmp_path, angles):
     # triples of the mesh fuzz and the monodromy sweep that used to exit 3:
-    # the first one's base-to-anchor segment of end 2 grazes the puncture at
-    # 1 and is now routed through a waypoint; the second one's null shape
+    # the first one's base-to-anchor segment of end 2 grazed the puncture at
+    # 1, so end 2's rings now turn by a sector; the second one's null shape
     # read 7.2e-7 (gate 1e-7) from the rounding of its large frames, entries
     # up to 1.7e7, before the recovery moved into the stencils' local
     # frames, where they do not enter (null defects 1.7e-10 and 2.2e-12 now,

@@ -60,6 +60,9 @@ def test_hanbetu():
     assert not hanbetu_holds((0.0, 0.0, 0.0))
     # 81/64 != -63/64
     assert hanbetu_holds((-1.5, 0.375, 0.375))
+    # two large close coefficients: (c1 - c2)^2 / 2 + c3 (c3 - 4 c1) / 2 is
+    # -1.28e6, which the expanded form cancels to exactly 0
+    assert hanbetu_holds((-128000004799999.56, -128000004799999.56, -5e-9))
 
 
 def test_reduce_angles_fixed_point():

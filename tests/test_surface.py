@@ -9,13 +9,17 @@ from fractions import Fraction
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
 import trinoid.surface
 from trinoid.algebra import fro, inv2, project_h3
-from trinoid.cli import build_surface
+from trinoid.cli import build_surface, main
 from trinoid.config import CLEARANCE_FACTOR, Tolerances
-from trinoid.errors import BallEscape, EmptyIntersection, NullStructureViolation, StepUnderflow
+from trinoid.errors import (
+    BallEscape, EmptyIntersection, NullStructureViolation, SingularPathPoint, StepUnderflow, TrinoidError,
+)
 from trinoid.fuchsian import MODE_MATRIX, circle, monodromy, path_clearance, run_kernel, segment
 from trinoid.surface import (
     build_mesh,
@@ -213,6 +217,8 @@ def test_transfer_piece_counts_pinned_8x48(angles, pieces):
     assert recover_weierstrass(transport).stats["n_pieces"] == 1162
 
 
+# the straight segment from the base point to sector 0 of end 2's outer ring
+# grazes the puncture at 1 for this triple
 ROUTED = tuple(b * math.pi for b in (1.413393, 0.790404, 1.622530))
 
 
@@ -254,27 +260,78 @@ def test_annulus_faces_follow_the_index_layout():
         assert idx(*grid.annulus_position(v)) == v
 
 
-def test_grazing_anchor_segment_is_routed():
-    # the straight segment from the base point to the anchor of end 2 passes
-    # 0.0397 from the puncture at 1 for this triple (clearance 0.05), so that
-    # tree edge goes through a waypoint with both legs clear; the SYM23 and
-    # BIG grids keep every edge straight
+def _turns(grid):
+    """Each end's sector turn, read off the log-chart angle of its anchor."""
+    dtheta = 2.0 * math.pi / grid.sectors
+    return [grid.zeta[grid.annulus_index(e, 0, 0)].imag / dtheta for e in range(3)]
+
+
+def _assert_tree_rows_clear(grid):
+    # every row that leaves an annulus is one z-chart segment keeping the
+    # clearance from 0 and 1; every other row is a ring arc or a spoke of
+    # one end's log chart
+    n_ann, dtheta = len(grid.zeta), 2.0 * math.pi / grid.sectors
+    for p, c in grid.edges.tolist():
+        if p < n_ann and c < n_ann:
+            (e0, k0, i0), (e1, k1, i1) = grid.annulus_position(p), grid.annulus_position(c)
+            assert e0 == e1 and (k1 - k0, i1 - i0) in ((0, 1), (1, 0))
+            step = grid.zeta[c] - grid.zeta[p]
+            assert abs(step.imag - dtheta * (i1 - i0)) <= 1e-12
+        else:
+            a, b = grid.vertices[p], grid.vertices[c]
+            assert path_clearance(segment(a, b), (0.0, 1.0)) >= CLEARANCE_FACTOR
+
+
+@pytest.mark.parametrize("angles", [SYM23, BIG, ROUTED], ids=["sym23", "big", "routed"])
+def test_tree_rows_are_clear_segments(angles):
+    _assert_tree_rows_clear(sample_grid(build_trinoid_data(angles), rings=4, sectors=12))
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.tuples(*[st.floats(0.1, 2.9)] * 3))
+def test_tree_rows_are_clear_segments_fuzz(triple):
+    try:
+        grid = sample_grid(build_trinoid_data(tuple(b * math.pi for b in triple)), rings=2, sectors=6)
+    except (TrinoidError, ValueError):
+        reject()
+    _assert_tree_rows_clear(grid)
+
+
+def test_grazing_anchor_sector_turns():
+    # the straight segment from the base point to sector 0 of end 2's outer
+    # ring passes 0.0397 from the puncture at 1 for this triple (clearance
+    # 0.05), so end 2's rings turn by one sector and its anchor's tree row
+    # stays one straight segment
     data = build_trinoid_data(ROUTED)
     grid = sample_grid(data, rings=4, sectors=12)
-    assert list(grid.via) == [grid.annulus_index(1, 0, 0)]
-    (child, via), = grid.via.items()
-    a, b = grid.vertices[grid.base_index], grid.vertices[child]
-    assert path_clearance(segment(a, b), (0.0, 1.0)) < CLEARANCE_FACTOR
-    legs = np.concatenate((segment(a, via), segment(via, b)))
-    assert path_clearance(legs, (0.0, 1.0)) >= CLEARANCE_FACTOR
-    # the anchor's frame is the product of the two collocated legs: DOPRI
-    # along the same route agrees (measured 3.1e-15 relative)
-    anchor = transport_frame(data, grid).frames[child]
-    ref = run_kernel(legs, MODE_MATRIX, data.kernel_params(), np.eye(2), 1e-13)
-    assert np.abs(anchor - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
-    for angles in (SYM23, BIG):
-        data = build_trinoid_data(angles)
-        assert sample_grid(data, rings=4, sectors=12).via == {}
+    assert _turns(grid) == [0.0, 1.0, 0.0]
+    a = grid.vertices[grid.base_index]
+    assert path_clearance(segment(a, 1.0 + grid.charts[1].r_out), (0.0, 1.0)) < CLEARANCE_FACTOR
+    # DOPRI along the same segment agrees with the collocated anchor frame
+    anchor = grid.annulus_index(1, 0, 0)
+    frame = transport_frame(data, grid).frames[anchor]
+    ref = run_kernel(segment(a, grid.vertices[anchor]), MODE_MATRIX, data.kernel_params(), np.eye(2), 1e-13)
+    assert np.abs(frame - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("angles", [SYM23, BIG], ids=["sym23", "big"])
+def test_clear_sector_zero_keeps_turn_zero(angles):
+    # sector 0 clears on every end, so the grid is the unturned one
+    for rings, sectors in ((4, 12), (8, 48)):
+        grid = sample_grid(build_trinoid_data(angles), rings=rings, sectors=sectors)
+        assert _turns(grid) == [0.0, 0.0, 0.0]
+
+
+def test_end_without_clear_sector_is_named(tmp_path, capsys):
+    # the Gauss-map pole 0.016 from the puncture at 1 clips end 2's outer
+    # radius to 0.0119, below the clearance, so no sector clears
+    data = build_trinoid_data(tuple(b * math.pi for b in (2.671, 1.052, 2.688)))
+    with pytest.raises(SingularPathPoint, match="end 2: no straight segment"):
+        sample_grid(data, rings=4, sectors=12)
+    args = ["mesh", "--angles", "2.671,1.052,2.688", "--rings", "4", "--sectors", "12",
+            "--out", str(tmp_path / "m.obj")]
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("error: end 2: no straight segment")
 
 
 # ---------------------------------------------------------------------------
