@@ -25,12 +25,11 @@ the hypergeometric loops of 2/3,2/3,2/3 take 760 instead of 1,815.
 
 integrate_path runs adaptive Dormand-Prince along a piecewise path of
 segments and circular arcs; it carries the loop monodromies.
-chebyshev_transfers solves the transfers U(b) of a batch of straight
-segments a -> b with U(a) = I by Chebyshev collocation; it carries every
-grid edge of the mesh, and through its dense output (U at given points of
-the segments) every recovery stencil.  chebyshev_transfer is its batch of
-one.  The coefficient functions work pointwise on scalars and elementwise
-on numpy arrays alike.
+chebyshev_transfers solves a batch of straight segments a -> b with
+U(a) = I by Chebyshev collocation and returns U at given points of each
+segment (its dense output); it carries every grid edge of the mesh, each
+sampled at its end b, and every recovery stencil.  The coefficient
+functions work pointwise on scalars and elementwise on numpy arrays alike.
 
 Parameters arrive as a flat float array: (c1, c2, c3, Re p, Im p, Re s,
 Im s) for modes 0/1 where p is the umbilic sum and s the squared umbilic
@@ -446,15 +445,15 @@ def _collocate(coeff, a, b, rtol, buf):
     return w, tail <= np.maximum(rtol * np.abs(b - a), _FLOOR) * unorm
 
 
-def chebyshev_transfers(mode, params, a, b, rtol, stats=None, samples=None):
-    """Transfer matrices U(b_i) of dU = C(z) U dz along the segments
-    a_i -> b_i with U(a_i) = I, shape (len(a), 2, 2).
+def chebyshev_transfers(mode, params, a, b, samples, rtol, stats=None):
+    """U at the samples of dU = C(z) U dz along the segments a_i -> b_i
+    with U(a_i) = I, shape (len(a), n, 2, 2) for samples of shape
+    (len(a), n), a row of points on each segment (dense output).
 
     All segments share the mode and the parameters; see the module
-    docstring for the rounds.  stats, when given, accumulates the accepted
-    pieces under "n_pieces".  With samples, an array of shape (len(a), n)
-    of points on the segments, returns U at each of them instead, shape
-    (len(a), n, 2, 2) (dense output).
+    docstring for the rounds.  A sample at b_i is U(b_i), the product of
+    the segment's piece transfers, bit for bit.  stats, when given,
+    accumulates the accepted pieces under "n_pieces".
     """
     check_rtol(rtol)
     coeff = _COEFF[mode](params)
@@ -464,8 +463,7 @@ def chebyshev_transfers(mode, params, a, b, rtol, stats=None, samples=None):
     # pending pieces: segment, start, end and the parameters of both ends,
     # which are dyadic, so bisecting them is exact
     seg, pa, pb, ta, tb = np.arange(nseg), a, b, np.zeros(nseg), np.ones(nseg)
-    done = []  # accepted pieces: segment, ta, tb and W (at the end node only without samples)
-    keep = _N + 1 if samples is not None else 1
+    done = []  # accepted pieces: segment, ta, tb and W at their nodes
     buf = np.empty((_CHUNK, 2, _N + 1, 2, _N + 1), dtype=complex)
     for depth in range(_MAX_DEPTH + 1):
         ok = np.empty(len(seg), dtype=bool)
@@ -473,7 +471,7 @@ def chebyshev_transfers(mode, params, a, b, rtol, stats=None, samples=None):
             hi = lo + _CHUNK
             w, ok[lo:hi] = _collocate(coeff, pa[lo:hi], pb[lo:hi], rtol, buf)
             mine = lo + np.flatnonzero(ok[lo:hi])
-            done.append((seg[mine], ta[mine], tb[mine], w[mine - lo, :, :keep]))
+            done.append((seg[mine], ta[mine], tb[mine], w[mine - lo]))
         if ok.all():
             break
         if depth == _MAX_DEPTH:
@@ -503,8 +501,6 @@ def chebyshev_transfers(mode, params, a, b, rtol, stats=None, samples=None):
         mine = slot[:, k][slot[:, k] < len(seg)]
         start[mine] = u[seg[mine]]
         u[seg[mine]] = ends[mine] @ start[mine]
-    if samples is None:
-        return u
     # position of each sample along its segment as a parameter in [0, 1]
     # (an orthogonal projection, so that a sample at b gets exactly 1), and
     # the first piece of its segment that ends at or after it
@@ -522,10 +518,3 @@ def chebyshev_transfers(mode, params, a, b, rtol, stats=None, samples=None):
         dense[lo:lo + _DENSE_CHUNK] = _interpolate(w[p], x[lo:lo + _DENSE_CHUNK]) @ start[p]
     return dense.reshape(nseg, -1, 2, 2)
 
-
-def chebyshev_transfer(mode, params, a, b, rtol, stats=None, samples=None):
-    """chebyshev_transfers for the one segment a -> b: U(b), or with samples
-    (points on the segment) U at each, shape (len(samples), 2, 2)."""
-    if samples is not None:
-        samples = np.asarray(samples, dtype=complex)[None]
-    return chebyshev_transfers(mode, params, [a], [b], rtol, stats, samples)[0]

@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import eigenvalues_2x2
 from .config import Tolerances, default_tolerances
 from .errors import NotUnitarizable, ResonantReducible, TrinoidError, ZeroCoefficient
-from .fuchsian import Source, make_path_plan, monodromy, projective_equivalence
+from .fuchsian import MODE_SCALAR, make_path_plan, monodromy, projective_equivalence
 from .moduli import (
     ModuliClass,
     Status,
@@ -138,14 +138,14 @@ def cmd_classify(ns: argparse.Namespace) -> dict:
         "angles": _angles_json(b),
         "beta": list(cone.beta),
         "c": list(cone.c),
-        "hanbetu": hanbetu_holds(cone, tol),
+        "hanbetu": hanbetu_holds(cone.c, tol),
         "irreducible_quadratic": irreducible_exists(b, tol),
         "irreducible_reduced_sum": irreducible_reduced_sum(b, tol),
         "h3": _class_json(classify(b, target="h3", tol=tol)),
         "s2": _class_json(classify(b, target="s2", tol=tol)),
     }
     try:
-        report["type_signature"] = list(type_signature(cone))
+        report["type_signature"] = list(type_signature(cone.c))
     except ZeroCoefficient:
         report["type_signature"] = None
     hyper = hypergeometric_params(b)
@@ -163,7 +163,7 @@ def cmd_monodromy(ns: argparse.Namespace) -> dict:
     data = build_trinoid_data(b, tol)
     plan = make_path_plan(data)
     rep = monodromy(data, plan=plan, tol=tol)
-    scalar = monodromy(data, plan=plan, source=Source.SCALAR_ODE, tol=tol)
+    scalar = monodromy(data, plan=plan, mode=MODE_SCALAR, tol=tol)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "monodromy",

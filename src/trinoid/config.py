@@ -7,7 +7,8 @@ pipeline (tests/test_unread_tolerances.py guards this).  Library functions
 take the record as their tol argument, the unscaled Tolerances() by
 default, and read no environment.  The environment variable
 TRINOID_TOL_SCALE, a finite positive float, multiplies all 14, the
-integration tolerance ode included; default_tolerances applies it, and
+integration tolerance ode included, and is refused where the scaled
+integer tolerance reaches 0.5; default_tolerances applies it, and
 only the command line calls it (tests/test_settings_enter_once.py guards
 this).  The three fixed module constants below, which no caller varies,
 are left alone by it.
@@ -54,4 +55,10 @@ def default_tolerances() -> Tolerances:
         scale = math.nan
     if not 0.0 < scale < math.inf:
         raise ValueError("TRINOID_TOL_SCALE must be a finite positive float, got %r" % raw)
+    # no B/pi lies farther than 0.5 from an integer, so from there on every
+    # angle would read as an integer one
+    if tol.integer * scale >= 0.5:
+        raise ValueError(f"TRINOID_TOL_SCALE {scale:g} scales Tolerances.integer to {tol.integer * scale:g}, "
+                         f"at which every B/pi reads as an integer; it must stay below "
+                         f"{0.5 / tol.integer:g}")
     return replace(tol, **{f.name: getattr(tol, f.name) * scale for f in fields(tol)})

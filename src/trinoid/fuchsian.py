@@ -15,7 +15,6 @@ rooted at the same BASE_POINT, so its frames and the loops share a base.
 from __future__ import annotations
 
 import cmath
-import enum
 import itertools
 import math
 import random
@@ -192,13 +191,6 @@ def integrate_matrix_ode(
     return run_kernel(path, MODE_MATRIX, data.kernel_params(), f0, tol.ode)
 
 
-class Source(enum.Enum):
-    MATRIX_ODE = "MatrixODE"
-    SCALAR_ODE = "ScalarODE"
-    HYPERGEOMETRIC = "Hypergeometric"
-    FAMILY = "Family"
-
-
 @dataclass(frozen=True)
 class MonodromyRep:
     """Loop transports around 0 and 1, with rho3 closing the relation.
@@ -207,13 +199,12 @@ class MonodromyRep:
     both loops; det_drift is the largest observed determinant deviation.
     eigenvalue_defect is the distance of the computed eigenvalues from the
     predicted ones (NaN when no prediction applies, as for the
-    hypergeometric source).
+    hypergeometric equation).
     """
 
     rho1: np.ndarray
     rho2: np.ndarray
     rho3: np.ndarray
-    source: Source
     err_estimate: float
     det_drift: float
     eigenvalue_defect: float
@@ -239,25 +230,25 @@ def _eigenvalue_defect(rho, b_angle: float) -> float:
 def monodromy(
     data: TrinoidData,
     plan: tuple[np.ndarray, np.ndarray] | None = None,
-    source: Source = Source.MATRIX_ODE,
+    mode: int = MODE_MATRIX,
     tol: Tolerances = Tolerances(),
 ) -> MonodromyRep:
     """Monodromy representation from the two planned loops.
 
+    mode is the kernel's coefficient mode of the equation transported:
+    MODE_MATRIX for the rank-one system, MODE_SCALAR for the associated
+    scalar equation; any other raises ValueError
+    (hypergeometric_monodromy transports the hypergeometric equation).
     The third generator is defined through the relation rho1 rho2 rho3 = 1
     rather than by a loop in another chart; its eigenvalues are still
     checked against the prediction for the third half-angle, and a failure
     of any eigenvalue check beyond the warning tolerance raises a
     warning, not an error.
     """
+    if mode not in (MODE_MATRIX, MODE_SCALAR):
+        raise ValueError(f"monodromy transports mode {MODE_MATRIX} or {MODE_SCALAR}, not {mode!r}")
     if plan is None:
         plan = make_path_plan(data)
-    if source is Source.MATRIX_ODE:
-        mode = MODE_MATRIX
-    elif source is Source.SCALAR_ODE:
-        mode = MODE_SCALAR
-    else:
-        raise ValueError("use hypergeometric_monodromy for the hypergeometric source")
     stats: dict = {}
     rho1, rho2, rho3 = _loop_generators(plan, mode, data.kernel_params(), tol, stats)
     defect = max(
@@ -272,7 +263,6 @@ def monodromy(
         rho1=rho1,
         rho2=rho2,
         rho3=rho3,
-        source=source,
         err_estimate=stats.get("err_estimate", 0.0),
         det_drift=stats.get("det_drift", 0.0),
         eigenvalue_defect=defect,
@@ -302,7 +292,6 @@ def hypergeometric_monodromy(
         rho1=rho1,
         rho2=rho2,
         rho3=rho3,
-        source=Source.HYPERGEOMETRIC,
         err_estimate=stats.get("err_estimate", 0.0),
         det_drift=0.0,
         eigenvalue_defect=float("nan"),

@@ -85,12 +85,6 @@ def _check_angles(angles, tol: Tolerances) -> tuple[float, float, float]:
     return b
 
 
-def _coerce_target(target) -> Target:
-    if isinstance(target, Target):
-        return target
-    return Target(str(target).lower())
-
-
 def conical_data(angles, tol: Tolerances = Tolerances()) -> ConicalData:
     b = _check_angles(angles, tol)
     beta = tuple(x / math.pi - 1.0 for x in b)
@@ -98,14 +92,9 @@ def conical_data(angles, tol: Tolerances = Tolerances()) -> ConicalData:
     return ConicalData(beta=beta, c=c)
 
 
-def _c_of(c) -> tuple[float, float, float]:
-    if isinstance(c, ConicalData):
-        return c.c
-    return tuple(float(x) for x in c)
-
-
-def hanbetu_holds(c, tol: Tolerances = Tolerances()) -> bool:
-    """Whether the two umbilic points of the Hopf differential are distinct.
+def hanbetu_holds(c: tuple[float, float, float], tol: Tolerances = Tolerances()) -> bool:
+    """Whether the two umbilic points of the Hopf differential with
+    coefficients c (ConicalData.c) are distinct.
 
     Tests (c1^2+c2^2+c3^2)/2 != c1*c2 + c2*c3 + c3*c1 against an absolute
     tolerance on the difference; this is the discriminant condition for the
@@ -115,7 +104,6 @@ def hanbetu_holds(c, tol: Tolerances = Tolerances()) -> bool:
     cancel: the expanded form reads 0 for c = (-1.28e14, -1.28e14, -5e-9),
     whose difference is -1.28e6.
     """
-    c = _c_of(c)
     i, j, k = min(((0, 1, 2), (1, 2, 0), (0, 2, 1)), key=lambda t: abs(c[t[0]] - c[t[1]]))
     diff = 0.5 * (c[i] - c[j]) ** 2 + 0.5 * c[k] * (c[k] - 2.0 * c[i] - 2.0 * c[j])
     return abs(diff) > tol.hanbetu
@@ -180,7 +168,8 @@ def _near_int(x: float, tol: float) -> bool:
 
 
 def classify(angles, target="h3", tol: Tolerances = Tolerances()) -> ModuliClass:
-    """Classify the moduli space attached to a half-angle triple.
+    """Classify the moduli space attached to a half-angle triple for the
+    target "h3" or "s2" (a Target value).
 
     For the H^3 target, an angle equal to pi is excluded outright and a
     degenerate umbilic pair (coincident roots) is reported as its own
@@ -192,14 +181,14 @@ def classify(angles, target="h3", tol: Tolerances = Tolerances()) -> ModuliClass
     (dimension 3); everything else is empty.
     """
     b = _check_angles(angles, tol)
-    target = _coerce_target(target)
+    target = Target(target)
     flags: list[str] = []
 
     pi_hits = [abs(x - math.pi) <= tol.angle_is_pi for x in b]
     if target is Target.H3:
         if any(pi_hits):
             return ModuliClass(target, Status.EXCLUDED_ANGLE_IS_PI, None, flags=tuple(flags))
-        if not hanbetu_holds(conical_data(b, tol), tol):
+        if not hanbetu_holds(conical_data(b, tol).c, tol):
             return ModuliClass(target, Status.DEGENERATE_HANBETU, None, flags=tuple(flags))
     elif any(pi_hits):
         flags.append("AngleIsPi")
@@ -262,14 +251,13 @@ def fh_attach_bigon(angles, vertex, edge_other, tol: Tolerances = Tolerances()) 
     return tuple(b)
 
 
-def type_signature_raw(c) -> tuple[str, str, str]:
-    """Per-puncture signs of the Hopf coefficients, in puncture order."""
-    cs = _c_of(c)
-    if any(x == 0.0 for x in cs):
-        raise ZeroCoefficient(f"coefficients {cs} contain a zero")
-    return tuple("+" if x > 0 else "-" for x in cs)
+def type_signature_raw(c: tuple[float, float, float]) -> tuple[str, str, str]:
+    """Per-puncture signs of the Hopf coefficients c, in puncture order."""
+    if any(x == 0.0 for x in c):
+        raise ZeroCoefficient(f"coefficients {c} contain a zero")
+    return tuple("+" if x > 0 else "-" for x in c)
 
 
-def type_signature(c) -> tuple[str, str, str]:
+def type_signature(c: tuple[float, float, float]) -> tuple[str, str, str]:
     """Signs of the coefficients, canonicalized with plus signs first."""
     return tuple(sorted(type_signature_raw(c)))

@@ -30,13 +30,14 @@ F = P(x) diag(1, x - p) V with P = [[G, 1], [1, 0]], which turns the
 system into dV = B V dzeta in the logarithmic chart zeta = log(x - p)
 with B bounded down the whole neck (coefficient mode 4 of _kernel).
 EndChart.transfer is the one log-chart step: it solves the V transfers of
-a batch of segments by Chebyshev collocation, rescales them by their
-exact determinant exp(-dzeta), making the assembled F transfers
-unimodular by construction, and serves tree edges, seam arcs and, through
-the collocation's dense output at eleven sample points, the recovery
-stencils alike.  The rows that leave an annulus (the core edges and the
-base-to-anchor edges) are straight segments in the z chart, solved by
-the same collocation.  The end at infinity is handled in the x = 1/z
+a batch of segments by Chebyshev collocation, reads them at sample points
+of the segments from the collocation's dense output, rescales them by
+their exact determinant exp(-dzeta), making the assembled F transfers
+unimodular by construction, and serves tree edges and seam arcs (one
+sample, at the end) and the recovery stencils (eleven) alike.  The rows
+that leave an annulus (the core edges and the base-to-anchor edges) are
+straight segments in the z chart, solved by the same collocation and
+sampled at their ends.  The end at infinity is handled in the x = 1/z
 chart through conjugation by [[0, 1], [1, 0]].
 """
 
@@ -107,56 +108,45 @@ class EndChart:
 
     def transfer(
         self,
-        za,
-        zb,
+        za: np.ndarray,
+        zb: np.ndarray,
+        samples: np.ndarray,
         rtol: float,
         stats: dict | None = None,
-        samples: np.ndarray | None = None,
-        origin=None,
+        origin: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Frame transfers between the log-chart points za and zb, which are
-        points or equal-length arrays of them, one batch of segments.
+        """Frame transfers from origin (za unless given; any point of each
+        segment) to the samples, log-chart points on the segments za -> zb
+        with a row per segment, shape (len(za), n, 2, 2): a sample axis
+        before the matrix axes.  A tree edge samples its end, samples =
+        zb[:, None].
 
         Solves the gauge-fixed system dV = B V dzeta on each segment by
         Chebyshev collocation (coefficient mode 4; stats collects its piece
-        count).  That system has trace -1, so its transfer determinant is
-        exactly exp(-(zb - za)); rescaling by the measured determinant
-        removes the solver's determinant error, and the frame transfer
-        P(gb) diag(1, xi_b) V diag(1, 1/xi_a) P(ga)^-1 then has unit
+        count) and reads the samples from its dense output.  That system
+        has trace -1, so each V transfer U(s) U(origin)^-1 has determinant
+        exactly exp(-(s - origin)); rescaling to it removes the solver's
+        determinant error, and the frame transfer
+        P(gs) diag(1, xi_s) V diag(1, 1/xi_o) P(go)^-1 then has unit
         determinant up to rounding.  For the end at infinity it is
-        conjugated by the index swap.  Shape (2, 2), or (len(za), 2, 2).
-
-        With samples, log-chart points on the segment (a row per segment
-        for arrays), returns instead the frame transfer from origin (za
-        unless given; any point of the segment) to each sample, with a
-        sample axis before the matrix axes, from the one solve over
-        za -> zb (the collocation's dense output).  Each V transfer
-        U(s) U(origin)^-1 is rescaled to its exact determinant
-        exp(-(s - origin)) and assembled as above.  Composing in V, before
-        the gauge assembly, matters: composed as frame transfers, the factor
-        diag(1, 1/xi_a) P(ga)^-1 and its inverse would leave their rounding
+        conjugated by the index swap.  Composing in V, before the gauge
+        assembly, matters: composed as frame transfers, the factor
+        diag(1, 1/xi_o) P(go)^-1 and its inverse would leave their rounding
         behind, enough to double the omega dg residual of the recovery
         stencils.
         """
-        one = np.ndim(za) == 0
-        za, zb = np.atleast_1d(za).astype(complex), np.atleast_1d(zb).astype(complex)
-        org = za if origin is None else np.atleast_1d(origin).astype(complex)
-        zs = (zb if samples is None else np.asarray(samples, dtype=complex)).reshape(len(za), -1)
+        org = za if origin is None else origin
         t_v = chebyshev_transfers(
-            MODE_LOG_CHART, self.kernel_params, za, zb, rtol, stats, np.c_[zs, org]
+            MODE_LOG_CHART, self.kernel_params, za, zb, np.c_[samples, org], rtol, stats
         )
         t_v = t_v[:, :-1] @ np.linalg.inv(t_v[:, -1:])
-        t_v *= np.sqrt(np.exp(-(zs - org[:, None])) / det2(t_v))[..., None, None]
-        xi, xo = np.exp(zs), np.exp(org)[:, None]
+        t_v *= np.sqrt(np.exp(-(samples - org[:, None])) / det2(t_v))[..., None, None]
+        xi, xo = np.exp(samples), np.exp(org)[:, None]
         g, g_o = self.chart_gauss(self.puncture + xi), self.chart_gauss(self.puncture + xo)
         left = np.stack([g, xi, np.ones_like(xi), np.zeros_like(xi)], axis=-1)
         right = np.stack([np.zeros_like(xo), np.ones_like(xo), 1.0 / xo, -g_o / xo], axis=-1)
         m = left.reshape(t_v.shape) @ t_v @ right.reshape(-1, 1, 2, 2)
-        if self.inverted:
-            m = m[..., ::-1, ::-1]
-        if samples is None:
-            m = m[:, 0]
-        return m[0] if one else m
+        return m[..., ::-1, ::-1] if self.inverted else m
 
 
 def end_charts(data: TrinoidData) -> tuple[EndChart, EndChart, EndChart]:
@@ -336,8 +326,6 @@ def sample_grid(data: TrinoidData, rings: int, sectors: int) -> SampleGrid:
         c = all_verts[gids].mean()
         if abs(c) <= charts[0].r_out or abs(c - 1.0) <= charts[1].r_out:
             continue
-        if abs(c) >= r_big:
-            continue
         core_faces.append(gids)
 
     # two triangles per annulus quad from sector i to i + 1 (across the
@@ -428,9 +416,10 @@ def transport_frame(
     identity, so the edge transfers come from one batch of Chebyshev
     collocation transfers for the z-chart rows, each a straight segment,
     and one EndChart.transfer batch per end for the rows between its
-    annulus vertices (ring arcs and spokes) and its seam; the frames are
-    then composed in row order, and each end's monodromy is read off its
-    outer ring and seam.
+    annulus vertices (ring arcs and spokes) and its seam.  Both take one
+    call shape, (za, zb, samples, rtol, stats), and each row samples its
+    end zb.  The frames are then composed in row order, and each end's
+    monodromy is read off its outer ring and seam.
     stats["n_pieces"] counts the accepted collocation pieces.  A transport
     tolerance below the unit roundoff raises StepUnderflow before the first
     batch, naming Tolerances.ode and the tightening.  If the solver fails,
@@ -448,13 +437,14 @@ def transport_frame(
     stats: dict = {"n_pieces": 0}
 
     def _run(step, rows, za, zb, where="") -> np.ndarray:
+        """The transfers of the rows za -> zb, each sampled at its end."""
         try:
-            return step(za, zb, rtol, stats)
+            return step(za, zb, zb[:, None], rtol, stats)[:, 0]
         except StepUnderflow as exc:
             # name the edge that stalls by solving the batch one edge at a time
-            for (p, c), x, y in zip(rows.tolist(), za, zb):
+            for i, (p, c) in enumerate(rows.tolist()):
                 try:
-                    step(np.array([x]), np.array([y]), rtol)
+                    step(za[i:i + 1], zb[i:i + 1], zb[i:i + 1, None], rtol, None)
                 except StepUnderflow as one:
                     raise StepUnderflow(f"transport stalled on edge {p}->{c}{where}: {one}") from one
             raise StepUnderflow(f"transport stalled on a batch of {len(za)} edges: {exc}") from exc
@@ -571,7 +561,7 @@ def recover_weierstrass(
         vi = grid.annulus_index(ch.end, 0, 0) + np.arange(nr * ns)
         zeta0 = grid.zeta[vi]
         pts = zeta0[:, None] + offsets
-        t = ch.transfer(pts[:, 0], pts[:, -1], frames.rtol, stats, samples=pts, origin=zeta0)
+        t = ch.transfer(pts[:, 0], pts[:, -1], pts, frames.rtol, stats, origin=zeta0)
         t[:, 5] = np.eye(2)
         t_th = np.tensordot(_FD_FIRST, t[:, 6:] - t[:, 4::-1], axes=(0, 1)) / delta
         t_thth = np.tensordot(_FD_SECOND, t[:, 6:] + t[:, 4::-1], axes=(0, 1))
@@ -658,7 +648,10 @@ def build_mesh(
     grid, data = transport.grid, transport.data
     right = inv2(np.asarray(conjugator, dtype=complex))
     nv = grid.n_vertices
-    ball = project_h3(transport.frames @ right, tol).ball
+    # a frame or conjugator too large to square gives inf or NaN
+    # coordinates, which the escape test below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        ball = project_h3(transport.frames @ right, tol).ball
     escaped = ~(np.linalg.norm(ball, axis=1) < 1.0)
     if escaped.any():
         v = int(np.argmax(escaped))

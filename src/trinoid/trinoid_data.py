@@ -148,7 +148,7 @@ def build_hopf(angles, tol: Tolerances = Tolerances()) -> HopfDifferential:
     for j, b in enumerate(float(x) for x in angles):
         if abs(b - math.pi) <= tol.angle_is_pi:
             raise ExcludedAngleIsPi(f"half-angle {j + 1} equals pi; coefficient c{j + 1} vanishes")
-    if not hanbetu_holds(cd, tol):
+    if not hanbetu_holds(cd.c, tol):
         raise DegenerateHanbetu("umbilic discriminant vanishes for these angles")
     return HopfDifferential(c=cd.c)
 

@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import fro, hermitian_sqrt, inv2
 from .config import Tolerances
 from .errors import NonSL2Input, NotUnitarizable, ResonantReducible
-from .fuchsian import MonodromyRep, Source
+from .fuchsian import MonodromyRep
 from .moduli import Status, classify
 
 __all__ = [
@@ -220,7 +220,6 @@ def family_representation(angles, tol: Tolerances = Tolerances()) -> MonodromyRe
         rho1=rhos[0],
         rho2=rhos[1],
         rho3=rhos[2],
-        source=Source.FAMILY,
         err_estimate=0.0,
         det_drift=0.0,
         eigenvalue_defect=0.0,
@@ -264,7 +263,9 @@ class UnitarizerSpace:
         return _KIND_DIM[self.kind]
 
     def sample(self, params) -> np.ndarray:
-        """The conjugator at params, shape checked; a scalar is accepted when dim=1."""
+        """The conjugator at params, shape checked; a scalar is accepted when
+        dim=1.  A line parameter whose conjugator overflows a float, past
+        |t| = 2 log(max float), about 1419.6, raises ValueError."""
         p = np.atleast_1d(np.asarray(params, dtype=float))
         if p.shape != (self.dim,):
             raise ValueError(
@@ -273,7 +274,12 @@ class UnitarizerSpace:
             )
         if self.kind is SpaceKind.GEODESIC_LINE:
             t = float(p[0])
-            return np.diag([cmath.exp(0.5 * t), cmath.exp(-0.5 * t)]) @ self.base_conjugator
+            try:
+                scale = np.diag([cmath.exp(0.5 * t), cmath.exp(-0.5 * t)])
+            except OverflowError:
+                raise ValueError(f"deformation {t!r} is out of range: the geodesic-line conjugator "
+                                 "diag(e^(t/2), e^(-t/2)) overflows a float") from None
+            return scale @ self.base_conjugator
         if self.kind is SpaceKind.ALL_OF_H3:
             return _ball_chart(p)
         return self.base_conjugator
@@ -287,7 +293,8 @@ def _ball_chart(p: np.ndarray) -> np.ndarray:
     determinant-1 positive Hermitian matrix, and the conjugator is its
     principal square root.
     """
-    r2 = float(p @ p)
+    with np.errstate(over="ignore"):  # an overflow reads inf, which is refused
+        r2 = float(p @ p)
     if r2 >= 1.0:
         raise ValueError(f"ball chart needs |p| < 1, got |p|^2 = {r2}")
     den = 1.0 - r2

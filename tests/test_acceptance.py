@@ -12,7 +12,8 @@ import pytest
 from trinoid.algebra import inv2, su2_defect
 from trinoid.cli import build_surface, main
 from trinoid.fuchsian import (
-    Source,
+    MODE_MATRIX,
+    MODE_SCALAR,
     hypergeometric_monodromy,
     make_path_plan,
     monodromy,
@@ -151,8 +152,8 @@ def test_criterion_04_scalar_matrix_agreement():
         for angles in FOUR:
             data = build_trinoid_data(angles)
             plan = make_path_plan(data)
-            rep_m = monodromy(data, plan=plan, source=Source.MATRIX_ODE)
-            rep_s = monodromy(data, plan=plan, source=Source.SCALAR_ODE)
+            rep_m = monodromy(data, plan=plan, mode=MODE_MATRIX)
+            rep_s = monodromy(data, plan=plan, mode=MODE_SCALAR)
             assert projective_equivalence(rep_m, rep_s), angles
 
 

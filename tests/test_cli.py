@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -420,6 +421,56 @@ def test_tol_scale_rejects_invalid(monkeypatch, value):
         default_tolerances()
     assert main(["classify", "--angles", "2/3,2/3,2/3"]) == 2
     assert main(["monodromy", "--angles", "2/3,2/3,2/3"]) == 2
+
+
+@pytest.mark.parametrize("scale", ["5e8", "1e12", "1e300"])
+def test_tol_scale_that_reads_every_angle_as_integer_rejected(tmp_path, monkeypatch, capsys, scale):
+    # from a scale of 0.5 / Tolerances.integer on, every B/pi lies within
+    # the integer tolerance of an integer: SYM23 was classified ReducibleC2
+    # and meshed as AllOfH3 at 5e8, and read as DegenerateHanbetu or as an
+    # angle equal to pi beyond, all with exit 0
+    monkeypatch.setenv("TRINOID_TOL_SCALE", scale)
+    integer = Tolerances().integer
+    message = (f"error: TRINOID_TOL_SCALE {float(scale):g} scales Tolerances.integer to "
+               f"{integer * float(scale):g}, at which every B/pi reads as an integer; "
+               f"it must stay below {0.5 / integer:g}\n")
+    for args in (["classify"], ["monodromy"],
+                 ["mesh", "--rings", "2", "--sectors", "6", "--out", str(tmp_path / "m.obj")]):
+        assert main([args[0], "--angles", "2/3,2/3,2/3", *args[1:]]) == 2, args
+        assert capsys.readouterr().err == message
+
+
+def test_tol_scale_below_the_integer_bound_classifies(tmp_path, monkeypatch):
+    # at 1e8 the integer tolerance is 0.1, and SYM23's B/pi = 2/3 still
+    # reads as non-integer
+    monkeypatch.setenv("TRINOID_TOL_SCALE", "1e8")
+    rep = run_json(tmp_path, "c", ["classify", "--angles", "2/3,2/3,2/3"])
+    assert rep["h3"]["status"] == "IrreducibleUnique"
+
+
+@pytest.mark.parametrize("deform", ["1500", "-1500", "1e300"])
+def test_deformation_overflowing_the_line_conjugator_is_input_error(tmp_path, capsys, deform):
+    # diag(e^(t/2), e^(-t/2)) overflows a float past |t| = 1419.6: the
+    # geodesic-line parameter is refused as input (exit 2), by its value
+    rc = main(["mesh", "--angles", "1/4,1/4,3", f"--deform={deform}", "--rings", "2", "--sectors", "6",
+               "--out", str(tmp_path / "m.obj")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"error: deformation {float(deform)!r} is out of range: the "
+                                       "geodesic-line conjugator diag(e^(t/2), e^(-t/2)) overflows a float\n")
+
+
+def test_large_finite_deformation_escapes_without_warnings(tmp_path, capsys):
+    # at t = 800 the conjugator is finite, but squaring the frames overflows:
+    # a ball escape (exit 3) whose error line is all that reaches stderr
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = main(["mesh", "--angles", "1/4,1/4,3", "--deform=800", "--rings", "2", "--sectors", "6",
+                   "--out", str(tmp_path / "m.obj")])
+    assert rc == 3
+    assert [str(w.message) for w in seen] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: a mesh position is not finite or escaped the unit ball")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cmd", ["monodromy", "mesh"])

@@ -14,14 +14,13 @@ import trinoid._kernel
 import trinoid.fuchsian
 from trinoid.algebra import det2_compensated
 from trinoid.config import CLEARANCE_FACTOR, TRANSPORT_TOL_FACTOR, Tolerances
-from trinoid.errors import SingularPathPoint, StepUnderflow
+from trinoid.errors import NonSL2Input, SingularPathPoint, StepUnderflow
 from trinoid.fuchsian import (
     BASE_POINT,
     MODE_HYPERGEOMETRIC,
     MODE_LOG_CHART,
     MODE_MATRIX,
     MODE_SCALAR,
-    Source,
     apparent_point_check,
     circle,
     hypergeometric_monodromy,
@@ -370,8 +369,8 @@ def test_scalar_and_matrix_agree_projectively():
     for angles in (SYM23, SYM12, C1, C2):
         data = build_trinoid_data(angles)
         plan = make_path_plan(data)
-        rep_m = monodromy(data, plan=plan, source=Source.MATRIX_ODE)
-        rep_s = monodromy(data, plan=plan, source=Source.SCALAR_ODE)
+        rep_m = monodromy(data, plan=plan, mode=MODE_MATRIX)
+        rep_s = monodromy(data, plan=plan, mode=MODE_SCALAR)
         assert projective_equivalence(rep_m, rep_s), angles
 
 
@@ -382,8 +381,8 @@ def test_scalar_and_matrix_agree_at_large_generators(pi_multiples):
     # the generator's norm, is most fragile
     data = build_trinoid_data(tuple(math.pi * x for x in pi_multiples))
     plan = make_path_plan(data)
-    rep_m = monodromy(data, plan=plan, source=Source.MATRIX_ODE)
-    rep_s = monodromy(data, plan=plan, source=Source.SCALAR_ODE)
+    rep_m = monodromy(data, plan=plan, mode=MODE_MATRIX)
+    rep_s = monodromy(data, plan=plan, mode=MODE_SCALAR)
     assert max(np.abs(rho).max() for rho in (rep_m.rho1, rep_m.rho2, rep_m.rho3)) > 1e3
     assert projective_equivalence(rep_m, rep_s)
 
@@ -400,7 +399,6 @@ def test_projective_equivalence_self_and_conjugate():
         rho1=a @ rep.rho1 @ ai,
         rho2=-(a @ rep.rho2 @ ai),
         rho3=twisted.rho3,
-        source=rep.source,
         err_estimate=rep.err_estimate,
         det_drift=rep.det_drift,
         eigenvalue_defect=rep.eigenvalue_defect,
@@ -480,8 +478,8 @@ def test_c1_resonant_monodromy_is_logarithmic():
     # the logarithmic one (see test_unitarize).
     data = build_trinoid_data(C1)
     plan = make_path_plan(data)
-    rep_m = monodromy(data, plan=plan, source=Source.MATRIX_ODE)
-    rep_s = monodromy(data, plan=plan, source=Source.SCALAR_ODE)
+    rep_m = monodromy(data, plan=plan, mode=MODE_MATRIX)
+    rep_s = monodromy(data, plan=plan, mode=MODE_SCALAR)
 
     # Jordan block: eigenvalues are both -1 but the transport is far from -I
     assert np.linalg.norm(rep_m.rho1 + np.eye(2)) > 1.0
@@ -529,3 +527,20 @@ def test_transport_from_a_puncture_is_numerical(mode):
         params = np.array([hp.a, hp.b, hp.c, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(StepUnderflow, match="the transport is not finite"):
         run_kernel(segment(0.0, 0.5), mode, params, np.eye(2, dtype=complex), Tolerances().ode)
+
+
+def test_integrate_matrix_ode_refuses_non_sl2_frame():
+    # the initial frame must lie in SL(2, C) to 100 times Tolerances.det;
+    # a frame of determinant 2 is refused before any path is checked
+    data = build_trinoid_data(SYM23)
+    with pytest.raises(NonSL2Input, match=r"initial frame determinant \(2\+0j\) is too far from 1"):
+        integrate_matrix_ode(data, segment(BASE_POINT, 0.6 + 0.5j), np.diag([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("mode", [MODE_HYPERGEOMETRIC, MODE_LOG_CHART])
+def test_monodromy_refuses_other_modes(mode):
+    # monodromy transports the matrix system or the scalar equation; the
+    # hypergeometric equation has its own entry point, and the log chart
+    # serves the grid
+    with pytest.raises(ValueError, match=f"monodromy transports mode 0 or 1, not {mode}"):
+        monodromy(build_trinoid_data(SYM23), mode=mode)

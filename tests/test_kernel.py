@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trinoid._kernel import chebyshev_transfer, chebyshev_transfers
+from trinoid._kernel import chebyshev_transfers
 from trinoid.algebra import det2_compensated, fro
 from trinoid.config import TRANSPORT_TOL_FACTOR, Tolerances
 from trinoid.errors import StepUnderflow
@@ -21,6 +21,11 @@ TRIPLES = pytest.mark.parametrize("angles", [SYM23, BIG], ids=["sym23", "big"])
 
 def _transport_rtol():
     return Tolerances().ode * TRANSPORT_TOL_FACTOR
+
+
+def _transfer(mode, params, a, b, rtol, stats=None):
+    """U(b) of the one segment a -> b: a batch of one, sampled at its end."""
+    return chebyshev_transfers(mode, params, [a], [b], [[b]], rtol, stats)[0, 0]
 
 
 def _spoke(data):
@@ -48,7 +53,7 @@ def test_collocation_matches_dopri(angles):
     data = build_trinoid_data(angles)
     rtol = _transport_rtol()
     for mode, (params, a, b) in ((MODE_LOG_CHART, _spoke(data)), (MODE_MATRIX, _base_to_anchor(data))):
-        u = chebyshev_transfer(mode, params, a, b, rtol)
+        u = _transfer(mode, params, a, b, rtol)
         v = run_kernel(segment(a, b), mode, params, np.eye(2), rtol)
         assert np.abs(u - v).max() <= 1e-10 * max(1.0, np.abs(v).max()), mode
 
@@ -76,7 +81,7 @@ def test_log_chart_transfer_matches_z_chart(angles):
         ring = (math.log(ch.r_out / 3.0), math.log(ch.r_out / 3.0), 0.3, 1.3)
         for lr0, lr1, th0, th1 in (spoke, ring):
             za, zb = complex(lr0, th0), complex(lr1, th1)
-            u = ch.transfer(za, zb, rtol)
+            u = ch.transfer(np.array([za]), np.array([zb]), np.array([[zb]]), rtol)[0, 0]
             if lr0 == lr1:
                 path = _z_ring_arc(ch, math.exp(lr0), th0, th1)
             else:
@@ -98,7 +103,7 @@ def test_collocation_determinant_oracle(angles):
     rtol = _transport_rtol()
     for mode, (params, a, b) in ((MODE_LOG_CHART, _spoke(data)), (MODE_MATRIX, _base_to_anchor(data))):
         target = np.exp(-(b - a)) if mode == MODE_LOG_CHART else 1.0
-        u = chebyshev_transfer(mode, params, a, b, rtol)
+        u = _transfer(mode, params, a, b, rtol)
         assert abs(det2_compensated(u) - target) <= 1e-13 * max(1.0, fro(u)) ** 2, mode
 
 
@@ -110,13 +115,13 @@ def test_collocation_bisects_long_segment(angles):
     data = build_trinoid_data(angles)
     params, a, b = _base_to_anchor(data)
     stats: dict = {}
-    chebyshev_transfer(MODE_MATRIX, params, a, b, _transport_rtol(), stats)
+    _transfer(MODE_MATRIX, params, a, b, _transport_rtol(), stats)
     assert stats["n_pieces"] == 5
 
 
 def test_collocation_zero_length_is_identity():
     data = build_trinoid_data(SYM23)
-    u = chebyshev_transfer(MODE_MATRIX, data.kernel_params(), 0.5 + 0.5j, 0.5 + 0.5j, 1e-13)
+    u = _transfer(MODE_MATRIX, data.kernel_params(), 0.5 + 0.5j, 0.5 + 0.5j, 1e-13)
     np.testing.assert_array_equal(u, np.eye(2))
 
 
@@ -125,15 +130,15 @@ def test_collocation_failures_raise_step_underflow():
     params = data.kernel_params()
     # a tolerance below the unit roundoff cannot be met in double precision
     with pytest.raises(StepUnderflow, match="unit roundoff"):
-        chebyshev_transfer(MODE_MATRIX, params, 0.45 + 0.45j, 0.55 + 0.55j, 1e-31)
+        _transfer(MODE_MATRIX, params, 0.45 + 0.45j, 0.55 + 0.55j, 1e-31)
     with pytest.raises(StepUnderflow):
-        chebyshev_transfer(MODE_MATRIX, params, 0.45 + 0.45j, 0.55 + 0.55j, float("nan"))
+        _transfer(MODE_MATRIX, params, 0.45 + 0.45j, 0.55 + 0.55j, float("nan"))
     # a segment straight through the puncture at z = 0 meets it at a node
     with pytest.raises(StepUnderflow, match="singular"):
-        chebyshev_transfer(MODE_MATRIX, params, 0.5 + 0.5j, -0.5 - 0.5j, 1e-13)
+        _transfer(MODE_MATRIX, params, 0.5 + 0.5j, -0.5 - 0.5j, 1e-13)
     # one that misses it by 1e-9 exhausts the bisection depth instead
     with pytest.raises(StepUnderflow, match="bisections"):
-        chebyshev_transfer(MODE_MATRIX, params, 0.5 + 0.5j, -0.5 - 0.5j + 1e-9j, 1e-13)
+        _transfer(MODE_MATRIX, params, 0.5 + 0.5j, -0.5 - 0.5j + 1e-9j, 1e-13)
 
 
 def _relative_gap(u, v):
@@ -142,14 +147,15 @@ def _relative_gap(u, v):
 
 @TRIPLES
 def test_dense_output_at_end_is_the_transfer(angles):
-    # the sample at b is served by the last piece at its end node, the same
-    # arithmetic as the plain transfer, so it is the plain U(b) bit for bit
+    # the sample at a is the identity to rounding, and the sample at b,
+    # served by the last piece at its end node, is the product of the piece
+    # transfers whatever other samples share the solve: bit for bit the
+    # U(b) of a batch that samples b alone, as every grid edge does
     data = build_trinoid_data(angles)
     rtol = _transport_rtol()
     for mode, (params, a, b) in ((MODE_LOG_CHART, _spoke(data)), (MODE_MATRIX, _base_to_anchor(data))):
-        u = chebyshev_transfer(mode, params, a, b, rtol)
-        dense = chebyshev_transfer(mode, params, a, b, rtol, samples=np.array([a, b]))
-        np.testing.assert_array_equal(dense[1], u)
+        dense = chebyshev_transfers(mode, params, [a], [b], [[a, 0.5 * (a + b), b]], rtol)[0]
+        np.testing.assert_array_equal(dense[2], _transfer(mode, params, a, b, rtol))
         assert _relative_gap(dense[0], np.eye(2)) <= 1e-15, mode
 
 
@@ -169,12 +175,12 @@ def test_dense_output_matches_shorter_transfers(angles):
         tau = np.concatenate([tau[::2], tau[1::2]])
         points = a + tau * (b - a)
         stats: dict = {}
-        dense = chebyshev_transfer(mode, params, a, b, rtol, stats, samples=points)
+        dense = chebyshev_transfers(mode, params, [a], [b], [points], rtol, stats)[0]
         assert dense.shape == (16, 2, 2)
         if mode == MODE_MATRIX:
             assert stats["n_pieces"] == 5
         for x, ux in zip(points, dense):
-            v = chebyshev_transfer(mode, params, a, x, rtol)
+            v = _transfer(mode, params, a, x, rtol)
             assert _relative_gap(ux, v) <= 1e-13, (mode, x)
 
 
@@ -206,21 +212,22 @@ def test_batch_matches_batches_of_one(angles, mode):
 
     def pieces(keep):
         stats: dict = {}
-        chebyshev_transfers(mode, params, a[keep], b[keep], rtol, stats)
+        chebyshev_transfers(mode, params, a[keep], b[keep], b[keep, None], rtol, stats)
         return stats["n_pieces"]
 
     total = pieces(np.ones(3, dtype=bool))
     stats: dict = {}
-    u = chebyshev_transfers(mode, params, a, b, rtol)
-    dense = chebyshev_transfers(mode, params, a, b, rtol, stats, samples)
+    u = chebyshev_transfers(mode, params, a, b, b[:, None], rtol)[:, 0]
+    dense = chebyshev_transfers(mode, params, a, b, samples, rtol, stats)
     assert stats["n_pieces"] == total
     assert dense.shape == (3, 16, 2, 2)
     for i in range(3):
         one: dict = {}
-        v = chebyshev_transfer(mode, params, a[i], b[i], rtol, one)
+        v = _transfer(mode, params, a[i], b[i], rtol, one)
         assert total - pieces(np.arange(3) != i) == one["n_pieces"], i
         assert _relative_gap(u[i], v) <= 1e-13, i
-        for ux, vx in zip(dense[i], chebyshev_transfer(mode, params, a[i], b[i], rtol, samples=samples[i])):
+        alone = chebyshev_transfers(mode, params, a[i:i + 1], b[i:i + 1], samples[i:i + 1], rtol)[0]
+        for ux, vx in zip(dense[i], alone):
             assert _relative_gap(ux, vx) <= 1e-13, i
     np.testing.assert_array_equal(u[2], np.eye(2))
     np.testing.assert_array_equal(dense[2], np.broadcast_to(np.eye(2), (16, 2, 2)))

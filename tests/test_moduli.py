@@ -278,14 +278,14 @@ def test_bigon_requires_acute():
 
 def test_type_signature():
     cd = conical_data((PI / 2, PI / 2, PI / 2))
-    assert type_signature(cd) == ("+", "+", "+")
+    assert type_signature(cd.c) == ("+", "+", "+")
     cd = conical_data((2 * PI, PI / 2, PI / 2))
-    assert type_signature(cd) == ("+", "+", "-")
-    assert type_signature_raw(cd) == ("-", "+", "+")
+    assert type_signature(cd.c) == ("+", "+", "-")
+    assert type_signature_raw(cd.c) == ("-", "+", "+")
     cd = conical_data((3 * PI, 3 * PI, 3 * PI))
-    assert type_signature(cd) == ("-", "-", "-")
+    assert type_signature(cd.c) == ("-", "-", "-")
 
 
 def test_type_signature_zero_rejected():
     with pytest.raises(ZeroCoefficient):
-        type_signature(conical_data((PI, PI / 2, PI / 2)))
+        type_signature(conical_data((PI, PI / 2, PI / 2)).c)

@@ -18,7 +18,8 @@ from trinoid.algebra import fro, inv2, project_h3
 from trinoid.cli import build_surface, main
 from trinoid.config import CLEARANCE_FACTOR, Tolerances
 from trinoid.errors import (
-    BallEscape, EmptyIntersection, NullStructureViolation, SingularPathPoint, StepUnderflow, TrinoidError,
+    BallEscape, EmptyIntersection, NonSL2Input, NullStructureViolation, SingularPathPoint, StepUnderflow,
+    TrinoidError,
 )
 from trinoid.fuchsian import MODE_MATRIX, circle, monodromy, path_clearance, run_kernel, segment
 from trinoid.surface import (
@@ -75,6 +76,17 @@ def test_transport_det_conserved(sym, big):
         assert transport.stats["max_det_defect"] < Tolerances().det
 
 
+def test_transport_det_gate_raises_non_sl2():
+    # the gate reads the largest relative defect over every vertex, which
+    # rounding keeps above a det tolerance of 1e-300 (SYM23 at 2x6 measures
+    # about 1e-16)
+    data = build_trinoid_data(SYM23)
+    grid = sample_grid(data, rings=2, sectors=6)
+    match = r"transported frame determinant drifted to .* \(relative to squared frame norm\), above 1e-300"
+    with pytest.raises(NonSL2Input, match=match):
+        transport_frame(data, grid, tol=dataclasses.replace(Tolerances(), det=1e-300))
+
+
 def test_transport_frames_bounded_small_angles(sym):
     # with half-angles 2/3 pi the local exponent spread is 4/3, so frames
     # at radius 1e-3 stay modest (measured max Frobenius norm 60.5); the
@@ -116,10 +128,10 @@ def test_transport_stall_reports_edge(monkeypatch):
     p, c = next(e for e in grid.edges.tolist() if max(e) >= n_ann)
     solve = trinoid.surface.chebyshev_transfers
 
-    def stall_on_edge(mode, params, a, b, rtol, stats=None):
+    def stall_on_edge(mode, params, a, b, samples, rtol, stats=None):
         if np.any(a == grid.vertices[p]):
             raise StepUnderflow("planted stall")
-        return solve(mode, params, a, b, rtol, stats)
+        return solve(mode, params, a, b, samples, rtol, stats)
 
     monkeypatch.setattr(trinoid.surface, "chebyshev_transfers", stall_on_edge)
     with pytest.raises(StepUnderflow, match=f"transport stalled on edge {p}->{c}: planted stall"):

@@ -6,10 +6,11 @@ from numpy.testing import assert_allclose
 
 from trinoid._kernel import _coeff_scalar
 from trinoid.algebra import is_inf
-from trinoid.errors import DegenerateHanbetu, ExcludedAngleIsPi
+from trinoid.errors import DegenerateHanbetu, ExcludedAngleIsPi, ZeroCoefficient
 from trinoid.moduli import Status, classify, conical_data, hanbetu_holds
 from trinoid.trinoid_data import (
     GaussMap,
+    HopfDifferential,
     build_hopf,
     build_trinoid_data,
     hypergeometric_params,
@@ -70,6 +71,15 @@ def test_hopf_deriv_matches_finite_differences():
     for z in (0.4 + 0.2j, -1.1 + 0.8j, 2.3 - 0.5j):
         fd = (q(z + h) - q(z - h)) / (2 * h)
         assert abs(q.deriv(z) - fd) < 1e-8 * max(1.0, abs(fd))
+
+
+def test_umbilics_refuse_coincident_roots_and_zero_c3():
+    # c = (1, 4, 1) makes the numerator z^2 + 2z + 1, a double root at -1;
+    # with c3 = 0 the numerator is not a quadratic at all
+    with pytest.raises(DegenerateHanbetu, match=r"umbilic points coincide: \(-1\+0j\) vs \(-1-0j\)"):
+        umbilics(HopfDifferential(c=(1.0, 4.0, 1.0)))
+    with pytest.raises(ZeroCoefficient, match="leading Hopf coefficient c3 vanishes"):
+        umbilics(HopfDifferential(c=(1.0, 4.0, 0.0)))
 
 
 def test_umbilics_symmetric():

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trinoid.algebra import fro, inv2, project_h3, su2_defect
-from trinoid.errors import NotPositiveDefinite, NotUnitarizable, ResonantReducible
+from trinoid.errors import NonSL2Input, NotPositiveDefinite, NotUnitarizable, ResonantReducible
 from trinoid.fuchsian import (
     BASE_POINT,
     MonodromyRep,
-    Source,
     hypergeometric_monodromy,
     make_path_plan,
     monodromy,
@@ -47,7 +46,6 @@ def _synthetic_rep(rho1, rho2):
         rho1=rho1,
         rho2=rho2,
         rho3=inv2(rho1 @ rho2),
-        source=Source.MATRIX_ODE,
         err_estimate=0.0,
         det_drift=0.0,
         eigenvalue_defect=0.0,
@@ -164,7 +162,6 @@ def test_conjugator_round_trip_unitarizes():
 
 def test_family_representation_c1():
     rep = family_representation(C1)
-    assert rep.source is Source.FAMILY
     assert_allclose(rep.rho1, -np.eye(2), atol=1e-15)
     assert_allclose(rep.rho2, np.diag([-1j, 1j]), atol=1e-15)
     assert_allclose(rep.rho3, np.diag([-1j, 1j]), atol=1e-15)
@@ -369,6 +366,24 @@ def test_resonant_reducible_names_its_integer_ends():
     with pytest.raises(NotUnitarizable) as info:
         unitarizer_space(_pipeline_rep(C1), SYM23)
     assert not isinstance(info.value, ResonantReducible)
+
+
+def test_unitarizer_space_refuses_non_sl2_generator():
+    # the generators must have determinant 1 to Tolerances.det relative to
+    # their squared norm
+    rep = _synthetic_rep(np.diag([2.0, 1.0]).astype(complex), np.eye(2, dtype=complex))
+    with pytest.raises(NonSL2Input, match=r"rho1 has determinant \(2\+0j\), not 1"):
+        unitarizer_space(rep, SYM23)
+
+
+def test_line_base_refuses_eigenvalues_off_the_unit_circle():
+    # a diagonal pair for the ReducibleC1 triple C1 whose second generator,
+    # diag(2, 1/2), is unimodular but has no unitary conjugate: the line's
+    # base check fails, and the class makes it resonant at the integer end 1
+    rep = _synthetic_rep(-np.eye(2, dtype=complex), np.diag([2.0, 0.5]).astype(complex))
+    match = r"generator eigenvalues .* leave the unit circle by 1\.000e\+00: .* integer end 1$"
+    with pytest.raises(ResonantReducible, match=match):
+        unitarizer_space(rep, C1)
 
 
 # B/pi over the sweep's range, U(0.1, 1.95) without the band around 1

@@ -23,7 +23,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "trinoid"
 
 KEPT = {
-    "chebyshev_transfer": "test constructor: the batch-of-one collocation transfer",
     "mat2": "test constructor: a 2x2 complex matrix from its entries",
     "su2_defect": "test oracle: distance of a conjugated generator from SU(2)",
     "integrate_matrix_ode": "benchmark probe and test oracle: matrix transport along a path",
@@ -33,7 +32,6 @@ KEPT = {
     "GaussMap.deriv": "test oracle: G' vanishes at the umbilics",
     "HopfDifferential.deriv": "test oracle: Q' against finite differences",
     "H3Point.minkowski": "test oracle: the hyperboloid point of a projection",
-    "MonodromyRep.source": "test oracle: which equation a representation came from",
     "MonodromyRep.eigenvalue_defect": "test oracle: eigenvalues against the expected traces",
     "ProfileCurve.points3d": "test oracle: the longest chain of a plane section",
     "ProfileCurve.t": "test oracle: the arclength parameter of that chain",
