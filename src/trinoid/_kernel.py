@@ -2,12 +2,16 @@
 
 Both integrate a 2x2 complex linear ODE dU = C(z) U dz and share the
 coefficient functions of _COEFF.  The mode number picks the coefficient
-matrix C, once per call:
+matrix C, once per call, and each mode's function returns C in factored
+form, in the shape of its matrix (_SHAPE):
 
-    0: the rank-one trinoid system in the z chart
-    1: the associated scalar second-order equation, in normal form
-    2: the hypergeometric equation, in normal form
-    4: the gauge-fixed system in a logarithmic chart around one puncture
+    0: the rank-one trinoid system in the z chart,
+       C = kap (g, 1)^T (1, -g), as (kap, g)
+    1: the associated scalar second-order equation, in normal form,
+       C = [[0, 1], [-I, 0]], as -I
+    2: the hypergeometric equation, in normal form, likewise as -I
+    4: the gauge-fixed system in a logarithmic chart around one puncture,
+       C = [[0, qf], [-gp, -1]], as (qf, gp)
 
 Normal form (Ince, Ordinary Differential Equations, 1926).  Modes 1 and 2
 carry a second-order equation X'' + r X' + s X = 0.  Its companion form,
@@ -62,26 +66,51 @@ Dormand-Prince.  A path is a float array of shape (n, 6).  Row layout:
 Error control is relative and per unit arclength: a step of arclength L is
 accepted when the embedded error estimate is at most rtol * L * max(1,
 max-norm of U).  For the matrix system (mode 0) the determinant of U is
-monitored with algebra.det2_compensated; the running maximum deviation
-from 1 comes back to the caller, since a trace-free generator conserves
-det exactly and any drift is pure integration error.
+monitored: the largest deviation of algebra.det2_compensated from 1 over
+the accepted steps comes back to the caller, since a trace-free generator
+conserves det exactly and any drift is pure integration error.  The loop
+records the accepted U's, and algebra.max_det_drift screens them at the
+end of the call with a vectorized compensated determinant and runs
+det2_compensated only on the few that can hold the maximum, so the
+result is the running maximum bit for bit, at a fraction of the cost of
+one det2_compensated call per step (about 2.5 us).
 
-Each _COEFF entry reads the parameters once and returns C as a function
-of z, the one copy of its formula, called on a point by integrate_path and
-on an array of nodes by collocation.  integrate_path reads each path row
-once, into a point function of the row's parameter, and unrolls the seven
-stages over the four entries of U, row-major; stage 7 sits at t + h with
-stage 6 and reuses its C (first same as last), so a step evaluates C six
-times.  The rows, the parameters and U(0) are read once, with tolist(),
-and the stages run on Python floats and complex numbers, whose arithmetic
-costs about half that of numpy scalars; arcs evaluate math.cos and
-math.sin.  Mode 4 stays on numpy scalars, which its np.exp returns.
-CPython's complex division rounds differently from numpy's in the last
-bits, so leaving numpy scalars moved the bits of the mode 0, 1 and 2
-transports but no step count: the loop generators moved by 2.2e-15
-relative at 2/3,2/3,2/3, by 2.7e-13 at 3,3,3 (the identity up to an
-integration error of a few 1e-12), and by at most 2.3e-8 relative over 200
-random triples of the monodromy sweep, at a generator of norm 1.6e4.
+Each _COEFF entry reads the parameters once and returns the factors of C
+as a function of z, the one copy of its formula, called on a point by
+integrate_path and on an array of nodes by collocation, which makes the
+four entries from the factors with its shape's entries function.
+integrate_path reads each path row once, into a point function of the
+row's parameter, and runs the seven stages unrolled over the four entries
+of U, row-major; stage 7 sits at t + h with stage 6 and reuses its
+factors (first same as last), so a step evaluates them six times.  Each
+stage derivative is written inline in its shape:
+
+    rank one:    s = kap zdot, c = s (v_a - g v_c), d = s (v_b - g v_d),
+                 a = g c, b = g d: seven products where the full C takes
+                 twelve, and each derivative is rank one up to rounding;
+    normal form: a = v_c zdot, b = v_d zdot, c = (-I v_a) zdot,
+                 d = (-I v_b) zdot, the general product's operations on
+                 the nonzero entries, so these transports keep its bits;
+    log chart:   the general product.
+
+The stages, the error norm and the step control are one source template,
+_LOOP over the tableau _STAGES, _FIFTH and _ERROR, that each shape
+compiles on its first use with its own derivative lines (as dataclasses
+writes __init__), since a derivative call per stage costs more than the
+shapes save.  The rows, the parameters and U(0) are read once, with
+tolist(), and the stages run on Python floats and complex numbers, whose
+arithmetic costs about half that of numpy scalars; arcs evaluate math.cos
+and math.sin.  Mode 4 stays on numpy scalars, which its np.exp returns.
+
+Measured against the full product (in process, best of 25, CPU time, on
+a shared 2-vCPU host): the two matrix loops of 3,3,3 went from 48-51 ms
+to 39-40 ms and those of 2/3,2/3,2/3 from 12.6-13.2 ms to 10.2-10.3 ms,
+the scalar loops of 2/3,2/3,2/3 from 40-45 ms to 36-37 ms; no step count
+moved.  The factored matrix loops moved the loop generators by 1.5e-15
+relative at 2/3,2/3,2/3 and by 4.3e-13 at 3,3,3 (the identity up to an
+integration error of a few 1e-12), and by at most 5.6e-12 relative
+(median 3.4e-15) over the first 1,000 triples of the monodromy sweep
+(seeds 1-5), whose largest det drift fell from 1.8e-9 to 3.0e-10.
 
 Return status: 0 success, 1 step size underflow (a near-singular path).
 Stages that overflow to inf or NaN pass the error norm, so a U with status
@@ -124,14 +153,19 @@ tolerance.
 """
 
 import math
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .algebra import det2_compensated
+from .algebra import max_det_drift
 from .errors import StepUnderflow
 
 
-# Each _COEFF entry binds the parameters to z -> (c11, c12, c21, c22) of C(z).
+# Each _COEFF entry binds the parameters to z -> the factors of C(z) in its
+# mode's shape (_SHAPE): (kap, g) of the rank-one system, the entry -I of a
+# normal form, and (qf, gp) of the log chart.
 
 
 def _coeff_matrix(params):
@@ -142,9 +176,7 @@ def _coeff_matrix(params):
     def coeff(z):
         den = 2.0 * z - p
         w = z - 1.0
-        kap = c3 * den * den / (8.0 * z * z * w * w)
-        g = z + s / (2.0 * den)
-        return kap * g, -kap * g * g, kap + 0.0j, -kap * g
+        return c3 * den * den / (8.0 * z * z * w * w), z + s / (2.0 * den)
 
     return coeff
 
@@ -162,7 +194,7 @@ def _coeff_scalar(params):
         zw = z * (z - 1.0)
         d = 2.0 * z - p
         inv = ((c3 * z + c0) * z + c1) / (2.0 * zw * zw) - 8.0 / (d * d) + 2.0 * (2.0 * z - 2.0 + p) / (zw * d)
-        return 0.0j, 1.0 + 0.0j, -inv, 0.0j
+        return -inv
 
     return coeff
 
@@ -178,7 +210,7 @@ def _coeff_hypergeometric(params):
 
     def coeff(z):
         w = z - 1.0
-        return 0.0j, 1.0 + 0.0j, -(k0 * w * w + k1 * z * z + k01 * z * w) / (z * z * w * w), 0.0j
+        return -(k0 * w * w + k1 * z * z + k01 * z * w) / (z * z * w * w)
 
     return coeff
 
@@ -204,12 +236,30 @@ def _coeff_log_chart(params):
             w = x - (1.0 - p0)
             qf = c3 * den * den / (8.0 * w * w)
             gp = 1.0 - s / (den * den)
-        return 0.0j, qf, -gp, -1.0 + 0.0j
+        return qf, gp
 
     return coeff
 
 
 _COEFF = {0: _coeff_matrix, 1: _coeff_scalar, 2: _coeff_hypergeometric, 4: _coeff_log_chart}
+
+
+# The entries (c11, c12, c21, c22) of C from a shape's factors, which
+# collocation assembles on arrays of nodes.
+
+
+def _rank_one_entries(f):
+    kap, g = f
+    return kap * g, -kap * g * g, kap + 0.0j, -kap * g
+
+
+def _normal_form_entries(q):
+    return 0.0j, 1.0 + 0.0j, q, 0.0j
+
+
+def _log_chart_entries(f):
+    qf, gp = f
+    return 0.0j, qf, -gp, -1.0 + 0.0j
 
 
 def _piece(row):
@@ -230,106 +280,59 @@ def _piece(row):
     return rad * abs(dth), point
 
 
-def integrate_path(rows, mode, params, u0, rtol):
-    """Transport u0 along the path; see the module docstring for layout."""
-    coeff = _COEFF[mode](params.tolist())
-    watch_det = mode == 0
-    # U = [[ua, ub], [uc, ud]]; stage j's derivative C U dz/dt is [[aj, bj], [cj, dj]]
-    ua, ub, uc, ud = u0.tolist()
+# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980), as
+# source text over one entry's stage derivatives {1} .. {7}: for stages 2 to
+# 6, the point as an offset from t and the increment on U of the argument
+_STAGES = (
+    ("0.2 * hs", "hs * 0.2 * {1}"),
+    ("0.3 * hs", "hs * (0.075 * {1} + 0.225 * {2})"),
+    ("0.8 * hs", "hs * ((44.0 / 45.0) * {1} - (56.0 / 15.0) * {2} + (32.0 / 9.0) * {3})"),
+    ("(8.0 / 9.0) * hs", "hs * ((19372.0 / 6561.0) * {1} - (25360.0 / 2187.0) * {2}"
+                         " + (64448.0 / 6561.0) * {3} - (212.0 / 729.0) * {4})"),
+    ("hs", "hs * ((9017.0 / 3168.0) * {1} - (355.0 / 33.0) * {2} + (46732.0 / 5247.0) * {3}"
+           " + (49.0 / 176.0) * {4} - (5103.0 / 18656.0) * {5})"),
+)
+# the fifth-order solution, whose derivative is stage 7 at stage 6's point
+# (first same as last), and the error estimate, fifth minus fourth order
+_FIFTH = ("hs * ((35.0 / 384.0) * {1} + (500.0 / 1113.0) * {3} + (125.0 / 192.0) * {4}"
+          " - (2187.0 / 6784.0) * {5} + (11.0 / 84.0) * {6})")
+_ERROR = ("hs * ((71.0 / 57600.0) * {1} - (71.0 / 16695.0) * {3} + (71.0 / 1920.0) * {4}"
+          " - (17253.0 / 339200.0) * {5} + (22.0 / 525.0) * {6} - (1.0 / 40.0) * {7})")
+
+# The loop, with U = [[ua, ub], [uc, ud]], the stage argument V = [[va, vb],
+# [vc, vd]] and stage j's derivative C V dz/dt = [[kaj, kbj], [kcj, kdj]];
+# {first} and {step} stand for the lines _stepper writes.
+_LOOP = """\
+def stepper(rows, coeff, u, rtol, watch_det):
+    ua, ub, uc, ud = u
     unorm = max(1.0, abs(ua), abs(ub), abs(uc), abs(ud))
     err_accum = 0.0
-    drift = 0.0
     nsteps = 0
-    for row in rows.tolist():
+    accepted = []
+    for row in rows:
         speed, point = _piece(row)
         if speed == 0.0:
             continue
         t = 0.0
         h = 1e-3
+        va, vb, vc, vd = ua, ub, uc, ud
         z, zdot = point(t)
-        c11, c12, c21, c22 = coeff(z)
-        a1, b1 = (c11 * ua + c12 * uc) * zdot, (c11 * ub + c12 * ud) * zdot
-        c1, d1 = (c21 * ua + c22 * uc) * zdot, (c21 * ub + c22 * ud) * zdot
+        {first}
         while t < 1.0:
             hs = min(h, 1.0 - t)
-            # Dormand-Prince 5(4) stages
-            h2 = hs * 0.2
-            va, vb, vc, vd = ua + h2 * a1, ub + h2 * b1, uc + h2 * c1, ud + h2 * d1
-            z, zdot = point(t + 0.2 * hs)
-            c11, c12, c21, c22 = coeff(z)
-            a2, b2 = (c11 * va + c12 * vc) * zdot, (c11 * vb + c12 * vd) * zdot
-            c2, d2 = (c21 * va + c22 * vc) * zdot, (c21 * vb + c22 * vd) * zdot
-            va = ua + hs * (0.075 * a1 + 0.225 * a2)
-            vb = ub + hs * (0.075 * b1 + 0.225 * b2)
-            vc = uc + hs * (0.075 * c1 + 0.225 * c2)
-            vd = ud + hs * (0.075 * d1 + 0.225 * d2)
-            z, zdot = point(t + 0.3 * hs)
-            c11, c12, c21, c22 = coeff(z)
-            a3, b3 = (c11 * va + c12 * vc) * zdot, (c11 * vb + c12 * vd) * zdot
-            c3, d3 = (c21 * va + c22 * vc) * zdot, (c21 * vb + c22 * vd) * zdot
-            va = ua + hs * ((44.0 / 45.0) * a1 - (56.0 / 15.0) * a2 + (32.0 / 9.0) * a3)
-            vb = ub + hs * ((44.0 / 45.0) * b1 - (56.0 / 15.0) * b2 + (32.0 / 9.0) * b3)
-            vc = uc + hs * ((44.0 / 45.0) * c1 - (56.0 / 15.0) * c2 + (32.0 / 9.0) * c3)
-            vd = ud + hs * ((44.0 / 45.0) * d1 - (56.0 / 15.0) * d2 + (32.0 / 9.0) * d3)
-            z, zdot = point(t + 0.8 * hs)
-            c11, c12, c21, c22 = coeff(z)
-            a4, b4 = (c11 * va + c12 * vc) * zdot, (c11 * vb + c12 * vd) * zdot
-            c4, d4 = (c21 * va + c22 * vc) * zdot, (c21 * vb + c22 * vd) * zdot
-            va = ua + hs * ((19372.0 / 6561.0) * a1 - (25360.0 / 2187.0) * a2
-                            + (64448.0 / 6561.0) * a3 - (212.0 / 729.0) * a4)
-            vb = ub + hs * ((19372.0 / 6561.0) * b1 - (25360.0 / 2187.0) * b2
-                            + (64448.0 / 6561.0) * b3 - (212.0 / 729.0) * b4)
-            vc = uc + hs * ((19372.0 / 6561.0) * c1 - (25360.0 / 2187.0) * c2
-                            + (64448.0 / 6561.0) * c3 - (212.0 / 729.0) * c4)
-            vd = ud + hs * ((19372.0 / 6561.0) * d1 - (25360.0 / 2187.0) * d2
-                            + (64448.0 / 6561.0) * d3 - (212.0 / 729.0) * d4)
-            z, zdot = point(t + (8.0 / 9.0) * hs)
-            c11, c12, c21, c22 = coeff(z)
-            a5, b5 = (c11 * va + c12 * vc) * zdot, (c11 * vb + c12 * vd) * zdot
-            c5, d5 = (c21 * va + c22 * vc) * zdot, (c21 * vb + c22 * vd) * zdot
-            va = ua + hs * ((9017.0 / 3168.0) * a1 - (355.0 / 33.0) * a2 + (46732.0 / 5247.0) * a3
-                            + (49.0 / 176.0) * a4 - (5103.0 / 18656.0) * a5)
-            vb = ub + hs * ((9017.0 / 3168.0) * b1 - (355.0 / 33.0) * b2 + (46732.0 / 5247.0) * b3
-                            + (49.0 / 176.0) * b4 - (5103.0 / 18656.0) * b5)
-            vc = uc + hs * ((9017.0 / 3168.0) * c1 - (355.0 / 33.0) * c2 + (46732.0 / 5247.0) * c3
-                            + (49.0 / 176.0) * c4 - (5103.0 / 18656.0) * c5)
-            vd = ud + hs * ((9017.0 / 3168.0) * d1 - (355.0 / 33.0) * d2 + (46732.0 / 5247.0) * d3
-                            + (49.0 / 176.0) * d4 - (5103.0 / 18656.0) * d5)
-            z, zdot = point(t + hs)
-            c11, c12, c21, c22 = coeff(z)
-            a6, b6 = (c11 * va + c12 * vc) * zdot, (c11 * vb + c12 * vd) * zdot
-            c6, d6 = (c21 * va + c22 * vc) * zdot, (c21 * vb + c22 * vd) * zdot
-            # the fifth-order solution; stage 7 shares stage 6's point and C (FSAL)
-            va = ua + hs * ((35.0 / 384.0) * a1 + (500.0 / 1113.0) * a3 + (125.0 / 192.0) * a4
-                            - (2187.0 / 6784.0) * a5 + (11.0 / 84.0) * a6)
-            vb = ub + hs * ((35.0 / 384.0) * b1 + (500.0 / 1113.0) * b3 + (125.0 / 192.0) * b4
-                            - (2187.0 / 6784.0) * b5 + (11.0 / 84.0) * b6)
-            vc = uc + hs * ((35.0 / 384.0) * c1 + (500.0 / 1113.0) * c3 + (125.0 / 192.0) * c4
-                            - (2187.0 / 6784.0) * c5 + (11.0 / 84.0) * c6)
-            vd = ud + hs * ((35.0 / 384.0) * d1 + (500.0 / 1113.0) * d3 + (125.0 / 192.0) * d4
-                            - (2187.0 / 6784.0) * d5 + (11.0 / 84.0) * d6)
-            a7, b7 = (c11 * va + c12 * vc) * zdot, (c11 * vb + c12 * vd) * zdot
-            c7, d7 = (c21 * va + c22 * vc) * zdot, (c21 * vb + c22 * vd) * zdot
-            ea = abs(hs * ((71.0 / 57600.0) * a1 - (71.0 / 16695.0) * a3 + (71.0 / 1920.0) * a4
-                           - (17253.0 / 339200.0) * a5 + (22.0 / 525.0) * a6 - (1.0 / 40.0) * a7))
-            eb = abs(hs * ((71.0 / 57600.0) * b1 - (71.0 / 16695.0) * b3 + (71.0 / 1920.0) * b4
-                           - (17253.0 / 339200.0) * b5 + (22.0 / 525.0) * b6 - (1.0 / 40.0) * b7))
-            ec = abs(hs * ((71.0 / 57600.0) * c1 - (71.0 / 16695.0) * c3 + (71.0 / 1920.0) * c4
-                           - (17253.0 / 339200.0) * c5 + (22.0 / 525.0) * c6 - (1.0 / 40.0) * c7))
-            ed = abs(hs * ((71.0 / 57600.0) * d1 - (71.0 / 16695.0) * d3 + (71.0 / 1920.0) * d4
-                           - (17253.0 / 339200.0) * d5 + (22.0 / 525.0) * d6 - (1.0 / 40.0) * d7))
+            {step}
             # never NaN: max keeps 0.0 over a NaN that follows it
             err = max(0.0, ea, eb, ec, ed)
             allowed = rtol * speed * hs * unorm
             if err <= allowed:
                 t += hs
                 ua, ub, uc, ud = va, vb, vc, vd
-                a1, b1, c1, d1 = a7, b7, c7, d7
+                ka1, kb1, kc1, kd1 = ka7, kb7, kc7, kd7
                 unorm = max(1.0, abs(ua), abs(ub), abs(uc), abs(ud))
                 err_accum += err
                 nsteps += 1
                 if watch_det:
-                    drift = max(drift, abs(det2_compensated(((ua, ub), (uc, ud))) - 1.0))
+                    accepted += ua, ub, uc, ud
             if err > 0.0:
                 fac = 0.9 * (allowed / err) ** 0.2
                 if fac < 0.2:
@@ -340,8 +343,77 @@ def integrate_path(rows, mode, params, u0, rtol):
             else:
                 h = hs * 5.0
             if h < 1e-14:
-                return 1, np.array((ua, ub, uc, ud)), err_accum, drift, nsteps
-    return 0, np.array((ua, ub, uc, ud)), err_accum, drift, nsteps
+                return 1, (ua, ub, uc, ud), err_accum, accepted, nsteps
+    return 0, (ua, ub, uc, ud), err_accum, accepted, nsteps
+"""
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """How a mode's factors make C: entries makes its four entries, for
+    collocation, and stepper is the Dormand-Prince loop whose stages
+    evaluate the factors by the lines at_point, at z with dz/dt = zdot, and
+    stage j's derivative by the lines derivative, with {j} for j.  The loop
+    is compiled on first use, since a process runs at most two shapes."""
+
+    name: str
+    entries: Callable
+    at_point: tuple
+    derivative: tuple
+
+    @cached_property
+    def stepper(self):
+        def stage(j):
+            return [line.format(j=j) for line in self.derivative]
+
+        def each_entry(line):
+            return [line.format(*(f"k{e}{j}" for j in range(8)), e=e) for e in "abcd"]
+
+        step = []
+        for j, (node, increment) in enumerate(_STAGES, start=2):
+            step += each_entry("v{e} = u{e} + " + increment)
+            step += [f"z, zdot = point(t + {node})", *self.at_point, *stage(j)]
+        step += each_entry("v{e} = u{e} + " + _FIFTH) + stage(7)
+        step += each_entry("e{e} = abs(" + _ERROR + ")")
+        blocks = {"{first}": [*self.at_point, *stage(1)], "{step}": step}
+        lines = []
+        for line in _LOOP.splitlines():
+            indent = line[:len(line) - len(line.lstrip())]
+            lines += [indent + b for b in blocks[line.strip()]] if line.strip() in blocks else [line]
+        namespace = {"_piece": _piece, "entries": self.entries}
+        exec(compile("\n".join(lines), f"<Dormand-Prince, {self.name}>", "exec"), namespace)
+        return namespace["stepper"]
+
+
+# The rank-one C = kap (g, 1)^T (1, -g) multiplies V in seven products; the
+# normal form [[0, 1], [q, 0]] in six, the same operations as the general
+# product on its nonzero entries; the log chart keeps the general product.
+_RANK_ONE = _Shape(
+    "rank one", _rank_one_entries,
+    ("kap, g = coeff(z)", "s = kap * zdot"),
+    ("kc{j} = s * (va - g * vc)", "kd{j} = s * (vb - g * vd)", "ka{j} = g * kc{j}", "kb{j} = g * kd{j}"),
+)
+_NORMAL_FORM = _Shape(
+    "normal form", _normal_form_entries,
+    ("q = coeff(z)",),
+    ("ka{j} = vc * zdot", "kb{j} = vd * zdot", "kc{j} = q * va * zdot", "kd{j} = q * vb * zdot"),
+)
+# the general product, on the entries that the shape makes of the factors
+_GENERAL_PRODUCT = (
+    ("c11, c12, c21, c22 = entries(coeff(z))",),
+    ("ka{j} = (c11 * va + c12 * vc) * zdot", "kb{j} = (c11 * vb + c12 * vd) * zdot",
+     "kc{j} = (c21 * va + c22 * vc) * zdot", "kd{j} = (c21 * vb + c22 * vd) * zdot"),
+)
+_LOG_CHART = _Shape("log chart", _log_chart_entries, *_GENERAL_PRODUCT)
+_SHAPE = {0: _RANK_ONE, 1: _NORMAL_FORM, 2: _NORMAL_FORM, 4: _LOG_CHART}
+
+
+def integrate_path(rows, mode, params, u0, rtol):
+    """Transport u0 along the path; see the module docstring for layout."""
+    status, u, err, accepted, nsteps = _SHAPE[mode].stepper(
+        rows.tolist(), _COEFF[mode](params.tolist()), u0.tolist(), rtol, mode == 0
+    )
+    return status, np.array(u), err, max_det_drift(accepted), nsteps
 
 
 # Chebyshev collocation on x_j = cos(j pi / N), j = 0..N, so x_0 = 1 is the
@@ -411,7 +483,7 @@ def _interpolate(w, x):
     return np.eye(2) + np.einsum("sj,srjc->src", lag, w)
 
 
-def _collocate(coeff, a, b, rtol, buf):
+def _collocate(factors, entries, a, b, rtol, buf):
     """W = U - I of the pieces a -> b at their nodes, shape (k, 2, N + 1, 2)
     with the node index in the middle, and whether each tail has decayed.
 
@@ -423,7 +495,7 @@ def _collocate(coeff, a, b, rtol, buf):
     h = 0.5 * (b - a)
     hc = np.empty((k, 2, 2, n1), dtype=complex)
     with np.errstate(all="ignore"):
-        for i, ck in enumerate(coeff((a + h)[:, None] + h[:, None] * _X)):
+        for i, ck in enumerate(entries(factors((a + h)[:, None] + h[:, None] * _X))):
             hc[:, i // 2, i % 2] = h[:, None] * ck
     if not np.isfinite(hc).all():
         raise StepUnderflow("the coefficients are singular on the segment")
@@ -456,7 +528,7 @@ def chebyshev_transfers(mode, params, a, b, samples, rtol, stats=None):
     accumulates the accepted pieces under "n_pieces".
     """
     check_rtol(rtol)
-    coeff = _COEFF[mode](params)
+    factors, entries = _COEFF[mode](params), _SHAPE[mode].entries
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     b = np.atleast_1d(np.asarray(b, dtype=complex))
     nseg = len(a)
@@ -469,7 +541,7 @@ def chebyshev_transfers(mode, params, a, b, samples, rtol, stats=None):
         ok = np.empty(len(seg), dtype=bool)
         for lo in range(0, len(seg), _CHUNK):
             hi = lo + _CHUNK
-            w, ok[lo:hi] = _collocate(coeff, pa[lo:hi], pb[lo:hi], rtol, buf)
+            w, ok[lo:hi] = _collocate(factors, entries, pa[lo:hi], pb[lo:hi], rtol, buf)
             mine = lo + np.flatnonzero(ok[lo:hi])
             done.append((seg[mine], ta[mine], tb[mine], w[mine - lo]))
         if ok.all():

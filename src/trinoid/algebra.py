@@ -133,6 +133,69 @@ def det2_compensated(m) -> complex:
     return complex(re, im)
 
 
+_U = 2.0 ** -53  # unit roundoff
+# the a-side and d-side entries of the eight real products of ad - bc, as
+# indices into (ar, ai, br, bi, cr, ci, dr, di), and their signs: re(ad - bc)
+# = ar dr - ai di - br cr + bi ci, im(ad - bc) = ar di + ai dr - br ci - bi cr
+_RIGHT = [[6, 7, 4, 5], [7, 6, 5, 4]]
+_SIGN = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
+
+
+def max_det_drift(entries) -> float:
+    """max(abs(det2_compensated(u) - 1.0)) over a run of 2x2 matrices u,
+    given as their entries, row-major, one matrix after another; bit for bit
+    as a running max from 0.0 takes it: a NaN never replaces the maximum,
+    and an exception that det2_compensated raises is raised for the first
+    matrix that raises it.
+
+    A vectorized screen finds the matrices that can hold the maximum, and
+    det2_compensated runs on those alone.  The screen forms the sixteen
+    terms of det2_compensated (Veltkamp splits, Dekker's two-products),
+    adds each part's four rounded products by error-free TwoSum and the
+    small rest plainly, so it is within about u |det| + 24 u^2 sum |p| of
+    the exact sum that det2_compensated rounds once (Ogita, Rump & Oishi,
+    SIAM J. Sci. Comput. 26, 2005).  delta bounds that error and the
+    roundings of both sides: a matrix whose screened value plus delta falls
+    below another's value minus delta cannot hold the maximum.  Every other
+    matrix is a candidate, and so is each one whose screen is not finite or
+    whose products near the overflow threshold, where fsum may raise.
+    """
+    if not len(entries):
+        return 0.0
+    v = np.array(entries, dtype=complex).view(float).reshape(-1, 8)
+    with np.errstate(all="ignore"):  # overflows read inf or NaN, which make candidates
+        t = _SPLITTER * v
+        vh = t - (t - v)
+        vl = v - vh
+        x, xh, xl = v[:, None, :4], vh[:, None, :4], vl[:, None, :4]
+        y, yh, yl = v[:, _RIGHT], vh[:, _RIGHT], vl[:, _RIGHT]
+        p = x * y
+        e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+        p *= _SIGN
+        e *= _SIGN
+        size = np.abs(p).sum(axis=(1, 2))
+        part = p[:, :, 0]
+        rest = e.sum(axis=2)
+        for k in (1, 2, 3):
+            q = p[:, :, k]
+            s = part + q
+            qq = s - part
+            rest += (part - (s - qq)) + (q - qq)
+            part = s
+        part += rest
+        re, im = part[:, 0], part[:, 1]
+        drift = np.hypot(re - 1.0, im)
+        delta = 8.0 * _U * (np.abs(re) + np.abs(im) + 1.0 + drift) + 64.0 * _U * _U * size + 1e-300
+        top, bottom = drift + delta, drift - delta
+    sure = np.isfinite(top) & (size < 2.0 ** 1000)
+    floor = bottom[sure].max() if sure.any() else -np.inf
+    drift = 0.0
+    for k in 4 * np.flatnonzero(~sure | (top >= floor)):
+        ua, ub, uc, ud = entries[k:k + 4]
+        drift = max(drift, abs(det2_compensated(((ua, ub), (uc, ud))) - 1.0))
+    return drift
+
+
 def det_defect(m: np.ndarray) -> np.ndarray:
     """|det m - 1| / max(1, |m|_F^2) of a 2x2 matrix or of each of a stack.
 

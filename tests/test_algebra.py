@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from trinoid.algebra import (
@@ -11,6 +13,7 @@ from trinoid.algebra import (
     hermitian_sqrt,
     inv2,
     mat2,
+    max_det_drift,
     project_h3,
     solve_quadratic,
     su2_defect,
@@ -96,6 +99,96 @@ def test_det_compensated_matches_reference_bit_for_bit():
     for m in cases:
         got, want = det2_compensated(m), _det2_compensated_reference(m)
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), m
+
+
+def running_det_drift(entries):
+    """The running maximum of |det - 1| over the matrices of a run of
+    entries, as the adaptive kernel once took it after each accepted step;
+    what it raises, it raises as the exception's type."""
+    drift = 0.0
+    for k in range(0, len(entries), 4):
+        ua, ub, uc, ud = entries[k:k + 4]
+        try:
+            drift = max(drift, abs(det2_compensated(((ua, ub), (uc, ud))) - 1.0))
+        except (ValueError, OverflowError) as exc:
+            return type(exc)
+    return drift
+
+
+def screened_det_drift(entries):
+    try:
+        return max_det_drift(entries)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+_UNIT = st.floats(-1.0, 1.0)
+_SPECIAL = st.sampled_from([
+    complex("nan"), complex(0.0, float("nan")), complex("inf"), complex("-inf"),
+    complex(float("inf"), float("inf")), complex(1e155, -1e155),
+])
+
+
+def _ulps(x, k):
+    """x moved by k units in the last place."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def _near_sl2(draw):
+    """Matrices near SL(2) of entries up to 1e5: d solves ad - bc = 1 in
+    floating point, then moves by a relative nudge, and a few copies of the
+    matrix move d by a few units in the last place, so that determinants
+    sit within rounding of each other; a tenth carry a NaN, an infinite or
+    an overflowing entry."""
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0, 1e5]))
+    a, b, c = (scale * complex(draw(_UNIT), draw(_UNIT)) for _ in range(3))
+    d = (1.0 + b * c) / a if a != 0.0 else scale * complex(draw(_UNIT), draw(_UNIT))
+    d *= 1.0 + draw(st.sampled_from([0.0, 1e-13, -1e-11, 1e-9]))
+    out = [[a, b, c, complex(_ulps(d.real, k), d.imag)] for k in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))]
+    if draw(st.integers(0, 9)) == 0:
+        out[0][draw(st.integers(0, 3))] = draw(_SPECIAL)
+    return out
+
+
+@st.composite
+def _histories(draw):
+    """The entries of a run of such matrices, in any order, some repeated."""
+    run = [m for group in draw(st.lists(_near_sl2(), max_size=10)) for m in group]
+    run = draw(st.permutations(run))
+    if run:
+        run += [run[i] for i in draw(st.lists(st.integers(0, len(run) - 1), max_size=4))]
+    return [x for m in run for x in m]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_histories())
+def test_screened_det_drift_is_the_running_max(entries):
+    # the screen only picks which matrices det2_compensated runs on, so the
+    # maximum is the running one bit for bit: NaN determinants never
+    # replace it, and the first matrix whose det2_compensated raises
+    # (an infinite entry can make fsum add inf and -inf) raises it
+    got, want = screened_det_drift(entries), running_det_drift(entries)
+    if isinstance(want, float):
+        assert isinstance(got, float) and got.hex() == want.hex()
+    else:
+        assert got is want
+
+
+def test_screened_det_drift_keeps_a_close_second():
+    # the screen's sum for the determinant of a, entries of size 1.7e7, is
+    # one unit off fsum's in the last place of the real part, so its drift
+    # reads 126 units (1.1e-16) above a's own; the drift of b lies between
+    # the two, and only the screen's margin keeps a among the candidates
+    a = [
+        2844944.3118714048 - 880795.4356500086j, 6788058.599214626 + 4849375.529568966j,
+        4405248.866213572 - 4136754.1204574965j, 16693274.906480195 + 2806922.0840724213j,
+    ]
+    b = [1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.005369623610659364j]
+    for entries in (a + b, b + a):
+        assert max_det_drift(entries).hex() == running_det_drift(entries).hex() == (0.005369623610659364).hex()
 
 
 def test_inv2_round_trip():

@@ -14,9 +14,15 @@ and checks that
 - in _kernel the parameter vector, by its name params, is indexed only
   inside the _coeff_* functions: a copy of a formula must read the
   parameters, so none can grow back in an engine.
+
+The Dormand-Prince loop is compiled once per coefficient shape from one
+tableau, written as source text that no syntax tree sees, so the text of
+src/trinoid/*.py is searched for the tableau's fractions: each occurs
+once, and a second copy of the stage arithmetic fails.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "trinoid"
@@ -85,6 +91,31 @@ def violations(sources: dict) -> list:
     return found
 
 
+# the Dormand-Prince 5(4) coefficients written as fractions, numerator and
+# denominator: the nodes 8/9, the stage weights, the fifth-order weights and
+# the error weights
+TABLEAU = (
+    (8, 9), (44, 45), (56, 15), (32, 9), (19372, 6561), (25360, 2187), (64448, 6561), (212, 729),
+    (9017, 3168), (355, 33), (46732, 5247), (49, 176), (5103, 18656),
+    (35, 384), (500, 1113), (125, 192), (2187, 6784), (11, 84),
+    (71, 57600), (71, 16695), (71, 1920), (17253, 339200), (22, 525), (1, 40),
+)
+
+
+def tableau_violations(sources: dict) -> list:
+    """Tableau fractions that do not occur exactly once in sources, a map
+    of file name to text; a fraction matches as p / q, p.0 / q.0 and the
+    like, whatever the spacing."""
+    text = "\n".join(sources.values())
+    found = []
+    for num, den in TABLEAU:
+        pattern = rf"(?<![\w.]){num}(?:\.0*)?\s*/\s*{den}(?:\.0*)?(?![\w.])"
+        count = len(re.findall(pattern, text))
+        if count != 1:
+            found.append(f"{num}.0 / {den}.0 occurs {count} times")
+    return found
+
+
 def test_guard_catches_planted_violations():
     kernel = (
         "def _coeff_a(params):\n"
@@ -127,3 +158,28 @@ def test_guard_catches_planted_violations():
 def test_each_coefficient_formula_is_written_once():
     sources = {m.name: m.read_text(encoding="utf-8") for m in sorted(SRC.glob("*.py"))}
     assert violations(sources) == []
+
+
+def _one_tableau():
+    return " ".join(f"({num}.0 / {den}.0)" for num, den in TABLEAU)
+
+
+def test_tableau_guard_catches_planted_violations():
+    assert tableau_violations({KERNEL: _one_tableau()}) == []
+    # a second copy of the last stage's arithmetic, and a weight written
+    # another way
+    planted = {
+        KERNEL: _one_tableau().replace("(71.0 / 1920.0)", "0.036979166666666667"),
+        "surface.py": "v = u + hs * ((9017/3168) * k1 - (355.0/33.0) * k2 + (5103. / 18656.) * k5)\n",
+    }
+    assert tableau_violations(planted) == [
+        "9017.0 / 3168.0 occurs 2 times",
+        "355.0 / 33.0 occurs 2 times",
+        "5103.0 / 18656.0 occurs 2 times",
+        "71.0 / 1920.0 occurs 0 times",
+    ]
+
+
+def test_each_tableau_coefficient_is_written_once():
+    sources = {m.name: m.read_text(encoding="utf-8") for m in sorted(SRC.glob("*.py"))}
+    assert tableau_violations(sources) == []

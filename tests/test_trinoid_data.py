@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from trinoid._kernel import _coeff_scalar
+from trinoid._kernel import _SHAPE, _coeff_scalar
 from trinoid.algebra import is_inf
 from trinoid.errors import DegenerateHanbetu, ExcludedAngleIsPi, ZeroCoefficient
+from trinoid.fuchsian import MODE_SCALAR
 from trinoid.moduli import Status, classify, conical_data, hanbetu_holds
 from trinoid.trinoid_data import (
     GaussMap,
@@ -183,8 +184,8 @@ def test_hypergeometric_params_invariants_all_signs():
 
 def _normal_form_invariant(data, z):
     """I of the normal form Y'' + I Y = 0 as the kernel's mode 1 evaluates
-    it, after checking that its matrix is [[0, 1], [-I, 0]]."""
-    c11, c12, c21, c22 = _coeff_scalar(data.kernel_params())(z)
+    it, after checking that its shape makes the matrix [[0, 1], [-I, 0]]."""
+    c11, c12, c21, c22 = _SHAPE[MODE_SCALAR].entries(_coeff_scalar(data.kernel_params())(z))
     assert (c11, c12, c22) == (0.0, 1.0, 0.0)
     return -c21
 
