@@ -288,22 +288,22 @@ class UnitarizerSpace:
 def _ball_chart(p: np.ndarray) -> np.ndarray:
     """Conjugator whose Hermitian square projects to ball point p.
 
-    Inverts the Poincare-ball projection: the ball point p (|p| < 1) lifts
-    to the Minkowski hyperboloid, the hyperboloid point is written as a
-    determinant-1 positive Hermitian matrix, and the conjugator is its
-    principal square root.
+    Inverts the Poincare-ball projection in closed form: the ball point p
+    (|p| < 1) at hyperbolic distance eta from the origin, |p| = tanh(eta/2),
+    is the image of the boost (I + p.sigma) / sqrt(1 - |p|^2) =
+    exp(eta/2 n.sigma), the principal square root of the hyperboloid point
+    exp(eta n.sigma).  Its determinant is (1 - |p|^2) / (1 - |p|^2), which
+    stays 1 up to rounding as p nears the ideal boundary, where the square
+    root of the hyperboloid matrix loses it to a cancellation of terms of
+    size 1 / (1 - |p|^2).
     """
     with np.errstate(over="ignore"):  # an overflow reads inf, which is refused
         r2 = float(p @ p)
     if r2 >= 1.0:
         raise ValueError(f"ball chart needs |p| < 1, got |p|^2 = {r2}")
-    den = 1.0 - r2
-    x0 = (1.0 + r2) / den
-    x1, x2, x3 = (2.0 * p[0] / den, 2.0 * p[1] / den, 2.0 * p[2] / den)
-    x = np.array(
-        [[x0 + x3, x1 + 1j * x2], [x1 - 1j * x2, x0 - x3]], dtype=complex
-    )
-    return hermitian_sqrt(x)
+    p1, p2, p3 = (float(x) for x in p)
+    boost = np.array([[1.0 + p3, p1 + 1j * p2], [p1 - 1j * p2, 1.0 - p3]], dtype=complex)
+    return boost / math.sqrt(1.0 - r2)
 
 
 def unitarizer_space(rep: MonodromyRep, angles, tol: Tolerances = Tolerances()) -> UnitarizerSpace:

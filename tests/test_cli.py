@@ -480,6 +480,19 @@ def test_large_finite_deformation_escapes_without_warnings(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_deformation_near_the_ideal_boundary_escapes_the_ball(tmp_path, capsys):
+    # |p| = 0.99999999 is a valid AllOfH3 deformation: its conjugator stays
+    # unimodular, so the mesh goes as far as its positions, which leave the
+    # unit ball, and the error names the first vertex that does (exit 3);
+    # it used to end at the determinant gate, which named nothing
+    rc = main(["mesh", "--angles", "3,3,3", "--deform=0.99999999,0,0", "--rings", "2", "--sectors", "6",
+               "--out", str(tmp_path / "m.obj")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: a mesh position is not finite or escaped the unit ball, first at vertex")
+    assert "determinant" not in err
+
+
 @pytest.mark.parametrize("cmd", ["monodromy", "mesh"])
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
 def test_tol_ode_rejects_invalid(tmp_path, monkeypatch, cmd, value):

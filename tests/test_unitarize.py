@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from trinoid.algebra import fro, inv2, project_h3, su2_defect
+from trinoid.algebra import det_defect, fro, inv2, project_h3, su2_defect
 from trinoid.errors import NonSL2Input, NotPositiveDefinite, NotUnitarizable, ResonantReducible
 from trinoid.fuchsian import (
     BASE_POINT,
@@ -274,6 +274,23 @@ def test_unitarizer_space_all_of_h3():
         assert_allclose(project_h3(a).ball, p, atol=1e-10)
     with pytest.raises(ValueError):
         space.sample([1.0, 0.0, 0.0])
+
+
+def test_ball_chart_stays_unimodular_near_the_ideal_boundary():
+    # the chart is the closed-form boost (I + p.sigma) / sqrt(1 - |p|^2),
+    # whose determinant stays 1 to rounding as |p| nears 1; the square root
+    # of the hyperboloid matrix that it replaced read a defect of 3.6e-9 at
+    # |p| = 0.99999999
+    space = unitarizer_space(_pipeline_rep(C2), C2)
+    rng = np.random.default_rng(37)
+    for r in (0.5, 0.99999999, 1.0 - 1e-15):
+        for _ in range(5):
+            n = rng.normal(size=3)
+            p = r * n / np.linalg.norm(n)
+            a = space.sample(p)
+            assert det_defect(a) <= 4.0 * np.finfo(float).eps
+            assert_allclose(a, a.conj().T, rtol=0.0, atol=0.0)
+            assert_allclose(project_h3(a).ball, p, atol=1e-10)
 
 
 def test_unitarizer_space_sample_shape_checked():
