@@ -97,16 +97,16 @@ The stages, the error norm and the step control are one source template,
 _LOOP over the tableau _STAGES, _FIFTH and _ERROR, that each shape
 compiles on its first use with its own derivative lines (as dataclasses
 writes __init__), since a derivative call per stage costs more than the
-shapes save.  The rows, the parameters and U(0) are read once, with
+shapes save; the compile takes about 2 ms per shape.  The rows, the parameters and U(0) are read once, with
 tolist(), and the stages run on Python floats and complex numbers, whose
 arithmetic costs about half that of numpy scalars; arcs evaluate math.cos
 and math.sin.  Mode 4 stays on numpy scalars, which its np.exp returns.
 
-Measured against the full product (in process, best of 25, CPU time, on
-a shared 2-vCPU host): the two matrix loops of 3,3,3 went from 48-51 ms
-to 39-40 ms and those of 2/3,2/3,2/3 from 12.6-13.2 ms to 10.2-10.3 ms,
-the scalar loops of 2/3,2/3,2/3 from 40-45 ms to 36-37 ms; no step count
-moved.  The factored matrix loops moved the loop generators by 1.5e-15
+Measured against the full product and a det2_compensated call per step
+(in process, best of 10, CPU time, three alternating rounds, on a shared
+2-vCPU host): the two matrix loops of 3,3,3 went from 44-45 ms to 34-36
+ms and those of 2/3,2/3,2/3 from 11.5-11.9 ms to 8.8-9.1 ms, the scalar
+loops of 2/3,2/3,2/3 from 37-40 ms to 31-33 ms; no step count moved.  The factored matrix loops moved the loop generators by 1.5e-15
 relative at 2/3,2/3,2/3 and by 4.3e-13 at 3,3,3 (the identity up to an
 integration error of a few 1e-12), and by at most 5.6e-12 relative
 (median 3.4e-15) over the first 1,000 triples of the monodromy sweep

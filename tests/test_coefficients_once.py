@@ -1,7 +1,8 @@
 """Each coefficient formula of the transport engines is written once.
 
 The coefficient functions of trinoid._kernel, one per mode, read the
-parameter vector once and return C as a function of z.  Both engines,
+parameter vector once and return the factors of C as a function of z
+(its shape's entries function makes C of them).  Both engines,
 Dormand-Prince (integrate_path) and Chebyshev collocation
 (chebyshev_transfers), take them from the one table _COEFF, so the loops
 and the grid edges integrate the same equations.  This walks the syntax

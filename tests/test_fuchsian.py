@@ -371,12 +371,10 @@ def test_loop_generators_match_frozen_reference(name, angles):
 # three of the first 1,000 monodromy_sweep triples (seeds 1-5), as B/pi,
 # whose matrix loops drifted past Tolerances.det (1.76e-9, 1.48e-9 and
 # 1.43e-9) while the stages multiplied by the full matrix C
-SWEEP_DRIFTERS = pytest.mark.parametrize("pi_multiples", [
-    (0.827325, 1.812639, 0.946606), (0.232598, 1.538976, 0.949406), (1.918984, 0.469115, 0.889589),
-], ids=["0.827325", "0.232598", "1.918984"])
+SWEEP_DRIFTERS = [(0.827325, 1.812639, 0.946606), (0.232598, 1.538976, 0.949406), (1.918984, 0.469115, 0.889589)]
 
 
-@SWEEP_DRIFTERS
+@pytest.mark.parametrize("pi_multiples", SWEEP_DRIFTERS, ids=lambda t: str(t[0]))
 def test_rank_one_stages_keep_sweep_drift_below_the_gate(pi_multiples):
     # the stages factor C = kap (g, 1)^T (1, -g), so every stage derivative
     # is rank one up to rounding (measured 1.7e-10, 2.1e-10 and 1.8e-10)
@@ -384,10 +382,7 @@ def test_rank_one_stages_keep_sweep_drift_below_the_gate(pi_multiples):
     assert rep.det_drift <= Tolerances().det
 
 
-@pytest.mark.parametrize("pi_multiples", [
-    (2 / 3, 2 / 3, 2 / 3), (3.0, 3.0, 3.0),
-    (0.827325, 1.812639, 0.946606), (0.232598, 1.538976, 0.949406), (1.918984, 0.469115, 0.889589),
-], ids=["sym23", "big", "0.827325", "0.232598", "1.918984"])
+@pytest.mark.parametrize("pi_multiples", [(2 / 3, 2 / 3, 2 / 3), (3.0, 3.0, 3.0), *SWEEP_DRIFTERS], ids=lambda t: str(t[0]))
 def test_screened_det_drift_on_kernel_histories(pi_multiples):
     # the det monitor screens the states the matrix loops accepted and
     # returns their running maximum of |det - 1| bit for bit
