@@ -292,10 +292,10 @@ def _ball_chart(p: np.ndarray) -> np.ndarray:
     (|p| < 1) at hyperbolic distance eta from the origin, |p| = tanh(eta/2),
     is the image of the boost (I + p.sigma) / sqrt(1 - |p|^2) =
     exp(eta/2 n.sigma), the principal square root of the hyperboloid point
-    exp(eta n.sigma).  Its determinant is (1 - |p|^2) / (1 - |p|^2), which
-    stays 1 up to rounding as p nears the ideal boundary, where the square
-    root of the hyperboloid matrix loses it to a cancellation of terms of
-    size 1 / (1 - |p|^2).
+    exp(eta n.sigma).  Its determinant is 1 up to rounding at every |p| < 1,
+    whereas the hyperboloid matrix's is a cancellation of terms of size
+    1 / (1 - |p|^2), which a numerical square root carries into the
+    conjugator as p nears the ideal boundary.
     """
     with np.errstate(over="ignore"):  # an overflow reads inf, which is refused
         r2 = float(p @ p)
